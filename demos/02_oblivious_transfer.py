@@ -30,7 +30,11 @@ f = PrimeField(11)
 
 # --- layer 1: the ideal box ---------------------------------------------
 box = IdealOt()
-print("ideal OT:", box.transfer(b"left", b"rite", 0), box.transfer(b"left", b"rite", 1))
+picked = []
+for b in (0, 1):
+    box.send_pair(b"left", b"rite")
+    picked.append(box.receive(b))
+print("ideal OT:", *picked)
 print("sender trace holds the pairs only:", box.sender_trace)
 
 # --- layer 2: 1-of-c reduction ------------------------------------------

@@ -19,7 +19,6 @@ Quick start::
 """
 
 from .field import (
-    FieldElement,
     FieldError,
     PrimeField,
     TableField,
@@ -50,7 +49,6 @@ from .protocol import (
 from .seeds import derive_seed, substream
 
 __all__ = [
-    "FieldElement",
     "FieldError",
     "PrimeField",
     "TableField",

@@ -14,14 +14,12 @@ Two interchangeable backends share one interface:
 Elements are canonical unsigned integers in [0, q).  The canonical total
 order on elements is plain integer order on these representatives; the
 protocol relies on it when reserving the key points above the query bound.
-Scalars are Python ints throughout; :class:`FieldElement` is a thin
-ergonomic wrapper for scalar work and the demos.
+Scalars are Python ints throughout.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -30,7 +28,6 @@ __all__ = [
     "FieldError",
     "PrimeField",
     "TableField",
-    "FieldElement",
     "gf2",
     "gf4",
     "is_probable_prime",
@@ -431,88 +428,3 @@ def decode_elements(field: Field, data: bytes) -> np.ndarray:
         for i in range(0, len(data), width)
     ]
     return field.asarray(values)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Scalar wrapper with operator sugar; mixed-field operands are errors."""
-
-    field: Field
-    value: int
-
-    def __post_init__(self):
-        self.field.check(self.value)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldError("operands belong to different fields")
-            return other.value
-        if isinstance(other, int):
-            return self.field.check(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.value, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(v, self.value))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
-
-    def __lt__(self, other) -> bool:
-        return compare(self.value, self._coerce(other)) < 0
-
-    def __le__(self, other) -> bool:
-        return compare(self.value, self._coerce(other)) <= 0
-
-    def __gt__(self, other) -> bool:
-        return compare(self.value, self._coerce(other)) > 0
-
-    def __ge__(self, other) -> bool:
-        return compare(self.value, self._coerce(other)) >= 0
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.value))
-
-    def __repr__(self) -> str:
-        return f"FieldElement(GF({self.field.q}), {self.value})"
-
-    def __int__(self) -> int:
-        return self.value

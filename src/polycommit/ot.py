@@ -31,10 +31,16 @@ Three layers, each independently testable:
    the swap bit hides the choice.  The security parameter k is enforced as
    a floor on the round count.
 
+   The wire roles in the session module are the only end-to-end
+   transfer; :func:`bs_phase1`, :func:`bs_setpair` and :func:`bs_transfer`
+   drive the same steps one at a time for the acceptance suite.
+
 3. The 1-of-c reduction: the sender masks her c secrets into a 2 x (c-1)
    table so that any single row choice per column reveals exactly one
    secret; c-1 invocations of a 1-of-2 backend transfer the receiver's
-   picks and a telescoping sum recovers the target secret.
+   picks and a telescoping sum recovers the target secret.  Its two
+   halves take the 1-of-2 steps as callables; :func:`ot_c_of_1` runs them
+   back to back over an :class:`IdealOt`.
 
 Messages at the 1-of-2 layer are opaque equal-length byte strings; the
 reduction layer works on vectors of field elements and serializes at the
@@ -52,7 +58,6 @@ from typing import Sequence
 import numpy as np
 
 from .field import Field, decode_elements, encode_elements
-from .seeds import derive_seed
 
 __all__ = [
     "OtError",
@@ -67,17 +72,21 @@ __all__ = [
     "EncodedPair",
     "bs_phase1",
     "bs_setpair",
+    "pick_encoding",
+    "ih_sets",
     "encode_pair",
     "decode_pair",
     "bs_transfer",
-    "BsOt2Backend",
     "build_reduction_table",
     "row_picks",
     "decode_c_of_1",
+    "ot_c_of_1_send",
+    "ot_c_of_1_receive",
     "ot_c_of_1",
 ]
 
 TAPE_CHUNK_BITS = 64 * 1024 * 8  # one 64 KiB payload per broadcast chunk
+MAX_BROADCASTS = 64  # broadcasts per transfer before the transfer gives up
 
 
 class OtError(Exception):
@@ -97,9 +106,9 @@ class IntersectionShortfall(OtError):
 class IdealOt:
     """Trusted-box 1-of-2 OT.
 
-    ``send_pair``/``receive`` rendezvous through a thread-safe queue so the
-    two roles may live on different threads; ``transfer`` composes both
-    sides for single-threaded use.  ``sender_trace`` records everything the
+    ``send_pair``/``receive`` rendezvous through a thread-safe queue, so the
+    two roles may live on different threads, or one thread may deposit
+    every pair before taking any.  ``sender_trace`` records everything the
     sender ever observes: the deposited pairs, byte-identical regardless of
     any choice bit.
     """
@@ -119,10 +128,6 @@ class IdealOt:
             raise OtError("choice must be a bit")
         pair = self._pairs.get(timeout=timeout)
         return pair[b]
-
-    def transfer(self, m0: bytes, m1: bytes, b: int) -> bytes:
-        self.send_pair(m0, m1)
-        return self.receive(b)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +415,32 @@ def ih_narrow(
     return sender.rounds, w0, w1
 
 
+def pick_encoding(
+    shared: np.ndarray, size: int, t: int, rng: random.Random
+) -> int | None:
+    """Receiver's interactive-hashing input: the colex rank of a random
+    ``size``-subset of ``shared`` (positions within the sender's index
+    list) that fits in t bits; None when 256 draws all miss."""
+    for _ in range(256):
+        w = colex_rank(sorted(rng.sample(list(shared), size)))
+        if w < (1 << t):
+            return w
+    return None
+
+
+def ih_sets(
+    indices: np.ndarray, w0: int, w1: int, swap: int, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(X0, X1) as tape positions: X_j is the solution at index swap ^ j,
+    so X_b is the receiver's set when swap = (his solution index) ^ b."""
+    sols = (w0, w1)
+    n = len(indices)
+    return (
+        indices[colex_unrank(sols[swap], size, n)],
+        indices[colex_unrank(sols[swap ^ 1], size, n)],
+    )
+
+
 def bs_setpair(
     sample_a: StoredSample,
     sample_b: StoredSample,
@@ -443,12 +474,8 @@ def bs_setpair(
             f"security parameter {k}"
         )
     if subset_choice is None:
-        for _ in range(256):
-            chosen = sorted(receiver_rng.sample(list(inter_positions), ell_x))
-            w = colex_rank(chosen)
-            if w < (1 << t):
-                break
-        else:
+        w = pick_encoding(inter_positions, ell_x, t, receiver_rng)
+        if w is None:
             raise IntersectionShortfall("no encodable subset found; rerun phase 1")
     else:
         chosen = sorted(int(p) for p in subset_choice)
@@ -459,14 +486,9 @@ def bs_setpair(
             raise OtError("subset_choice is not encodable in t bits")
 
     rounds, w0, w1 = ih_narrow(t, w, sender_rng)
-    mine = 0 if w == w0 else 1
-    swap = mine ^ b
-    sets = (
-        sample_a.indices[colex_unrank(w0, ell_x, n)],
-        sample_a.indices[colex_unrank(w1, ell_x, n)],
-    )
-    # X_j is the solution at index swap ^ j, so X_b is the receiver's set.
-    pair = SetPair(x0=sets[swap ^ 0], x1=sets[swap ^ 1], choice=b)
+    swap = (0 if w == w0 else 1) ^ b
+    x0, x1 = ih_sets(sample_a.indices, w0, w1, swap, ell_x)
+    pair = SetPair(x0=x0, x1=x1, choice=b)
     return pair, IhTranscript(t=t, rounds=tuple(rounds), swap=swap)
 
 
@@ -544,35 +566,6 @@ def bs_transfer(
 ) -> bytes:
     enc = encode_pair(m0, m1, pair.x0, pair.x1, sample_a, rng)
     return decode_pair(enc, pair, sample_b)
-
-
-class BsOt2Backend:
-    """1-of-2 backend running a full bounded-storage session per transfer.
-
-    Retries the broadcast phase when the stored sets intersect short of the
-    target, as the protocol prescribes.
-    """
-
-    def __init__(self, params: BsOtParams | None = None, seed: int = 0):
-        self.params = params or make_bs_params()
-        self.seed = seed
-        self._session = 0
-        self.retries = 0
-
-    def transfer(self, m0: bytes, m1: bytes, b: int) -> bytes:
-        self._session += 1
-        for attempt in range(64):
-            rng = random.Random(derive_seed(self.seed, "bsot", self._session, attempt))
-            _, sample_a, sample_b = bs_phase1(self.params, rng)
-            try:
-                pair, _ = bs_setpair(
-                    sample_a, sample_b, b, self.params.k, rng, rng
-                )
-            except IntersectionShortfall:
-                self.retries += 1
-                continue
-            return bs_transfer(m0, m1, pair, sample_a, sample_b, rng)
-        raise OtError("broadcast phase failed to reach the target intersection")
 
 
 # ---------------------------------------------------------------------------
@@ -659,21 +652,25 @@ def decode_c_of_1(
     return field.vsub(target, r)
 
 
+def ot_c_of_1_send(field: Field, secrets: Sequence[np.ndarray], send, rng) -> None:
+    """Sender half: the reduction table, one ``send(m0, m1)`` per column."""
+    for top, bottom in build_reduction_table(field, secrets, rng):
+        send(encode_elements(field, top), encode_elements(field, bottom))
+
+
+def ot_c_of_1_receive(field: Field, i: int, c: int, receive) -> np.ndarray:
+    """Receiver half: one ``receive(bit)`` per column, then secret i."""
+    received = [decode_elements(field, receive(b)) for b in row_picks(i, c)]
+    return decode_c_of_1(field, received, i, c)
+
+
 def ot_c_of_1(
     field: Field,
     secrets: Sequence[np.ndarray],
     i: int,
-    backend,
+    box,
     rng: random.Random,
 ) -> np.ndarray:
-    """1-of-c transfer: reduction table + c-1 backend invocations + decode."""
-    c = len(secrets)
-    table = build_reduction_table(field, secrets, rng)
-    picks = row_picks(i, c)
-    received = []
-    for j, (top, bottom) in enumerate(table):
-        raw = backend.transfer(
-            encode_elements(field, top), encode_elements(field, bottom), picks[j]
-        )
-        received.append(decode_elements(field, raw).reshape(np.shape(top)))
-    return decode_c_of_1(field, received, i, c)
+    """1-of-c transfer run locally: both halves in turn over an ideal box."""
+    ot_c_of_1_send(field, secrets, box.send_pair, rng)
+    return ot_c_of_1_receive(field, i, len(secrets), box.receive)

@@ -29,10 +29,6 @@ __all__ = [
     "power_row",
     "bilinear_eval",
     "structured_matrix",
-    "mat_mul",
-    "mat_vec",
-    "transpose",
-    "vconcat",
     "rank",
 ]
 
@@ -107,28 +103,6 @@ def structured_matrix(
         raise FieldError("need at least one generator point")
     rows = [power_row(field, p, s, kind) for p in pts]
     return np.stack(rows)
-
-
-def mat_mul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return field.matmul(a, b)
-
-
-def mat_vec(field: Field, a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v)
-    if v.ndim != 1:
-        raise FieldError("expected a vector")
-    return field.matmul(a, v)
-
-
-def transpose(matrix: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(matrix).T)
-
-
-def vconcat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = np.atleast_2d(a), np.atleast_2d(b)
-    if a.shape[1] != b.shape[1]:
-        raise FieldError(f"column mismatch: {a.shape} vs {b.shape}")
-    return np.vstack([a, b])
 
 
 def rank(field: Field, matrix: np.ndarray) -> int:

@@ -18,8 +18,8 @@ the two parities
 in O(c*s) field operations, and recovery returns
 highRow(x) v - u lowRow(x)^T, which equals f(x) for honest responses.
 
-Everything here is the single-process algorithmic form; the two-party
-wire-level state machines live in the session module.
+:func:`commit` runs the 2c secure computations locally over the ideal box;
+the session roles run the same S2PC halves and specs over the wire.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ __all__ = [
     "keygen_prover",
     "lambda_matrix",
     "theta_matrix",
+    "commitment_specs",
     "commit",
     "evaluate",
     "verify",
@@ -222,32 +223,41 @@ def theta_matrix(cfg: ProtocolConfig, key: VerifierKey) -> np.ndarray:
     return structured_matrix(cfg.field, key.thetas, cfg.s, "low")
 
 
+def commitment_specs(cfg: ProtocolConfig) -> tuple[S2pcSpec, S2pcSpec]:
+    """The (left, right) S2PCs: a row of Gamma from A+B, a column of Omega
+    from B, each at a reserved point."""
+    f = cfg.field
+    return (
+        S2pcSpec("left", cfg.prohibited, left_functional(f, cfg.s)),
+        S2pcSpec("right", cfg.prohibited, right_functional(f, cfg.s)),
+    )
+
+
 def commit(
     coeff_matrix: np.ndarray,
     verifier_key: VerifierKey,
     prover_key: ProverKey,
     cfg: ProtocolConfig,
-    backend,
+    box,
     rng: random.Random,
 ) -> VerificationKey:
     """Run the 2c secure computations and assemble (Gamma, Omega).
 
-    Local two-party simulation: the verifier's side supplies the key
-    points, the prover's side the masked matrices.  Any failed run raises
-    before a partial key is assembled.
+    Local two-party simulation over the ideal box: the verifier's side
+    supplies the key points, the prover's side the masked matrices.  Any
+    failed run raises before a partial key is assembled.
     """
     f = cfg.field
     a = f.asarray(coeff_matrix)
     if a.shape != (cfg.s, cfg.s):
         raise ConfigError(f"coefficient matrix must be {cfg.s}x{cfg.s}, got {a.shape}")
     masked = f.vadd(a, prover_key.mask)
-    left = S2pcSpec("left", cfg.prohibited, left_functional(f, cfg.s))
-    right = S2pcSpec("right", cfg.prohibited, right_functional(f, cfg.s))
+    left, right = commitment_specs(cfg)
     gamma_rows = [
-        s2pc_run(f, lam, masked, left, backend, rng) for lam in verifier_key.lambdas
+        s2pc_run(f, lam, masked, left, box, rng) for lam in verifier_key.lambdas
     ]
     omega_cols = [
-        s2pc_run(f, th, prover_key.mask, right, backend, rng)
+        s2pc_run(f, th, prover_key.mask, right, box, rng)
         for th in verifier_key.thetas
     ]
     return VerificationKey(

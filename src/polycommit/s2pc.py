@@ -7,6 +7,9 @@ domain element z, and the receiver fetches the row at x's position through
 a single 1-of-|domain| OT.  The whole codomain vector travels as one OT
 message, so each run costs exactly one 1-of-c invocation.
 
+The session roles run the two halves over the wire; :func:`s2pc_run` runs
+them back to back over an ideal box.
+
 The two evaluators the commitment phase needs are shipped here: the "left"
 functional maps (a, M) to highRow(a) . M (one row of a left-sided
 commitment) and the "right" functional maps (a, M) to M . lowRow(a) (one
@@ -22,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .field import Field
-from .ot import OtError, ot_c_of_1
+from .ot import OtError, ot_c_of_1_receive, ot_c_of_1_send
 from .polymat import power_row
 
 __all__ = [
@@ -31,6 +34,8 @@ __all__ = [
     "left_functional",
     "right_functional",
     "build_value_table",
+    "s2pc_send",
+    "s2pc_receive",
     "s2pc_run",
 ]
 
@@ -56,6 +61,12 @@ class S2pcSpec:
         if len(set(self.domain)) != len(self.domain):
             raise S2pcError("domain elements must be distinct")
 
+    def position(self, x: int) -> int:
+        """Index of the receiver's input in the domain."""
+        if x not in self.domain:
+            raise S2pcError(f"receiver input {x} is outside the agreed domain")
+        return self.domain.index(x)
+
 
 def left_functional(field: Field, s: int) -> Callable[[int, np.ndarray], np.ndarray]:
     """(a, M) -> [1, a**s, ..., a**(s(s-1))] . M"""
@@ -80,21 +91,29 @@ def build_value_table(field: Field, spec: S2pcSpec, y: np.ndarray) -> list[np.nd
     return [field.asarray(spec.evaluator(z, y)) for z in spec.domain]
 
 
+def s2pc_send(field: Field, spec: S2pcSpec, y: np.ndarray, send, rng) -> None:
+    """Sender half: the value table through the 1-of-c sender half."""
+    ot_c_of_1_send(field, build_value_table(field, spec, y), send, rng)
+
+
+def s2pc_receive(field: Field, spec: S2pcSpec, x: int, receive) -> np.ndarray:
+    """Receiver half: f(x, y), after checking x against the domain."""
+    return ot_c_of_1_receive(field, spec.position(x), len(spec.domain), receive)
+
+
 def s2pc_run(
     field: Field,
     x: int,
     y: np.ndarray,
     spec: S2pcSpec,
-    backend,
+    box,
     rng: random.Random,
 ) -> np.ndarray:
-    """Run one S2PC locally (both parties in-process).
+    """Run one S2PC locally: both halves in turn over an ideal box.
 
     The receiver's input is checked against the domain before any message
     exists, so an out-of-domain x aborts with nothing sent.
     """
-    if x not in spec.domain:
-        raise S2pcError(f"receiver input {x} is outside the agreed domain")
-    j = spec.domain.index(x)
-    table = build_value_table(field, spec, y)
-    return ot_c_of_1(field, table, j, backend, rng)
+    spec.position(x)
+    s2pc_send(field, spec, y, box.send_pair, rng)
+    return s2pc_receive(field, spec, x, box.receive)

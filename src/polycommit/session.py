@@ -6,10 +6,14 @@ orderly ABORT(0).  Any out-of-order frame aborts with a protocol-violation
 code.  The prover refuses queries above the agreed bound without ending
 the session.
 
-OT backends: "ideal" shares a trusted in-process box between co-hosted
-roles (only S2PC_BEGIN markers touch the wire); "bs" realizes every
-transfer on the wire with TAPE_CHUNK / OMEGA_REVEAL / IH_ROUND /
-ENCODED_PAIR frames, so a bounded-storage run works across real sockets.
+OT backends supply the 1-of-2 steps of the S2PC halves as ``send(chan,
+m0, m1, rng)`` / ``receive(chan, b, rng)``.  "ideal" shares a trusted
+in-process box between co-hosted roles (only S2PC_BEGIN markers touch the
+wire); "bs" realizes every transfer on the wire with TAPE_CHUNK /
+OMEGA_REVEAL / IH_ROUND / ENCODED_PAIR frames, so a bounded-storage run
+works across real sockets.  Its wire roles below are the only end-to-end
+bounded-storage transfer; a malformed OT frame, or MAX_BROADCASTS
+declined broadcasts, ends the session with exit 4.
 
 Exit codes: 0 ok, 2 config, 3 transport, 4 protocol violation,
 5 verification reject.
@@ -24,25 +28,24 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import decode_elements, encode_elements
+from .field import encode_elements  # noqa: F401  perfbench's tracer test reads this binding
 from .ot import (
+    MAX_BROADCASTS,
     BsOtParams,
+    EncodedPair,
     IdealOt,
     IhSender,
+    OtError,
+    SetPair,
     TapeSampler,
     _solve_pair,
-    build_reduction_table,
-    colex_rank,
-    colex_unrank,
-    decode_c_of_1,
     decode_pair,
     encode_pair,
-    EncodedPair,
     ih_encoding_bits,
+    ih_sets,
     iter_tape_chunks,
     make_bs_params,
-    row_picks,
-    SetPair,
+    pick_encoding,
 )
 from .polymat import poly_to_matrix
 from .protocol import (
@@ -50,13 +53,14 @@ from .protocol import (
     ProtocolConfig,
     RefusalError,
     VerificationKey,
+    commitment_specs,
     evaluate,
     keygen_prover,
     keygen_verifier,
     recover,
     verify,
 )
-from .s2pc import build_value_table, left_functional, right_functional, S2pcSpec
+from .s2pc import s2pc_receive, s2pc_send
 from .seeds import substream
 from .wire import (
     DecodeError,
@@ -137,9 +141,38 @@ def _send_abort(chan, code: int, message: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _expect_ih(chan, subtype: int) -> Reader:
+    _, payload = _expect(chan, Tag.IH_ROUND)
+    r = Reader(payload)
+    if r.u8() != subtype:
+        raise SessionAbort(EXIT_PROTOCOL, f"expected an IH frame of subtype {subtype}")
+    return r
+
+
+def _read_bit(r: Reader) -> int:
+    v = r.u8()
+    if v > 1:
+        raise OtError(f"expected a bit, got {v}")
+    return v
+
+
+def _read_reveal(payload: bytes, params: BsOtParams) -> np.ndarray:
+    """The sender's stored positions: exactly n distinct sorted positions
+    on the tape."""
+    r = Reader(payload)
+    count = r.u32()
+    if count != params.n:
+        raise OtError(f"OMEGA_REVEAL holds {count} positions, expected {params.n}")
+    omega = np.array([r.u32() for _ in range(count)])
+    r.done()
+    if np.any(np.diff(omega) <= 0) or omega[-1] >= params.K:
+        raise OtError("OMEGA_REVEAL positions must be distinct, sorted and on the tape")
+    return omega
+
+
 def ot2_wire_send(chan, params: BsOtParams, m0: bytes, m1: bytes, rng: random.Random) -> None:
     """Sender side of one bounded-storage transfer over the channel."""
-    while True:
+    for _ in range(MAX_BROADCASTS):
         sampler = TapeSampler(params, rng)
         for offset, chunk in iter_tape_chunks(params, rng):
             sampler.consume(offset, chunk)
@@ -156,11 +189,7 @@ def ot2_wire_send(chan, params: BsOtParams, m0: bytes, m1: bytes, rng: random.Ra
         for idx in sample.indices:
             w.u32(int(idx))
         chan.send(Tag.OMEGA_REVEAL, w.bytes())
-        _, payload = _expect(chan, Tag.IH_ROUND)
-        r = Reader(payload)
-        if r.u8() != _IH_STATUS:
-            raise SessionAbort(EXIT_PROTOCOL, "expected an IH status frame")
-        if r.u8() == 1:  # receiver asks for a fresh broadcast
+        if _read_bit(_expect_ih(chan, _IH_STATUS)):  # receiver asks for a fresh broadcast
             continue
         t = ih_encoding_bits(params.n, params.subset_size)
         sender = IhSender(t, rng)
@@ -168,23 +197,11 @@ def ot2_wire_send(chan, params: BsOtParams, m0: bytes, m1: bytes, rng: random.Ra
             h = sender.next_constraint()
             hb = h.to_bytes((t + 7) // 8, "little")
             chan.send(Tag.IH_ROUND, Writer().u8(_IH_CONSTRAINT).blob(hb).bytes())
-            _, payload = _expect(chan, Tag.IH_ROUND)
-            r = Reader(payload)
-            if r.u8() != _IH_REPLY:
-                raise SessionAbort(EXIT_PROTOCOL, "expected an IH reply")
-            sender.push_reply(r.u8())
-        _, payload = _expect(chan, Tag.IH_ROUND)
-        r = Reader(payload)
-        if r.u8() != _IH_SWAP:
-            raise SessionAbort(EXIT_PROTOCOL, "expected the IH swap bit")
-        swap = r.u8()
+            sender.push_reply(_read_bit(_expect_ih(chan, _IH_REPLY)))
+        swap = _read_bit(_expect_ih(chan, _IH_SWAP))
         w0, w1 = sender.solutions()
-        ell_x = params.subset_size
-        sets = (
-            sample.indices[colex_unrank(w0, ell_x, params.n)],
-            sample.indices[colex_unrank(w1, ell_x, params.n)],
-        )
-        enc = encode_pair(m0, m1, sets[swap ^ 0], sets[swap ^ 1], sample, rng)
+        x0, x1 = ih_sets(sample.indices, w0, w1, swap, params.subset_size)
+        enc = encode_pair(m0, m1, x0, x1, sample, rng)
         payload = (
             Writer()
             .u64(enc.seeds[0])
@@ -195,52 +212,40 @@ def ot2_wire_send(chan, params: BsOtParams, m0: bytes, m1: bytes, rng: random.Ra
         )
         chan.send(Tag.ENCODED_PAIR, payload)
         return
+    raise OtError(f"receiver declined {MAX_BROADCASTS} broadcasts in a row")
 
 
 def ot2_wire_receive(chan, params: BsOtParams, b: int, rng: random.Random) -> bytes:
     """Receiver side of one bounded-storage transfer over the channel."""
-    while True:
+    for _ in range(MAX_BROADCASTS):
         sampler = TapeSampler(params, rng)
         omega_a = None
         while omega_a is None:
             tag, payload = _expect(chan, Tag.TAPE_CHUNK, Tag.OMEGA_REVEAL)
-            r = Reader(payload)
             if tag == Tag.TAPE_CHUNK:
+                r = Reader(payload)
                 offset, nbits = r.u64(), r.u32()
                 packed = np.frombuffer(r.blob(), dtype=np.uint8)
                 sampler.consume(offset, np.unpackbits(packed)[:nbits])
             else:
-                omega_a = np.array([r.u32() for _ in range(r.u32())])
+                omega_a = _read_reveal(payload, params)
         sample = sampler.finish()
-        inter_mask = np.isin(omega_a, sample.indices)
-        inter_positions = np.nonzero(inter_mask)[0]
+        shared = np.nonzero(np.isin(omega_a, sample.indices))[0]
         ell_x = params.subset_size
-        t = ih_encoding_bits(len(omega_a), ell_x)
-        subset = None
-        if len(inter_positions) >= params.ell:
-            for _ in range(256):
-                candidate = sorted(rng.sample(list(inter_positions), ell_x))
-                if colex_rank(candidate) < (1 << t):
-                    subset = candidate
-                    break
-        if subset is None:
+        t = ih_encoding_bits(params.n, ell_x)
+        w = pick_encoding(shared, ell_x, t, rng) if len(shared) >= params.ell else None
+        if w is None:
             chan.send(Tag.IH_ROUND, Writer().u8(_IH_STATUS).u8(1).bytes())
             continue
         chan.send(Tag.IH_ROUND, Writer().u8(_IH_STATUS).u8(0).bytes())
-        w = colex_rank(subset)
         rounds = []
         for _ in range(t - 1):
-            _, payload = _expect(chan, Tag.IH_ROUND)
-            r = Reader(payload)
-            if r.u8() != _IH_CONSTRAINT:
-                raise SessionAbort(EXIT_PROTOCOL, "expected an IH constraint")
-            h = int.from_bytes(r.blob(), "little")
+            h = int.from_bytes(_expect_ih(chan, _IH_CONSTRAINT).blob(), "little")
             reply = (h & w).bit_count() & 1
             rounds.append((h, reply))
             chan.send(Tag.IH_ROUND, Writer().u8(_IH_REPLY).u8(reply).bytes())
         w0, w1 = _solve_pair(rounds, t)
-        mine = 0 if w == w0 else 1
-        swap = mine ^ b
+        swap = (0 if w == w0 else 1) ^ b
         chan.send(Tag.IH_ROUND, Writer().u8(_IH_SWAP).u8(swap).bytes())
         _, payload = _expect(chan, Tag.ENCODED_PAIR)
         r = Reader(payload)
@@ -249,12 +254,9 @@ def ot2_wire_receive(chan, params: BsOtParams, b: int, rng: random.Random) -> by
         seed1 = r.u64()
         ct1 = r.blob()
         enc = EncodedPair(seeds=(seed0, seed1), ciphertexts=(ct0, ct1))
-        pair = SetPair(
-            x0=omega_a[colex_unrank(w0 if swap == 0 else w1, ell_x, len(omega_a))],
-            x1=omega_a[colex_unrank(w1 if swap == 0 else w0, ell_x, len(omega_a))],
-            choice=b,
-        )
-        return decode_pair(enc, pair, sample)
+        x0, x1 = ih_sets(omega_a, w0, w1, swap, ell_x)
+        return decode_pair(enc, SetPair(x0=x0, x1=x1, choice=b), sample)
+    raise OtError(f"no usable broadcast in {MAX_BROADCASTS} attempts")
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +271,10 @@ class IdealBackend:
     box: IdealOt = dc_field(default_factory=IdealOt)
     name: str = "ideal"
 
-    def send(self, chan, cfg, m0, m1, rng):
+    def send(self, chan, m0, m1, rng):
         self.box.send_pair(m0, m1)
 
-    def receive(self, chan, cfg, b, rng):
+    def receive(self, chan, b, rng):
         return self.box.receive(b)
 
 
@@ -283,10 +285,10 @@ class BsBackend:
     params: BsOtParams = dc_field(default_factory=make_bs_params)
     name: str = "bs"
 
-    def send(self, chan, cfg, m0, m1, rng):
+    def send(self, chan, m0, m1, rng):
         ot2_wire_send(chan, self.params, m0, m1, rng)
 
-    def receive(self, chan, cfg, b, rng):
+    def receive(self, chan, b, rng):
         return ot2_wire_receive(chan, self.params, b, rng)
 
 
@@ -327,30 +329,25 @@ class ProverSession:
         self.backend = backend
         self.rng = substream(seed, "prover")
         self.prover_key = keygen_prover(cfg, self.rng)
+        self._specs = commitment_specs(cfg)
         self.stats = ProverStats()
         self._seen_queries: set[int] = set()
 
     def _serve_s2pc(self, chan, kind: int) -> None:
-        cfg = self.cfg
-        f = cfg.field
-        if kind == _KIND_LEFT:
-            secret = f.vadd(self.matrix, self.prover_key.mask)
-            spec = S2pcSpec("left", cfg.prohibited, left_functional(f, cfg.s))
-        elif kind == _KIND_RIGHT:
-            secret = self.prover_key.mask
-            spec = S2pcSpec("right", cfg.prohibited, right_functional(f, cfg.s))
-        else:
+        if kind not in (_KIND_LEFT, _KIND_RIGHT):
             raise SessionAbort(EXIT_PROTOCOL, f"unknown S2PC kind {kind}")
-        table = build_value_table(f, spec, secret)
-        reduction = build_reduction_table(f, table, self.rng)
-        for top, bottom in reduction:
-            self.backend.send(
-                chan,
-                cfg,
-                encode_elements(f, top),
-                encode_elements(f, bottom),
-                self.rng,
-            )
+        f = self.cfg.field
+        spec = self._specs[kind - _KIND_LEFT]
+        secret = self.prover_key.mask
+        if kind == _KIND_LEFT:
+            secret = f.vadd(self.matrix, secret)
+        s2pc_send(
+            f,
+            spec,
+            secret,
+            lambda m0, m1: self.backend.send(chan, m0, m1, self.rng),
+            self.rng,
+        )
 
     def run(self, chan) -> int:
         cfg = self.cfg
@@ -418,7 +415,7 @@ class ProverSession:
         except SessionAbort as abort:
             _send_abort(chan, abort.code, str(abort))
             return abort.code
-        except DecodeError as exc:
+        except (DecodeError, OtError) as exc:
             _send_abort(chan, EXIT_PROTOCOL, str(exc))
             return EXIT_PROTOCOL
         except TransportError:
@@ -445,20 +442,17 @@ class VerifierSession:
         self.backend = backend
         self.rng = substream(seed, "verifier")
         self.key = keygen_verifier(cfg, self.rng)
+        self._specs = commitment_specs(cfg)
         self.outcome = VerifierOutcome()
 
     def _request_s2pc(self, chan, kind: int, index: int, point: int) -> np.ndarray:
-        cfg = self.cfg
-        f = cfg.field
         chan.send(Tag.S2PC_BEGIN, Writer().u8(kind).u32(index).bytes())
-        count = len(cfg.prohibited)
-        target = cfg.prohibited.index(point)
-        picks = row_picks(target, count)
-        received = []
-        for col in range(count - 1):
-            raw = self.backend.receive(chan, cfg, picks[col], self.rng)
-            received.append(decode_elements(f, raw))
-        return decode_c_of_1(f, received, target, count)
+        return s2pc_receive(
+            self.cfg.field,
+            self._specs[kind - _KIND_LEFT],
+            point,
+            lambda b: self.backend.receive(chan, b, self.rng),
+        )
 
     def run(self, chan) -> int:
         cfg = self.cfg
@@ -513,7 +507,7 @@ class VerifierSession:
         except SessionAbort as abort:
             _send_abort(chan, abort.code, str(abort))
             return abort.code
-        except DecodeError as exc:
+        except (DecodeError, OtError) as exc:
             _send_abort(chan, EXIT_PROTOCOL, str(exc))
             return EXIT_PROTOCOL
         except TransportError:

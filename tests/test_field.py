@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from polycommit import (
-    FieldElement,
     FieldError,
     PrimeField,
     TableField,
@@ -126,27 +125,6 @@ def test_arith_examples_gf11():
     assert GF11.mul(3, 4) == 1
     for a in range(11):
         assert GF11.add(a, 0) == a
-
-
-def test_mixed_field_operands_error():
-    a = FieldElement(GF11, 7)
-    b = FieldElement(PrimeField(13), 7)
-    with pytest.raises(FieldError):
-        a + b
-    with pytest.raises(FieldError):
-        a * FieldElement(GF4, 2)
-
-
-def test_element_operator_sugar():
-    a = FieldElement(GF11, 7)
-    b = FieldElement(GF11, 8)
-    assert (a + b).value == 4
-    assert (a - b).value == 10
-    assert (a * b).value == 1
-    assert (-a).value == 4
-    assert (a**3).value == 2
-    assert (a ** (-1)).value == 8
-    assert a.inverse() * a == 1
 
 
 # -- inv_pow --
@@ -278,4 +256,4 @@ def test_canonical_range_enforced():
     with pytest.raises(FieldError):
         GF11.asarray([0, 3, 12])
     with pytest.raises(FieldError):
-        FieldElement(GF4, 4)
+        GF4.check(4)

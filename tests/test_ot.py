@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import threading
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -11,7 +12,6 @@ import pytest
 from polycommit import PrimeField, gf4, substream
 from polycommit.field import decode_elements, encode_elements
 from polycommit.ot import (
-    BsOt2Backend,
     BsOtParams,
     IdealOt,
     IntersectionShortfall,
@@ -31,6 +31,8 @@ from polycommit.ot import (
     ot_c_of_1,
     row_picks,
 )
+from polycommit.session import BsBackend
+from polycommit.wire import duplex_pair
 
 GF11 = PrimeField(11)
 
@@ -40,28 +42,31 @@ GF11 = PrimeField(11)
 
 def test_ideal_ot_selects():
     ot = IdealOt()
-    assert ot.transfer(b"\x05", b"\x09", 1) == b"\x09"
-    assert ot.transfer(b"\x05", b"\x09", 0) == b"\x05"
+    for b in (1, 0):
+        ot.send_pair(b"\x05", b"\x09")
+        assert ot.receive(b) == (b"\x05", b"\x09")[b]
 
 
 def test_ideal_ot_identical_messages():
     ot = IdealOt()
     for b in (0, 1):
-        assert ot.transfer(b"same", b"same", b) == b"same"
+        ot.send_pair(b"same", b"same")
+        assert ot.receive(b) == b"same"
 
 
 def test_ideal_ot_sender_trace_is_choice_free():
     traces = []
     for b in (0, 1):
         ot = IdealOt()
-        ot.transfer(b"\x01\x02", b"\x03\x04", b)
+        ot.send_pair(b"\x01\x02", b"\x03\x04")
+        ot.receive(b)
         traces.append(list(ot.sender_trace))
     assert traces[0] == traces[1]
 
 
 def test_ideal_ot_rejects_length_mismatch():
     with pytest.raises(OtError):
-        IdealOt().transfer(b"x", b"xy", 0)
+        IdealOt().send_pair(b"x", b"xy")
 
 
 # -- reduction table --
@@ -441,18 +446,21 @@ def test_missing_bit_statistics_over_200_runs():
 
 
 def test_bs_backend_end_to_end():
-    backend = BsOt2Backend(make_bs_params(N=4096, ell=16), seed=3)
-    assert backend.transfer(b"left", b"rite", 0) == b"left"
-    assert backend.transfer(b"left", b"rite", 1) == b"rite"
-
-
-def test_bs_backend_through_reduction():
-    rng = substream(2024, "ot", "bs-reduction")
-    backend = BsOt2Backend(make_bs_params(N=4096, ell=16), seed=4)
-    secrets = [GF11.asarray([GF11.sample(rng) for _ in range(2)]) for _ in range(3)]
-    for i in range(3):
-        got = ot_c_of_1(GF11, secrets, i, backend, rng)
-        assert got.tolist() == secrets[i].tolist()
+    # the shipped transfer: both wire roles over a duplex pair, the sender
+    # on its own thread
+    backend = BsBackend(make_bs_params(N=4096, ell=16))
+    rng = substream(2024, "ot", "bs-wire")
+    chan_s, chan_r = duplex_pair(timeout=10)
+    for run in range(20):
+        m0, m1, b = rng.randbytes(6), rng.randbytes(6), rng.randrange(2)
+        sender = threading.Thread(
+            target=backend.send, args=(chan_s, m0, m1, random.Random(run))
+        )
+        sender.start()
+        got = backend.receive(chan_r, b, random.Random(1000 + run))
+        sender.join(timeout=10)
+        assert not sender.is_alive()
+        assert got == (m0, m1)[b]
 
 
 def test_element_codec_round_trip():

@@ -11,7 +11,6 @@ from polycommit.polymat import (
     power_row,
     rank,
     structured_matrix,
-    vconcat,
 )
 from polycommit.protocol import (
     ConfigError,
@@ -345,13 +344,11 @@ def test_key_and_query_rows_jointly_full_rank():
         key = keygen_verifier(cfg, rng)
         m = rng.randrange(1, cfg.s - cfg.c + 1)
         queries = rng.sample(range(cfg.xi + 1), m)
-        lam_y = vconcat(
-            lambda_matrix(cfg, key),
-            structured_matrix(GF11, queries, cfg.s, "high"),
+        lam_y = np.vstack(
+            [lambda_matrix(cfg, key), structured_matrix(GF11, queries, cfg.s, "high")]
         )
-        theta_x = vconcat(
-            theta_matrix(cfg, key),
-            structured_matrix(GF11, queries, cfg.s, "low"),
+        theta_x = np.vstack(
+            [theta_matrix(cfg, key), structured_matrix(GF11, queries, cfg.s, "low")]
         )
         assert rank(GF11, lam_y) == cfg.c + m
         assert rank(GF11, theta_x) == cfg.c + m

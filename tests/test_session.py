@@ -1,15 +1,25 @@
 """Two-party session driver: end-to-end runs, refusals, faults, transcripts."""
 
+import hashlib
+import random
 import threading
 
+import numpy as np
 import pytest
 
-from polycommit import PrimeField
+from polycommit import PrimeField, wire
 from polycommit.field import encode_elements
-from polycommit.ot import make_bs_params
+from polycommit.ot import (
+    MAX_BROADCASTS,
+    TapeSampler,
+    ih_encoding_bits,
+    iter_tape_chunks,
+    make_bs_params,
+)
 from polycommit.polymat import horner_eval
 from polycommit.protocol import make_config
 from polycommit.session import (
+    BsBackend,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PROTOCOL,
@@ -22,7 +32,7 @@ from polycommit.session import (
     run_pair,
     run_role,
 )
-from polycommit.wire import Tag, Writer, duplex_pair
+from polycommit.wire import Reader, Tag, Writer, config_digest, duplex_pair, set_digest
 
 GF11 = PrimeField(11)
 
@@ -74,6 +84,23 @@ def test_bounded_storage_backend_end_to_end():
     assert res_p.exit_code == EXIT_OK and res_v.exit_code == EXIT_OK
     for x, value in outcome.recovered:
         assert value == horner_eval(GF11, coeffs, x)
+
+
+def test_bounded_storage_wire_is_stable():
+    # Golden digest of the prover's whole transcript (657 frames, 25,763
+    # bytes, 7 broadcasts for 6 transfers).  A change to an RNG stream or
+    # to the wire format must update it on purpose.
+    cfg = desk_config(c=1)
+    res_p, res_v, _ = run_pair(
+        cfg, honest_coefficients(cfg, 14), [1, 2], seed=14, backend="bs",
+        bs_params=SMALL_BS,
+    )
+    assert res_p.exit_code == EXIT_OK and res_v.exit_code == EXIT_OK
+    blob = b"".join(wire.encode_frame(t, p) for t, p in res_p.transcript.frames)
+    assert (len(res_p.transcript.frames), len(blob)) == (657, 25_763)
+    assert hashlib.sha256(blob).hexdigest() == (
+        "72a54abcc9561f67c37c96bbdafb8403d6b3b3dadbb017c77d1db2c9367a197e"
+    )
 
 
 def test_transport_independence():
@@ -279,3 +306,144 @@ def test_transcript_dump_format(tmp_path):
         assert int(off) == offset and name == Tag(tag).name
         assert int(length) == len(payload)
         offset += 5 + len(payload)
+
+
+# -- hostile OT peers: each ends in exit 4 and an ABORT frame --
+
+
+def run_against(session, script):
+    """Run one role on a thread against a scripted peer; returns the role's
+    exit code and the script's result."""
+    chan_role, chan_peer = duplex_pair(timeout=10)
+    result = {}
+    t = threading.Thread(target=lambda: result.update(code=session.run(chan_role)), daemon=True)
+    t.start()
+    out = script(chan_peer)
+    t.join(timeout=10)
+    assert not t.is_alive()
+    return result["code"], out
+
+
+def abort_code(chan):
+    """Read frames until the peer's ABORT; return its exit code."""
+    while True:
+        tag, payload = chan.recv()
+        if tag == Tag.ABORT:
+            return Reader(payload).u8()
+
+
+def reveal(positions):
+    w = Writer().u32(len(positions))
+    for p in positions:
+        w.u32(int(p))
+    return w.bytes()
+
+
+def hostile_prover(cfg, after_begin):
+    """Answer NEGOTIATE and the first S2PC_BEGIN honestly, then run
+    ``after_begin(chan, rng)`` against a bs verifier."""
+    verifier = VerifierSession(cfg, [1], BsBackend(SMALL_BS), 40)
+
+    def script(chan):
+        assert chan.recv()[0] == Tag.NEGOTIATE
+        chan.send(Tag.SET_AGREE, Writer().blob(set_digest(cfg)).bytes())
+        assert chan.recv()[0] == Tag.S2PC_BEGIN
+        after_begin(chan, random.Random(41))
+        return abort_code(chan)
+
+    return run_against(verifier, script)
+
+
+def send_tape(chan, rng):
+    sampler = TapeSampler(SMALL_BS, rng)
+    for offset, chunk in iter_tape_chunks(SMALL_BS, rng):
+        sampler.consume(offset, chunk)
+        payload = Writer().u64(offset).u32(len(chunk)).blob(np.packbits(chunk).tobytes())
+        chan.send(Tag.TAPE_CHUNK, payload.bytes())
+    return sampler.finish()
+
+
+def test_dependent_ih_constraints_abort():
+    def repeat_one_constraint(chan, rng):
+        while True:  # honest broadcasts until the verifier goes on to hashing
+            chan.send(Tag.OMEGA_REVEAL, reveal(send_tape(chan, rng).indices))
+            r = Reader(chan.recv()[1])
+            r.u8()
+            if r.u8() == 0:
+                break
+        t = ih_encoding_bits(SMALL_BS.n, SMALL_BS.subset_size)
+        for _ in range(t - 1):
+            chan.send(Tag.IH_ROUND, Writer().u8(1).blob(b"\x01").bytes())
+            assert chan.recv()[0] == Tag.IH_ROUND
+
+    assert hostile_prover(desk_config(c=1), repeat_one_constraint) == (
+        EXIT_PROTOCOL, EXIT_PROTOCOL,
+    )
+
+
+@pytest.mark.parametrize("case", ["empty", "before-tape", "too-few", "unsorted", "off-tape"])
+def test_malformed_omega_reveal_aborts(case):
+    def bad_reveal(chan, rng):
+        if case == "before-tape":
+            positions = range(SMALL_BS.n)
+        else:
+            positions = list(send_tape(chan, rng).indices)
+            if case == "empty":
+                positions = []
+            elif case == "too-few":
+                positions = positions[:20]
+            elif case == "unsorted":
+                positions[0], positions[1] = positions[1], positions[0]
+            else:
+                positions[-1] = SMALL_BS.K
+        chan.send(Tag.OMEGA_REVEAL, reveal(positions))
+
+    assert hostile_prover(desk_config(c=1), bad_reveal) == (EXIT_PROTOCOL, EXIT_PROTOCOL)
+
+
+def hostile_verifier(cfg, on_frame):
+    """Open a commitment against a bs prover, then answer each frame with
+    ``on_frame(chan, tag)`` until the prover's ABORT; returns the prover's
+    exit code, the ABORT's code and the number of broadcasts seen."""
+    prover = ProverSession(cfg, honest_coefficients(cfg, 42), BsBackend(SMALL_BS), 42)
+
+    def script(chan):
+        chan.send(Tag.NEGOTIATE, Writer().blob(config_digest(cfg)).elem(GF11, cfg.xi).bytes())
+        assert chan.recv()[0] == Tag.SET_AGREE
+        chan.send(Tag.S2PC_BEGIN, Writer().u8(1).u32(0).bytes())
+        broadcasts = 0
+        while True:
+            tag, payload = chan.recv()
+            if tag == Tag.ABORT:
+                return Reader(payload).u8(), broadcasts
+            broadcasts += tag == Tag.OMEGA_REVEAL
+            on_frame(chan, tag)
+
+    code, (aborted, broadcasts) = run_against(prover, script)
+    return code, aborted, broadcasts
+
+
+def test_endless_rerun_requests_hit_the_broadcast_cap():
+    def always_rerun(chan, tag):
+        if tag == Tag.OMEGA_REVEAL:
+            chan.send(Tag.IH_ROUND, Writer().u8(0).u8(1).bytes())
+
+    assert hostile_verifier(desk_config(c=1), always_rerun) == (
+        EXIT_PROTOCOL, EXIT_PROTOCOL, MAX_BROADCASTS,
+    )
+
+
+def test_swap_that_is_not_a_bit_aborts():
+    t = ih_encoding_bits(SMALL_BS.n, SMALL_BS.subset_size)
+    replies = []
+
+    def bad_swap(chan, tag):
+        if tag == Tag.OMEGA_REVEAL:
+            chan.send(Tag.IH_ROUND, Writer().u8(0).u8(0).bytes())
+        elif tag == Tag.IH_ROUND:
+            chan.send(Tag.IH_ROUND, Writer().u8(2).u8(0).bytes())
+            replies.append(0)
+            if len(replies) == t - 1:
+                chan.send(Tag.IH_ROUND, Writer().u8(3).u8(2).bytes())
+
+    assert hostile_verifier(desk_config(c=1), bad_swap) == (EXIT_PROTOCOL, EXIT_PROTOCOL, 1)
