@@ -15,6 +15,9 @@ Elements are canonical unsigned integers in [0, q).  The canonical total
 order on elements is plain integer order on these representatives; the
 protocol relies on it when reserving the key points above the query bound.
 Scalars are Python ints throughout.
+
+:func:`decode_elements` is the one canonicity check: bytes become elements
+there or raise :class:`DecodeError`; nothing downstream checks them again.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 
 __all__ = [
     "FieldError",
+    "DecodeError",
     "PrimeField",
     "TableField",
     "gf2",
@@ -48,6 +52,10 @@ MAX_TABLE_ORDER = 256
 
 class FieldError(ValueError):
     """Invalid field definition or misuse of field arithmetic."""
+
+
+class DecodeError(ValueError):
+    """Malformed frame or serialized value."""
 
 
 def is_probable_prime(n: int) -> bool:
@@ -141,8 +149,7 @@ class PrimeField:
 
     def asarray(self, values) -> np.ndarray:
         arr = np.array(values, dtype=self.dtype)
-        flat = arr.reshape(-1)
-        if arr.size and (min(flat) < 0 or max(flat) >= self.p):
+        if arr.size and (arr.min() < 0 or arr.max() >= self.q):
             raise FieldError("array contains non-canonical elements")
         return arr
 
@@ -283,12 +290,9 @@ class TableField:
     def mul_table(self) -> np.ndarray:
         return self._mul.copy()
 
-    # -- scalar arithmetic --
+    # -- scalar arithmetic (one canonical range, [0, q), for both backends) --
 
-    def check(self, a: int) -> int:
-        if not 0 <= a < self.q:
-            raise FieldError(f"{a} is not a canonical element of {self!r}")
-        return int(a)
+    check = PrimeField.check
 
     def add(self, a: int, b: int) -> int:
         return int(self._add[a, b])
@@ -325,11 +329,7 @@ class TableField:
 
     # -- numpy vector/matrix arithmetic (table lookups broadcast) --
 
-    def asarray(self, values) -> np.ndarray:
-        arr = np.array(values, dtype=np.int64)
-        if arr.size and (arr.min() < 0 or arr.max() >= self.q):
-            raise FieldError("array contains non-canonical elements")
-        return arr
+    asarray = PrimeField.asarray
 
     def zeros(self, shape) -> np.ndarray:
         return np.zeros(shape, dtype=np.int64)
@@ -419,12 +419,16 @@ def encode_elements(field: Field, values: Iterable[int]) -> bytes:
     return bytes(out)
 
 
-def decode_elements(field: Field, data: bytes) -> np.ndarray:
+def decode_elements(field: Field, data: bytes, count: int | None = None) -> np.ndarray:
+    """Canonical elements from bytes; ``count`` pins the element count."""
     width = elem_size(field)
-    if len(data) % width:
-        raise FieldError(f"byte length {len(data)} is not a multiple of {width}")
+    if len(data) % width or (count is not None and len(data) != count * width):
+        raise DecodeError(f"{len(data)} bytes are not {count or 'whole'} {width}-byte elements")
     values = [
         int.from_bytes(data[i : i + width], "little")
         for i in range(0, len(data), width)
     ]
-    return field.asarray(values)
+    try:
+        return field.asarray(values)
+    except (FieldError, OverflowError) as exc:  # int64 overflows at 2**63
+        raise DecodeError(str(exc)) from exc

@@ -589,29 +589,26 @@ def build_reduction_table(
     c = len(secrets)
     if c < 2:
         raise OtError(f"need at least two secrets, got {c}")
-    vecs = [field.asarray(s) for s in secrets]
-    length = vecs[0].shape
-    if any(v.shape != length for v in vecs):
-        raise OtError("secrets must be equal-length vectors")
+    length = secrets[0].shape
     if c == 2:
-        return [(vecs[0], vecs[1])]
+        return [(secrets[0], secrets[1])]
     if masks is None:
         masks = [
-            field.asarray([field.sample(rng) for _ in range(vecs[0].size)]).reshape(
+            field.asarray([field.sample(rng) for _ in range(secrets[0].size)]).reshape(
                 length
             )
             for _ in range(c - 2)
         ]
-    else:
-        masks = [field.asarray(m) for m in masks]
-        if len(masks) != c - 2:
-            raise OtError(f"need exactly {c - 2} masks, got {len(masks)}")
-    table = [(vecs[0], masks[0])]
+    elif len(masks) != c - 2:
+        raise OtError(f"need exactly {c - 2} masks, got {len(masks)}")
+    table = [(secrets[0], masks[0])]
     for j in range(1, c - 2):
         table.append(
-            (field.vadd(vecs[j], masks[j - 1]), field.vadd(masks[j - 1], masks[j]))
+            (field.vadd(secrets[j], masks[j - 1]), field.vadd(masks[j - 1], masks[j]))
         )
-    table.append((field.vadd(vecs[c - 2], masks[c - 3]), field.vadd(vecs[c - 1], masks[c - 3])))
+    table.append(
+        (field.vadd(secrets[c - 2], masks[c - 3]), field.vadd(secrets[c - 1], masks[c - 3]))
+    )
     return table
 
 
@@ -632,23 +629,19 @@ def row_picks(i: int, c: int) -> tuple[int, ...]:
 def decode_c_of_1(
     field: Field, received: Sequence[np.ndarray], i: int, c: int
 ) -> np.ndarray:
-    """Telescope the masks out of the picked rows and return secret i."""
-    if len(received) != c - 1:
-        raise OtError(f"expected {c - 1} received messages, got {len(received)}")
-    vecs = [field.asarray(v) for v in received]
-    if not 0 <= i < c:
-        raise OtError(f"target index {i} out of range for c={c}")
+    """Telescope the masks out of the rows :func:`row_picks` chose (c-1
+    equal-length canonical vectors) and return secret i."""
     if i == 0 or c == 2:
         # the single pick already is the secret: first row of column 0, or
         # either row of the mask-free two-secret column
-        return vecs[0]
+        return received[0]
     # columns 0..i-1 carry r0, r0+r1, ...; recover r_{i-1} (or r_{c-3} when
     # i = c-1) by alternating subtraction, then peel it off the target pick.
     last = i - 1 if i <= c - 2 else c - 3
-    r = vecs[0]
+    r = received[0]
     for j in range(1, last + 1):
-        r = field.vsub(vecs[j], r)
-    target = vecs[i] if i <= c - 2 else vecs[c - 2]
+        r = field.vsub(received[j], r)
+    target = received[i] if i <= c - 2 else received[c - 2]
     return field.vsub(target, r)
 
 
@@ -658,9 +651,10 @@ def ot_c_of_1_send(field: Field, secrets: Sequence[np.ndarray], send, rng) -> No
         send(encode_elements(field, top), encode_elements(field, bottom))
 
 
-def ot_c_of_1_receive(field: Field, i: int, c: int, receive) -> np.ndarray:
-    """Receiver half: one ``receive(bit)`` per column, then secret i."""
-    received = [decode_elements(field, receive(b)) for b in row_picks(i, c)]
+def ot_c_of_1_receive(field: Field, i: int, c: int, receive, width=None) -> np.ndarray:
+    """Receiver half: one ``receive(bit)`` per column (``width`` elements
+    each, when given), then secret i."""
+    received = [decode_elements(field, receive(b), width) for b in row_picks(i, c)]
     return decode_c_of_1(field, received, i, c)
 
 

@@ -248,10 +248,9 @@ def commit(
     failed run raises before a partial key is assembled.
     """
     f = cfg.field
-    a = f.asarray(coeff_matrix)
-    if a.shape != (cfg.s, cfg.s):
-        raise ConfigError(f"coefficient matrix must be {cfg.s}x{cfg.s}, got {a.shape}")
-    masked = f.vadd(a, prover_key.mask)
+    if coeff_matrix.shape != (cfg.s, cfg.s):
+        raise ConfigError(f"coefficient matrix must be {cfg.s}x{cfg.s}, got {coeff_matrix.shape}")
+    masked = f.vadd(coeff_matrix, prover_key.mask)
     left, right = commitment_specs(cfg)
     gamma_rows = [
         s2pc_run(f, lam, masked, left, box, rng) for lam in verifier_key.lambdas
@@ -268,8 +267,8 @@ def commit(
 def evaluate(
     x: int, coeff_matrix: np.ndarray, prover_key: ProverKey, cfg: ProtocolConfig
 ) -> EvalResponse:
-    """Prover side of one round; refuses any x above xi (hence any x in the
-    reserved set)."""
+    """Prover side of one round over the canonical s x s matrix and mask;
+    refuses any x above xi (hence any x in the reserved set)."""
     f = cfg.field
     f.check(x)
     if compare(x, cfg.xi) > 0:
@@ -277,7 +276,7 @@ def evaluate(
             f"query {x} exceeds the agreed bound {cfg.xi}; reserved points "
             "are not evaluable"
         )
-    masked = f.vadd(f.asarray(coeff_matrix), prover_key.mask)
+    masked = f.vadd(coeff_matrix, prover_key.mask)
     v = f.matmul(masked, power_row(f, x, cfg.s, "low"))
     u = f.matmul(power_row(f, x, cfg.s, "high")[None, :], prover_key.mask)[0]
     return EvalResponse(v=v, u=u)
@@ -290,7 +289,8 @@ def verify(
     verifier_key: VerifierKey,
     cfg: ProtocolConfig,
 ) -> bool:
-    """Check the two parities; O(c*s) field operations."""
+    """Check the two parities of a canonical response, rejecting a
+    misshapen one; O(c*s) field operations."""
     f = cfg.field
     v, u = np.asarray(response.v), np.asarray(response.u)
     if v.shape != (cfg.s,) or u.shape != (cfg.s,):
@@ -298,22 +298,23 @@ def verify(
     low = power_row(f, x, cfg.s, "low")
     high = power_row(f, x, cfg.s, "high")
     left_expected = f.matmul(vk.gamma, low)
-    left_actual = f.matmul(lambda_matrix(cfg, verifier_key), f.asarray(v))
+    left_actual = f.matmul(lambda_matrix(cfg, verifier_key), v)
     if not np.array_equal(left_expected, left_actual):
         return False
     # highRow(x) . Omega == u . Theta^T: both sides equal highRow . B . Theta^T
     # for an honest u, and a forged u must place a degree < s polynomial's
     # roots on all c theta points to slip through.
     right_expected = f.matmul(high[None, :], vk.omega)[0]
-    right_actual = f.matmul(theta_matrix(cfg, verifier_key), f.asarray(u))
+    right_actual = f.matmul(theta_matrix(cfg, verifier_key), u)
     return bool(np.array_equal(right_expected, right_actual))
 
 
 def recover(x: int, response: EvalResponse, cfg: ProtocolConfig) -> int:
-    """highRow(x) . v - u . lowRow(x); equals f(x) for honest responses."""
+    """highRow(x) . v - u . lowRow(x) over a canonical response; equals f(x)
+    for honest responses."""
     f = cfg.field
     low = power_row(f, x, cfg.s, "low")
     high = power_row(f, x, cfg.s, "high")
-    masked_val = int(f.matmul(high[None, :], f.asarray(response.v))[0])
+    masked_val = int(f.matmul(high[None, :], np.asarray(response.v))[0])
     mask_val = int(f.matmul(np.asarray(response.u)[None, :], low)[0])
     return f.sub(masked_val, mask_val)

@@ -88,7 +88,7 @@ def right_functional(field: Field, s: int) -> Callable[[int, np.ndarray], np.nda
 
 def build_value_table(field: Field, spec: S2pcSpec, y: np.ndarray) -> list[np.ndarray]:
     """Sender side: the OT table, entry j = f(domain[j], y)."""
-    return [field.asarray(spec.evaluator(z, y)) for z in spec.domain]
+    return [spec.evaluator(z, y) for z in spec.domain]
 
 
 def s2pc_send(field: Field, spec: S2pcSpec, y: np.ndarray, send, rng) -> None:
@@ -96,9 +96,9 @@ def s2pc_send(field: Field, spec: S2pcSpec, y: np.ndarray, send, rng) -> None:
     ot_c_of_1_send(field, build_value_table(field, spec, y), send, rng)
 
 
-def s2pc_receive(field: Field, spec: S2pcSpec, x: int, receive) -> np.ndarray:
+def s2pc_receive(field: Field, spec: S2pcSpec, x: int, receive, width=None) -> np.ndarray:
     """Receiver half: f(x, y), after checking x against the domain."""
-    return ot_c_of_1_receive(field, spec.position(x), len(spec.domain), receive)
+    return ot_c_of_1_receive(field, spec.position(x), len(spec.domain), receive, width)
 
 
 def s2pc_run(

@@ -12,8 +12,9 @@ in-process box between co-hosted roles (only S2PC_BEGIN markers touch the
 wire); "bs" realizes every transfer on the wire with TAPE_CHUNK /
 OMEGA_REVEAL / IH_ROUND / ENCODED_PAIR frames, so a bounded-storage run
 works across real sockets.  Its wire roles below are the only end-to-end
-bounded-storage transfer; a malformed OT frame, or MAX_BROADCASTS
-declined broadcasts, ends the session with exit 4.
+bounded-storage transfer.  A malformed frame or element (an S2PC output
+must be s elements), or MAX_BROADCASTS declined broadcasts, ends the
+session with exit 4 and an ABORT frame.
 
 Exit codes: 0 ok, 2 config, 3 transport, 4 protocol violation,
 5 verification reject.
@@ -324,8 +325,7 @@ class ProverSession:
         seed: int,
     ):
         self.cfg = cfg
-        self.coeffs = cfg.field.asarray(coeffs)
-        self.matrix = poly_to_matrix(cfg.field, self.coeffs, cfg.s)
+        self.matrix = poly_to_matrix(cfg.field, coeffs, cfg.s)
         self.backend = backend
         self.rng = substream(seed, "prover")
         self.prover_key = keygen_prover(cfg, self.rng)
@@ -452,6 +452,7 @@ class VerifierSession:
             self._specs[kind - _KIND_LEFT],
             point,
             lambda b: self.backend.receive(chan, b, self.rng),
+            self.cfg.s,
         )
 
     def run(self, chan) -> int:
@@ -620,6 +621,8 @@ def run_pair(
     res_p, res_v = _run_threaded(
         [lambda: prover.run(rec_p), lambda: verifier.run(rec_v)]
     )
+    rec_p.close()
+    rec_v.close()
     res_p.transcript = rec_p
     res_v.transcript = rec_v
     for res in (res_p, res_v):

@@ -6,6 +6,9 @@ Unknown tags abort the session.  Configuration travels as versioned JSON
 Field elements follow the field module's widths: 8-byte little-endian for
 prime fields, 1 byte for table fields; matrices are row-major with
 explicit dimensions.
+
+Decoding raises :class:`DecodeError` and nothing else, for a malformed
+frame or a non-canonical element; writers take canonical values unchecked.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import struct
 import numpy as np
 
 from .field import (
+    DecodeError,
     Field,
     FieldError,
     PrimeField,
@@ -77,10 +81,6 @@ class Tag(enum.IntEnum):
     ABORT = 12
 
 
-class DecodeError(ValueError):
-    """Malformed frame or serialized value."""
-
-
 class TransportError(OSError):
     """The byte channel failed mid-session."""
 
@@ -113,19 +113,23 @@ class FrameReader:
         return frame
 
 
-def read_frame_from(buf, offset: int) -> tuple[tuple[int, bytes], int]:
-    if len(buf) - offset < 5:
-        raise DecodeError("truncated frame header")
+def _parse_header(buf, offset: int = 0) -> tuple[int, Tag]:
     length, tag = struct.unpack_from(">IB", buf, offset)
     if length > MAX_FRAME_PAYLOAD:
         raise DecodeError(f"frame length {length} exceeds the cap")
+    try:
+        return length, Tag(tag)
+    except ValueError as exc:
+        raise DecodeError(f"unknown frame tag {tag}") from exc
+
+
+def read_frame_from(buf, offset: int) -> tuple[tuple[int, bytes], int]:
+    if len(buf) - offset < 5:
+        raise DecodeError("truncated frame header")
+    length, tag = _parse_header(buf, offset)
     end = offset + 5 + length
     if end > len(buf):
         raise DecodeError("frame payload truncated")
-    try:
-        tag = Tag(tag)
-    except ValueError as exc:
-        raise DecodeError(f"unknown frame tag {tag}") from exc
     return (tag, bytes(buf[offset + 5 : end])), end
 
 
@@ -160,15 +164,13 @@ class Writer:
         return self
 
     def vector(self, field: Field, vec) -> "Writer":
-        arr = field.asarray(vec).reshape(-1)
-        self.u32(arr.size)
-        self._parts.append(encode_elements(field, arr))
+        """Count-prefixed elements; ``vec`` holds canonical elements."""
+        self.u32(np.size(vec))
+        self._parts.append(encode_elements(field, vec))
         return self
 
     def matrix(self, field: Field, mat) -> "Writer":
-        m = field.asarray(mat)
-        if m.ndim != 2:
-            raise DecodeError("matrix must be 2-D")
+        m = np.asarray(mat)
         self.u32(m.shape[0]).u32(m.shape[1])
         self._parts.append(encode_elements(field, m.reshape(-1)))
         return self
@@ -286,15 +288,8 @@ class SocketChannel:
         return b"".join(chunks)
 
     def recv(self) -> tuple[int, bytes]:
-        header = self._read_exact(5)
-        length, tag = struct.unpack(">IB", header)
-        if length > MAX_FRAME_PAYLOAD:
-            raise DecodeError(f"frame length {length} exceeds the cap")
-        payload = self._read_exact(length) if length else b""
-        try:
-            return Tag(tag), payload
-        except ValueError as exc:
-            raise DecodeError(f"unknown frame tag {tag}") from exc
+        length, tag = _parse_header(self._read_exact(5))
+        return tag, self._read_exact(length)
 
     def close(self) -> None:
         try:

@@ -15,7 +15,9 @@ from polycommit import (
     is_probable_prime,
     substream,
     validate_spec,
+    wire,
 )
+from polycommit.field import DecodeError, decode_elements
 
 GF11 = PrimeField(11)
 GF4 = gf4()
@@ -257,3 +259,24 @@ def test_canonical_range_enforced():
         GF11.asarray([0, 3, 12])
     with pytest.raises(FieldError):
         GF4.check(4)
+
+
+BIG = PrimeField(2**61 - 1)  # object-dtype arrays
+
+
+@pytest.mark.parametrize(
+    "field, data, count",
+    [
+        (GF11, (11).to_bytes(8, "little"), None),  # q itself
+        (GF11, b"\xff" * 8, None),  # beyond int64
+        (BIG, (2**61 - 1).to_bytes(8, "little"), None),
+        (BIG, b"\xff" * 8, None),
+        (GF4, b"\x01\x04", None),
+        (GF11, bytes(7), None),  # not whole elements
+        (GF11, bytes(16), 3),  # wrong element count
+    ],
+)
+def test_decode_rejects_malformed_bytes(field, data, count):
+    with pytest.raises(DecodeError):
+        decode_elements(field, data, count)
+    assert wire.DecodeError is DecodeError

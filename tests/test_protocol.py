@@ -30,6 +30,7 @@ from polycommit.protocol import (
     theta_matrix,
     verify,
 )
+from polycommit.wire import Reader, Writer
 
 GF11 = PrimeField(11)
 
@@ -352,3 +353,30 @@ def test_key_and_query_rows_jointly_full_rank():
         )
         assert rank(GF11, lam_y) == cfg.c + m
         assert rank(GF11, theta_x) == cfg.c + m
+
+
+def test_one_round_checks_each_decoded_value_once(monkeypatch):
+    # EVAL_REQ -> evaluate -> EVAL_RESP -> verify -> recover: the decoder
+    # checks x, v and u once each; the prover's d-entry matrix and the
+    # response are never checked again.
+    cfg = desk_config(c=1)
+    rng = substream(2024, "protocol", "checked-once")
+    a = random_matrix(GF11, (3, 3), rng)
+    pk = keygen_prover(cfg, rng)
+    key = keygen_verifier(cfg, rng)
+    vk = commit(a, key, pk, cfg, IdealOt(), rng)
+    sizes = []
+    asarray = PrimeField.asarray
+
+    def counted(self, values):
+        sizes.append(np.size(values))
+        return asarray(self, values)
+
+    monkeypatch.setattr(PrimeField, "asarray", counted)
+    x = Reader(Writer().elem(GF11, 2).bytes()).elem(GF11)
+    resp = evaluate(x, a, pk, cfg)
+    r = Reader(Writer().vector(GF11, resp.v).vector(GF11, resp.u).bytes())
+    got = EvalResponse(v=r.vector(GF11), u=r.vector(GF11))
+    assert verify(x, got, vk, key, cfg)
+    assert recover(x, got, cfg) == horner_eval(GF11, a.reshape(-1), x)
+    assert sizes == [1, cfg.s, cfg.s]

@@ -3,6 +3,7 @@
 import hashlib
 import random
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from polycommit.polymat import horner_eval
 from polycommit.protocol import make_config
 from polycommit.session import (
     BsBackend,
+    IdealBackend,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PROTOCOL,
@@ -447,3 +449,89 @@ def test_swap_that_is_not_a_bit_aborts():
                 chan.send(Tag.IH_ROUND, Writer().u8(3).u8(2).bytes())
 
     assert hostile_verifier(desk_config(c=1), bad_swap) == (EXIT_PROTOCOL, EXIT_PROTOCOL, 1)
+
+
+# -- hostile field elements: the receiving role ends in exit 4 and an ABORT
+# frame, and so does its peer, instead of waiting out its receive timeout --
+
+
+class Outbox:
+    """Channel wrapper keeping the frames its role sends; payloads of
+    ``tag`` go out rewritten by ``mangle``."""
+
+    def __init__(self, inner, tag=None, mangle=None):
+        self._inner, self._tag, self._mangle = inner, tag, mangle
+        self.sent = []
+
+    def send(self, tag, payload):
+        if tag == self._tag:
+            payload = self._mangle(payload)
+        self.sent.append((tag, payload))
+        self._inner.send(tag, payload)
+
+    def recv(self):
+        return self._inner.recv()
+
+
+def q_at(data, offset):
+    """``data`` with the element at byte ``offset`` replaced by q = 11."""
+    return data[:offset] + GF11.q.to_bytes(8, "little") + data[offset + 8 :]
+
+
+def mangled(backend_cls, mangle, *args):
+    """A ``backend_cls`` whose sender passes both messages of its n-th
+    1-of-2 through ``mangle(message, n)``."""
+
+    class Mangled(backend_cls):
+        calls = 0
+
+        def send(self, chan, m0, m1, rng):
+            n, self.calls = self.calls, self.calls + 1
+            super().send(chan, mangle(m0, n), mangle(m1, n), rng)
+
+    return Mangled(*args)
+
+
+OT_MANGLES = {
+    "ot-non-canonical": lambda m, n: q_at(m, 0),
+    "ot-odd-length": lambda m, n: m[:-1],
+    "ot-one-element": lambda m, n: m[:8],
+    "ot-mixed-length": lambda m, n: m[: 8 * (3 - n % 2)],
+}
+
+
+@pytest.mark.parametrize("case", ["eval-resp", "eval-req", *OT_MANGLES, "bs-non-canonical"])
+def test_hostile_element_ends_both_roles_in_exit_4(case):
+    cfg = desk_config(c=1)
+    backend, prover_out, verifier_out = IdealBackend(), (), ()
+    if case == "eval-resp":  # first v element is q
+        prover_out = (Tag.EVAL_RESP, lambda p: q_at(p, 5))
+    elif case == "eval-req":  # x = q
+        verifier_out = (Tag.EVAL_REQ, lambda p: q_at(p, 0))
+    elif case == "bs-non-canonical":
+        backend = mangled(BsBackend, OT_MANGLES["ot-non-canonical"], SMALL_BS)
+    else:
+        backend = mangled(IdealBackend, OT_MANGLES[case])
+    chan_p, chan_v = duplex_pair(timeout=3)
+    sides = {
+        "prover": (ProverSession(cfg, honest_coefficients(cfg, 43), backend, 43),
+                   Outbox(chan_p, *prover_out)),
+        "verifier": (VerifierSession(cfg, [1, 2], backend, 43), Outbox(chan_v, *verifier_out)),
+    }
+    codes = {}
+    threads = [
+        threading.Thread(
+            target=lambda role=role, s=s, ch=ch: codes.update({role: s.run(ch)}), daemon=True
+        )
+        for role, (s, ch) in sides.items()
+    ]
+    deadline = time.monotonic() + 5
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=max(0, deadline - time.monotonic()))
+    assert not any(t.is_alive() for t in threads)
+    assert codes == {"prover": EXIT_PROTOCOL, "verifier": EXIT_PROTOCOL}
+    receiver = "prover" if case == "eval-req" else "verifier"
+    tag, payload = sides[receiver][1].sent[-1]
+    assert tag == Tag.ABORT and Reader(payload).u8() == EXIT_PROTOCOL
