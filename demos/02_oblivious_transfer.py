@@ -29,11 +29,11 @@ rng = random.Random(11)
 f = PrimeField(11)
 
 # --- layer 1: the ideal box ---------------------------------------------
+# One batch of two transfers: the sender deposits both pairs at once, the
+# receiver takes one message of each.
 box = IdealOt()
-picked = []
-for b in (0, 1):
-    box.send_pair(b"left", b"rite")
-    picked.append(box.receive(b))
+box.send([b"left", b"left"], [b"rite", b"rite"])
+picked = box.receive((0, 1))
 print("ideal OT:", *picked)
 print("sender trace holds the pairs only:", box.sender_trace)
 
@@ -43,7 +43,7 @@ print("sender trace holds the pairs only:", box.sender_trace)
 # exactly one secret.
 secrets = [f.asarray([3]), f.asarray([7]), f.asarray([2])]
 table = build_reduction_table(f, secrets, None, masks=[f.asarray([4])])
-print("reduction table:", [(int(t[0]), int(b[0])) for t, b in table])
+print("reduction table columns:", table[:, :, 0].T.tolist())
 for i in range(3):
     print(f"  picks to learn secret {i}: rows {row_picks(i, 3)}")
 for i in range(3):

@@ -7,11 +7,12 @@ expected shape: prover ~ a few s**2 = d per round, verifier ~ a few c*s =
 c*sqrt(d), so a 4x degree step multiplies prover counts by ~4 and verifier
 counts by ~2.
 
-No admissible full configuration exists at the benchmark degrees (s is
-even there, and gcd(s, q-1) = 1 fails for every odd prime while table
-fields cannot hold the reserved set), so benchmarks assemble the raw
-configuration directly; the asymptotics do not depend on those validity
-constraints.
+The benchmark degrees have even s (100, 200, 400 and 1000), and only even
+s has no admissible configuration: gcd(s, q-1) = 1 fails for every odd
+prime q, and table fields cannot hold the reserved set.  So benchmarks
+assemble the raw configuration directly; the asymptotics do not depend on
+those validity constraints.  Every odd s has admissible prime-field
+configurations (``suggest_prime_modulus`` finds one).
 """
 
 from __future__ import annotations

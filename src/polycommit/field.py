@@ -145,6 +145,32 @@ class PrimeField:
     def sample(self, rng) -> int:
         return rng.randrange(self.p)
 
+    def vsample(self, rng, n: int) -> np.ndarray:
+        """n uniform elements: exactly the values, and the final state of
+        ``rng``, of n calls of :meth:`sample`.
+
+        ``randrange(q)`` draws ``getrandbits(k)`` with k = q.bit_length()
+        until the draw is below q, and ``getrandbits(k)`` takes w = ceil(k/32)
+        32-bit words, shifting the last one right by 32w - k.  So one
+        ``getrandbits(32 * w * need)`` call yields ``need`` such draws in
+        stream order; the ones below q are kept and the shortfall is drawn
+        again, never past the point n sequential calls would reach.
+        """
+        k = self.q.bit_length()
+        words = -(-k // 32)
+        out = [np.zeros(0, dtype=np.uint64)]
+        need = n
+        while need:
+            raw = rng.getrandbits(32 * words * need).to_bytes(4 * words * need, "little")
+            w = np.frombuffer(raw, dtype="<u4").reshape(need, words).astype(np.uint64)
+            vals = w[:, -1] >> np.uint64(32 * words - k)
+            for j in range(words - 2, -1, -1):
+                vals = (vals << np.uint64(32)) | w[:, j]
+            vals = vals[vals < self.q]
+            out.append(vals)
+            need -= len(vals)
+        return np.concatenate(out).astype(self.dtype)
+
     # -- numpy vector/matrix arithmetic --
 
     def asarray(self, values) -> np.ndarray:
@@ -327,6 +353,8 @@ class TableField:
     def sample(self, rng) -> int:
         return rng.randrange(self.q)
 
+    vsample = PrimeField.vsample
+
     # -- numpy vector/matrix arithmetic (table lookups broadcast) --
 
     asarray = PrimeField.asarray
@@ -411,12 +439,13 @@ def elem_size(field: Field) -> int:
     return 8 if field.kind == "prime" else 1
 
 
+def _wire_dtype(field: Field) -> str:
+    return "<u8" if elem_size(field) == 8 else "u1"
+
+
 def encode_elements(field: Field, values: Iterable[int]) -> bytes:
-    width = elem_size(field)
-    out = bytearray()
-    for v in np.asarray(values, dtype=object).reshape(-1):
-        out += int(v).to_bytes(width, "little")
-    return bytes(out)
+    """Canonical elements, in row-major order, as one byte string."""
+    return np.asarray(values).astype(_wire_dtype(field)).tobytes()
 
 
 def decode_elements(field: Field, data: bytes, count: int | None = None) -> np.ndarray:
@@ -424,11 +453,8 @@ def decode_elements(field: Field, data: bytes, count: int | None = None) -> np.n
     width = elem_size(field)
     if len(data) % width or (count is not None and len(data) != count * width):
         raise DecodeError(f"{len(data)} bytes are not {count or 'whole'} {width}-byte elements")
-    values = [
-        int.from_bytes(data[i : i + width], "little")
-        for i in range(0, len(data), width)
-    ]
     try:
-        return field.asarray(values)
-    except (FieldError, OverflowError) as exc:  # int64 overflows at 2**63
+        # uint64 words of 2**63 and above turn negative in int64 fields
+        return field.asarray(np.frombuffer(data, dtype=_wire_dtype(field)))
+    except FieldError as exc:
         raise DecodeError(str(exc)) from exc

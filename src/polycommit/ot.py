@@ -3,10 +3,11 @@ unconditional 1-of-c reduction.
 
 Three layers, each independently testable:
 
-1. :class:`IdealOt` -- the 1-of-2 functionality as a trusted box.  The
-   sender deposits a message pair, the receiver takes one; the sender-side
-   trace is the deposited pairs and carries no function of the choice bit.
-   This is the backend for protocol-level tests and privacy audits.
+1. :class:`IdealOt` -- the 1-of-2 functionality as a trusted box, one
+   batch of transfers at a time.  The sender deposits a batch of message
+   pairs, the receiver takes one message of each pair; the sender-side
+   trace is the deposited pairs and carries no function of the choice
+   bits.  This is the backend for protocol-level tests and privacy audits.
 
 2. The bounded-storage 1-of-2 protocol, a desk-scale sketch of the
    broadcast-and-sample construction.  The sender broadcasts K random bits
@@ -37,14 +38,16 @@ Three layers, each independently testable:
 
 3. The 1-of-c reduction: the sender masks her c secrets into a 2 x (c-1)
    table so that any single row choice per column reveals exactly one
-   secret; c-1 invocations of a 1-of-2 backend transfer the receiver's
-   picks and a telescoping sum recovers the target secret.  Its two
-   halves take the 1-of-2 steps as callables; :func:`ot_c_of_1` runs them
-   back to back over an :class:`IdealOt`.
+   secret; one batch of c-1 1-of-2 transfers carries the receiver's picks
+   and a telescoping sum recovers the target secret.  Its two halves take
+   the batched 1-of-2 steps as callables, ``send(m0s, m1s)`` and
+   ``receive(bits) -> picks``; :func:`ot_c_of_1` runs them back to back
+   over an :class:`IdealOt`.
 
 Messages at the 1-of-2 layer are opaque equal-length byte strings; the
-reduction layer works on vectors of field elements and serializes at the
-backend boundary.
+reduction layer works on arrays of field elements, one row per message,
+and serializes the whole table, or all the picks, in one codec call at
+the backend boundary.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import Field, decode_elements, encode_elements
+from .field import DecodeError, Field, decode_elements, elem_size, encode_elements
 
 __all__ = [
     "OtError",
@@ -104,30 +107,37 @@ class IntersectionShortfall(OtError):
 
 
 class IdealOt:
-    """Trusted-box 1-of-2 OT.
+    """Trusted-box 1-of-2 OT, one batch of transfers at a time.
 
-    ``send_pair``/``receive`` rendezvous through a thread-safe queue, so the
-    two roles may live on different threads, or one thread may deposit
-    every pair before taking any.  ``sender_trace`` records everything the
-    sender ever observes: the deposited pairs, byte-identical regardless of
-    any choice bit.
+    ``send``/``receive`` rendezvous through a thread-safe queue holding one
+    item per batch, so the two roles may live on different threads, or one
+    thread may deposit every batch before taking any.  ``sender_trace``
+    records everything the sender ever observes: the deposited pairs, one
+    record per pair, byte-identical regardless of any choice bit.
     """
 
     def __init__(self):
         self.sender_trace: list[tuple[bytes, bytes]] = []
-        self._pairs: queue.Queue[tuple[bytes, bytes]] = queue.Queue()
+        self._batches: queue.Queue[list[tuple[bytes, bytes]]] = queue.Queue()
 
-    def send_pair(self, m0: bytes, m1: bytes) -> None:
-        if len(m0) != len(m1):
+    def send(self, m0s: Sequence[bytes], m1s: Sequence[bytes]) -> None:
+        """Deposit the pairs (m0s[j], m1s[j]) as one batch."""
+        if len(m0s) != len(m1s):
+            raise OtError("a batch needs as many first as second messages")
+        pairs = [(bytes(m0), bytes(m1)) for m0, m1 in zip(m0s, m1s)]
+        if any(len(m0) != len(m1) for m0, m1 in pairs):
             raise OtError("messages in one OT session must have equal length")
-        self.sender_trace.append((bytes(m0), bytes(m1)))
-        self._pairs.put((bytes(m0), bytes(m1)))
+        self.sender_trace.extend(pairs)
+        self._batches.put(pairs)
 
-    def receive(self, b: int, timeout: float | None = 30.0) -> bytes:
-        if b not in (0, 1):
+    def receive(self, bits: Sequence[int], timeout: float | None = 30.0) -> list[bytes]:
+        """Take the next batch: message bits[j] of its pair j."""
+        if any(b not in (0, 1) for b in bits):
             raise OtError("choice must be a bit")
-        pair = self._pairs.get(timeout=timeout)
-        return pair[b]
+        pairs = self._batches.get(timeout=timeout)
+        if len(pairs) != len(bits):
+            raise OtError(f"batch holds {len(pairs)} transfers, receiver chose {len(bits)}")
+        return [pair[b] for pair, b in zip(pairs, bits)]
 
 
 # ---------------------------------------------------------------------------
@@ -575,41 +585,35 @@ def bs_transfer(
 
 def build_reduction_table(
     field: Field,
-    secrets: Sequence[np.ndarray],
+    secrets,
     rng: random.Random,
-    masks: Sequence[np.ndarray] | None = None,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Mask c secrets into c-1 two-row columns.
+    masks=None,
+) -> np.ndarray:
+    """Mask c secrets (a c x width array, or c equal-length vectors) into
+    a 2 x (c-1) x width table T, T[row, column].
 
     Column 0 holds (a0, r0); middle column j holds (a_j + r_{j-1},
     r_{j-1} + r_j); the last column holds (a_{c-2} + r_{c-3},
     a_{c-1} + r_{c-3}).  With c = 2 the single column is (a0, a1) and no
-    masks are drawn.  ``masks`` overrides the c-2 uniform masks (tests).
+    masks are drawn.  The c-2 uniform masks come from one
+    :meth:`vsample` draw; ``masks`` overrides them (tests).
     """
+    secrets = np.asarray(secrets)
     c = len(secrets)
     if c < 2:
         raise OtError(f"need at least two secrets, got {c}")
-    length = secrets[0].shape
     if c == 2:
-        return [(secrets[0], secrets[1])]
+        return np.stack([secrets[:1], secrets[1:]])
     if masks is None:
-        masks = [
-            field.asarray([field.sample(rng) for _ in range(secrets[0].size)]).reshape(
-                length
-            )
-            for _ in range(c - 2)
-        ]
+        masks = field.vsample(rng, secrets[1:-1].size).reshape(secrets[1:-1].shape)
     elif len(masks) != c - 2:
         raise OtError(f"need exactly {c - 2} masks, got {len(masks)}")
-    table = [(secrets[0], masks[0])]
-    for j in range(1, c - 2):
-        table.append(
-            (field.vadd(secrets[j], masks[j - 1]), field.vadd(masks[j - 1], masks[j]))
-        )
-    table.append(
-        (field.vadd(secrets[c - 2], masks[c - 3]), field.vadd(secrets[c - 1], masks[c - 3]))
+    masks = np.asarray(masks)
+    top = np.concatenate([secrets[:1], field.vadd(secrets[1:-1], masks)])
+    bottom = np.concatenate(
+        [masks[:1], field.vadd(masks[:-1], masks[1:]), field.vadd(secrets[-1:], masks[-1:])]
     )
-    return table
+    return np.stack([top, bottom])
 
 
 def row_picks(i: int, c: int) -> tuple[int, ...]:
@@ -626,11 +630,9 @@ def row_picks(i: int, c: int) -> tuple[int, ...]:
     return tuple(0 if j == i else 1 for j in range(c - 1))
 
 
-def decode_c_of_1(
-    field: Field, received: Sequence[np.ndarray], i: int, c: int
-) -> np.ndarray:
-    """Telescope the masks out of the rows :func:`row_picks` chose (c-1
-    equal-length canonical vectors) and return secret i."""
+def decode_c_of_1(field: Field, received, i: int, c: int) -> np.ndarray:
+    """Telescope the masks out of the rows :func:`row_picks` chose (a
+    (c-1) x width array of canonical elements) and return secret i."""
     if i == 0 or c == 2:
         # the single pick already is the secret: first row of column 0, or
         # either row of the mask-free two-secret column
@@ -639,32 +641,43 @@ def decode_c_of_1(
     # i = c-1) by alternating subtraction, then peel it off the target pick.
     last = i - 1 if i <= c - 2 else c - 3
     r = received[0]
-    for j in range(1, last + 1):
-        r = field.vsub(received[j], r)
-    target = received[i] if i <= c - 2 else received[c - 2]
-    return field.vsub(target, r)
+    for row in received[1 : last + 1]:
+        r = field.vsub(row, r)
+    return field.vsub(received[min(i, c - 2)], r)
 
 
-def ot_c_of_1_send(field: Field, secrets: Sequence[np.ndarray], send, rng) -> None:
-    """Sender half: the reduction table, one ``send(m0, m1)`` per column."""
-    for top, bottom in build_reduction_table(field, secrets, rng):
-        send(encode_elements(field, top), encode_elements(field, bottom))
+def ot_c_of_1_send(field: Field, secrets, send, rng) -> None:
+    """Sender half: the reduction table, encoded at once, as one
+    ``send(m0s, m1s)`` batch of c-1 transfers, one per column."""
+    table = build_reduction_table(field, secrets, rng)
+    columns = table.shape[1]
+    data = encode_elements(field, table)
+    size = elem_size(field) * table[0, 0].size
+    msgs = [data[j * size : (j + 1) * size] for j in range(2 * columns)]
+    send(msgs[:columns], msgs[columns:])
 
 
 def ot_c_of_1_receive(field: Field, i: int, c: int, receive, width=None) -> np.ndarray:
-    """Receiver half: one ``receive(bit)`` per column (``width`` elements
-    each, when given), then secret i."""
-    received = [decode_elements(field, receive(b), width) for b in row_picks(i, c)]
+    """Receiver half: one ``receive(bits)`` batch, each pick ``width``
+    elements long (the first pick's length when not given), decoded at
+    once; then secret i."""
+    picks = receive(row_picks(i, c))
+    size = elem_size(field)
+    if width is None:
+        width = len(picks[0]) // size
+    if any(len(m) != width * size for m in picks):
+        raise DecodeError(f"a 1-of-2 message is not {width} {size}-byte elements")
+    received = decode_elements(field, b"".join(picks)).reshape(len(picks), width)
     return decode_c_of_1(field, received, i, c)
 
 
 def ot_c_of_1(
     field: Field,
-    secrets: Sequence[np.ndarray],
+    secrets,
     i: int,
     box,
     rng: random.Random,
 ) -> np.ndarray:
     """1-of-c transfer run locally: both halves in turn over an ideal box."""
-    ot_c_of_1_send(field, secrets, box.send_pair, rng)
+    ot_c_of_1_send(field, secrets, box.send, rng)
     return ot_c_of_1_receive(field, i, len(secrets), box.receive)

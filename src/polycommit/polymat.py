@@ -63,22 +63,31 @@ def horner_eval(field: Field, coeffs, x: int) -> int:
     return acc
 
 
+def _power_table(field: Field, steps, s: int) -> np.ndarray:
+    """Row i is [1, steps[i], ..., steps[i]**(s-1)]: columns [k, 2k) are
+    columns [0, k) times steps**k, so log2(s) array products fill it."""
+    if s < 1:
+        raise FieldError(f"s must be >= 1, got {s}")
+    steps = np.array(steps, dtype=field.dtype)
+    out = field.zeros((len(steps), s))
+    out[:, 0] = 1
+    k = 1
+    while k < s:
+        m = min(k, s - k)
+        out[:, k : k + m] = field.vmul(out[:, :m], field.vmul(out[:, k - 1], steps)[:, None])
+        k += m
+    return out
+
+
 def power_row(field: Field, x: int, s: int, direction: Direction) -> np.ndarray:
     """[1, x, ..., x**(s-1)] ("low") or [1, x**s, ..., x**(s(s-1))] ("high").
 
     The first entry is always 1 (0**0 = 1), so rows at x = 0 are unit
     vectors.
     """
-    if s < 1:
-        raise FieldError(f"s must be >= 1, got {s}")
     field.check(x)
     step = x if direction == "low" else field.pow(x, s)
-    row = field.zeros(s)
-    acc = 1
-    for k in range(s):
-        row[k] = acc
-        acc = field.mul(acc, step)
-    return row
+    return _power_table(field, [step], s)[0]
 
 
 def bilinear_eval(field: Field, matrix: np.ndarray, x: int) -> int:
@@ -101,8 +110,8 @@ def structured_matrix(
         raise FieldError("generator points must be pairwise distinct")
     if not pts:
         raise FieldError("need at least one generator point")
-    rows = [power_row(field, p, s, kind) for p in pts]
-    return np.stack(rows)
+    steps = pts if kind == "low" else [field.pow(p, s) for p in pts]
+    return _power_table(field, steps, s)
 
 
 def rank(field: Field, matrix: np.ndarray) -> int:

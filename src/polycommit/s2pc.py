@@ -5,15 +5,17 @@ receiver must learn f(x, y) and nothing else about y, while the sender
 learns nothing at all.  Realization: the sender tabulates f(z, y) for every
 domain element z, and the receiver fetches the row at x's position through
 a single 1-of-|domain| OT.  The whole codomain vector travels as one OT
-message, so each run costs exactly one 1-of-c invocation.
+message, so each run costs exactly one 1-of-c invocation, which is one
+batch of |domain|-1 1-of-2 transfers at the backend.
 
 The session roles run the two halves over the wire; :func:`s2pc_run` runs
 them back to back over an ideal box.
 
-The two evaluators the commitment phase needs are shipped here: the "left"
-functional maps (a, M) to highRow(a) . M (one row of a left-sided
-commitment) and the "right" functional maps (a, M) to M . lowRow(a) (one
-column of a right-sided commitment).
+The two evaluators the commitment phase needs are shipped here, each
+tabulating the whole domain with one matrix product: the "left" functional
+maps (a, M) to highRow(a) . M (one row of a left-sided commitment) and the
+"right" functional maps (a, M) to M . lowRow(a) (one column of a
+right-sided commitment).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .field import Field
 from .ot import OtError, ot_c_of_1_receive, ot_c_of_1_send
-from .polymat import power_row
+from .polymat import structured_matrix
 
 __all__ = [
     "S2pcError",
@@ -47,11 +49,12 @@ class S2pcError(OtError):
 @dataclass(frozen=True)
 class S2pcSpec:
     """Public description of one S2PC: the ordered input domain and the
-    function applied by the sender to (domain element, private input)."""
+    function the sender applies to (domain, private input), giving one
+    output row per domain element."""
 
     name: str
     domain: tuple[int, ...]
-    evaluator: Callable[[int, np.ndarray], np.ndarray]
+    evaluator: Callable[[tuple[int, ...], np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if len(self.domain) < 2:
@@ -68,27 +71,29 @@ class S2pcSpec:
         return self.domain.index(x)
 
 
-def left_functional(field: Field, s: int) -> Callable[[int, np.ndarray], np.ndarray]:
-    """(a, M) -> [1, a**s, ..., a**(s(s-1))] . M"""
+def left_functional(field: Field, s: int) -> Callable[[tuple[int, ...], np.ndarray], np.ndarray]:
+    """(a, M) -> [1, a**s, ..., a**(s(s-1))] . M, for every a at once:
+    P_high(domain) . M."""
 
-    def evaluator(a: int, m: np.ndarray) -> np.ndarray:
-        return field.matmul(power_row(field, a, s, "high")[None, :], m)[0]
-
-    return evaluator
-
-
-def right_functional(field: Field, s: int) -> Callable[[int, np.ndarray], np.ndarray]:
-    """(a, M) -> M . [1, a, ..., a**(s-1)]^T"""
-
-    def evaluator(a: int, m: np.ndarray) -> np.ndarray:
-        return field.matmul(m, power_row(field, a, s, "low"))
+    def evaluator(domain: tuple[int, ...], m: np.ndarray) -> np.ndarray:
+        return field.matmul(structured_matrix(field, domain, s, "high"), m)
 
     return evaluator
 
 
-def build_value_table(field: Field, spec: S2pcSpec, y: np.ndarray) -> list[np.ndarray]:
-    """Sender side: the OT table, entry j = f(domain[j], y)."""
-    return [spec.evaluator(z, y) for z in spec.domain]
+def right_functional(field: Field, s: int) -> Callable[[tuple[int, ...], np.ndarray], np.ndarray]:
+    """(a, M) -> M . [1, a, ..., a**(s-1)]^T, for every a at once:
+    (M . P_low(domain)^T)^T."""
+
+    def evaluator(domain: tuple[int, ...], m: np.ndarray) -> np.ndarray:
+        return field.matmul(m, structured_matrix(field, domain, s, "low").T).T
+
+    return evaluator
+
+
+def build_value_table(field: Field, spec: S2pcSpec, y: np.ndarray) -> np.ndarray:
+    """Sender side: the OT table, row j = f(domain[j], y)."""
+    return spec.evaluator(spec.domain, y)
 
 
 def s2pc_send(field: Field, spec: S2pcSpec, y: np.ndarray, send, rng) -> None:
@@ -115,5 +120,5 @@ def s2pc_run(
     exists, so an out-of-domain x aborts with nothing sent.
     """
     spec.position(x)
-    s2pc_send(field, spec, y, box.send_pair, rng)
+    s2pc_send(field, spec, y, box.send, rng)
     return s2pc_receive(field, spec, x, box.receive)

@@ -6,15 +6,18 @@ orderly ABORT(0).  Any out-of-order frame aborts with a protocol-violation
 code.  The prover refuses queries above the agreed bound without ending
 the session.
 
-OT backends supply the 1-of-2 steps of the S2PC halves as ``send(chan,
-m0, m1, rng)`` / ``receive(chan, b, rng)``.  "ideal" shares a trusted
-in-process box between co-hosted roles (only S2PC_BEGIN markers touch the
-wire); "bs" realizes every transfer on the wire with TAPE_CHUNK /
+OT backends supply the 1-of-2 steps of the S2PC halves one batch per
+S2PC: ``send(chan, m0s, m1s, rng)`` carries the |S|-1 message pairs of the
+sender's reduction table and ``receive(chan, bits, rng)`` returns one pick
+per bit.  "ideal" shares a trusted in-process box between co-hosted roles
+(one queue item per S2PC; only S2PC_BEGIN markers touch the wire); "bs"
+runs the batch's transfers one after another on the wire with TAPE_CHUNK /
 OMEGA_REVEAL / IH_ROUND / ENCODED_PAIR frames, so a bounded-storage run
 works across real sockets.  Its wire roles below are the only end-to-end
-bounded-storage transfer.  A malformed frame or element (an S2PC output
-must be s elements), or MAX_BROADCASTS declined broadcasts, ends the
-session with exit 4 and an ABORT frame.
+bounded-storage transfer.  Every payload is parsed to its last byte.  A
+malformed frame, status byte or element (each S2PC pick must be s
+elements), or MAX_BROADCASTS declined broadcasts, ends the session with
+exit 4 and an ABORT frame.
 
 Exit codes: 0 ok, 2 config, 3 transport, 4 protocol violation,
 5 verification reject.
@@ -153,7 +156,7 @@ def _expect_ih(chan, subtype: int) -> Reader:
 def _read_bit(r: Reader) -> int:
     v = r.u8()
     if v > 1:
-        raise OtError(f"expected a bit, got {v}")
+        raise DecodeError(f"expected a bit, got {v}")
     return v
 
 
@@ -161,11 +164,10 @@ def _read_reveal(payload: bytes, params: BsOtParams) -> np.ndarray:
     """The sender's stored positions: exactly n distinct sorted positions
     on the tape."""
     r = Reader(payload)
-    count = r.u32()
-    if count != params.n:
-        raise OtError(f"OMEGA_REVEAL holds {count} positions, expected {params.n}")
-    omega = np.array([r.u32() for _ in range(count)])
+    omega = r.u32s()
     r.done()
+    if len(omega) != params.n:
+        raise OtError(f"OMEGA_REVEAL holds {len(omega)} positions, expected {params.n}")
     if np.any(np.diff(omega) <= 0) or omega[-1] >= params.K:
         raise OtError("OMEGA_REVEAL positions must be distinct, sorted and on the tape")
     return omega
@@ -186,10 +188,7 @@ def ot2_wire_send(chan, params: BsOtParams, m0: bytes, m1: bytes, rng: random.Ra
             )
             chan.send(Tag.TAPE_CHUNK, payload)
         sample = sampler.finish()
-        w = Writer().u32(len(sample.indices))
-        for idx in sample.indices:
-            w.u32(int(idx))
-        chan.send(Tag.OMEGA_REVEAL, w.bytes())
+        chan.send(Tag.OMEGA_REVEAL, Writer().u32s(sample.indices).bytes())
         if _read_bit(_expect_ih(chan, _IH_STATUS)):  # receiver asks for a fresh broadcast
             continue
         t = ih_encoding_bits(params.n, params.subset_size)
@@ -272,25 +271,27 @@ class IdealBackend:
     box: IdealOt = dc_field(default_factory=IdealOt)
     name: str = "ideal"
 
-    def send(self, chan, m0, m1, rng):
-        self.box.send_pair(m0, m1)
+    def send(self, chan, m0s, m1s, rng):
+        self.box.send(m0s, m1s)
 
-    def receive(self, chan, b, rng):
-        return self.box.receive(b)
+    def receive(self, chan, bits, rng):
+        return self.box.receive(bits)
 
 
 @dataclass
 class BsBackend:
-    """Every transfer runs the bounded-storage protocol on the wire."""
+    """Every transfer of a batch runs the bounded-storage protocol on the
+    wire, in batch order."""
 
     params: BsOtParams = dc_field(default_factory=make_bs_params)
     name: str = "bs"
 
-    def send(self, chan, m0, m1, rng):
-        ot2_wire_send(chan, self.params, m0, m1, rng)
+    def send(self, chan, m0s, m1s, rng):
+        for m0, m1 in zip(m0s, m1s):
+            ot2_wire_send(chan, self.params, m0, m1, rng)
 
-    def receive(self, chan, b, rng):
-        return ot2_wire_receive(chan, self.params, b, rng)
+    def receive(self, chan, bits, rng):
+        return [ot2_wire_receive(chan, self.params, b, rng) for b in bits]
 
 
 def make_backend(name: str, bs_params: BsOtParams | None = None):
@@ -345,7 +346,7 @@ class ProverSession:
             f,
             spec,
             secret,
-            lambda m0, m1: self.backend.send(chan, m0, m1, self.rng),
+            lambda m0s, m1s: self.backend.send(chan, m0s, m1s, self.rng),
             self.rng,
         )
 
@@ -357,6 +358,7 @@ class ProverSession:
             r = Reader(payload)
             digest = r.blob()
             xi = r.elem(f)
+            r.done()
             if digest != config_digest(cfg) or xi != cfg.xi:
                 _send_abort(chan, EXIT_CONFIG, "configuration digest mismatch")
                 return EXIT_CONFIG
@@ -373,6 +375,7 @@ class ProverSession:
                         )
                     r = Reader(payload)
                     kind, _index = r.u8(), r.u32()
+                    r.done()
                     self._serve_s2pc(chan, kind)
                     sessions += 1
                 elif tag == Tag.COMMIT_DONE:
@@ -387,6 +390,7 @@ class ProverSession:
                         raise SessionAbort(EXIT_PROTOCOL, "evaluation before commitment")
                     r = Reader(payload)
                     x = r.elem(f)
+                    r.done()
                     if x in self._seen_queries:
                         self.stats.duplicate_queries += 1
                         log.warning("duplicate query point %d", x)
@@ -403,7 +407,11 @@ class ProverSession:
                     chan.send(Tag.EVAL_RESP, w.bytes())
                 elif tag == Tag.VERDICT:
                     r = Reader(payload)
-                    self.stats.verdicts.append(bool(r.u8()))
+                    accepted = _read_bit(r)
+                    if accepted:
+                        r.elem(f)  # the recovered value
+                    r.done()
+                    self.stats.verdicts.append(bool(accepted))
                 elif tag == Tag.ABORT:
                     r = Reader(payload)
                     code = r.u8()
@@ -451,7 +459,7 @@ class VerifierSession:
             self.cfg.field,
             self._specs[kind - _KIND_LEFT],
             point,
-            lambda b: self.backend.receive(chan, b, self.rng),
+            lambda bits: self.backend.receive(chan, bits, self.rng),
             self.cfg.s,
         )
 
@@ -492,10 +500,12 @@ class VerifierSession:
                 chan.send(Tag.EVAL_REQ, Writer().elem(f, x).bytes())
                 _, payload = _expect(chan, Tag.EVAL_RESP)
                 r = Reader(payload)
-                if r.u8() == 1:
+                if _read_bit(r):
+                    r.done()
                     self.outcome.refused.append(x)
                     continue
                 resp = EvalResponse(v=r.vector(f), u=r.vector(f))
+                r.done()
                 if verify(x, resp, vk, self.key, cfg):
                     value = recover(x, resp, cfg)
                     self.outcome.recovered.append((x, value))

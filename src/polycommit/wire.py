@@ -154,6 +154,12 @@ class Writer:
         self._parts.append(struct.pack(">Q", v))
         return self
 
+    def u32s(self, values) -> "Writer":
+        """Count-prefixed u32 array."""
+        self.u32(len(values))
+        self._parts.append(np.asarray(values).astype(">u4").tobytes())
+        return self
+
     def blob(self, data: bytes):
         self.u32(len(data))
         self._parts.append(bytes(data))
@@ -199,6 +205,12 @@ class Reader:
 
     def u64(self) -> int:
         return struct.unpack(">Q", self._take(8))[0]
+
+    def u32s(self) -> np.ndarray:
+        """Count-prefixed u32 array, as int64 so that differences of
+        entries do not wrap."""
+        n = self.u32()
+        return np.frombuffer(self._take(4 * n), dtype=">u4").astype(np.int64)
 
     def blob(self) -> bytes:
         return self._take(self.u32())
@@ -267,6 +279,9 @@ class SocketChannel:
     def __init__(self, sock: socket.socket):
         self._sock = sock
         self._sock.settimeout(30.0)
+        # a frame must not wait for the ACK of the previous one: the roles
+        # trade many small frames, and each would stall a delayed ACK
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def send(self, tag: int, payload: bytes) -> None:
         try:

@@ -179,6 +179,25 @@ def test_sampling_uniform_chi_square():
         assert np.all(np.abs(counts - n * p) <= 5 * sigma)
 
 
+@pytest.mark.parametrize(
+    "field",
+    [GF11, GF4, gf2(), PrimeField(1_000_667), PrimeField(2**32 + 15), PrimeField(2**61 - 1)],
+    ids=lambda f: f"q={f.q}",
+)
+@pytest.mark.parametrize("n", [0, 1, 7, 5000])
+def test_vector_sampling_is_the_scalar_stream(field, n):
+    # same values and same generator state as n calls of sample(), so a
+    # caller may switch between them without changing any RNG stream
+    a, b = substream(2024, "field", "vsample", field.q, n), substream(
+        2024, "field", "vsample", field.q, n
+    )
+    want = [field.sample(a) for _ in range(n)]
+    got = field.vsample(b, n)
+    assert got.dtype == field.dtype and got.shape == (n,)
+    assert got.tolist() == want
+    assert a.getstate() == b.getstate()
+
+
 # -- validate_spec --
 
 

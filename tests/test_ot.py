@@ -42,31 +42,40 @@ GF11 = PrimeField(11)
 
 def test_ideal_ot_selects():
     ot = IdealOt()
-    for b in (1, 0):
-        ot.send_pair(b"\x05", b"\x09")
-        assert ot.receive(b) == (b"\x05", b"\x09")[b]
+    ot.send([b"\x05", b"\x06"], [b"\x09", b"\x0a"])
+    assert ot.receive((1, 0)) == [b"\x09", b"\x06"]
+    ot.send([b"\x05"], [b"\x09"])
+    assert ot.receive((0,)) == [b"\x05"]
 
 
 def test_ideal_ot_identical_messages():
     ot = IdealOt()
     for b in (0, 1):
-        ot.send_pair(b"same", b"same")
-        assert ot.receive(b) == b"same"
+        ot.send([b"same"], [b"same"])
+        assert ot.receive((b,)) == [b"same"]
 
 
 def test_ideal_ot_sender_trace_is_choice_free():
     traces = []
-    for b in (0, 1):
+    for bits in ((0, 1), (1, 0)):
         ot = IdealOt()
-        ot.send_pair(b"\x01\x02", b"\x03\x04")
-        ot.receive(b)
+        ot.send([b"\x01\x02", b"\x05"], [b"\x03\x04", b"\x06"])
+        ot.receive(bits)
         traces.append(list(ot.sender_trace))
-    assert traces[0] == traces[1]
+    assert traces[0] == traces[1] == [(b"\x01\x02", b"\x03\x04"), (b"\x05", b"\x06")]
 
 
 def test_ideal_ot_rejects_length_mismatch():
     with pytest.raises(OtError):
-        IdealOt().send_pair(b"x", b"xy")
+        IdealOt().send([b"x"], [b"xy"])
+    with pytest.raises(OtError):
+        IdealOt().send([b"x", b"y"], [b"x"])
+    ot = IdealOt()
+    ot.send([b"x", b"y"], [b"z", b"w"])
+    with pytest.raises(OtError):
+        ot.receive((0,))  # one choice for a batch of two
+    with pytest.raises(OtError):
+        ot.receive((2, 0))
 
 
 # -- reduction table --
@@ -75,14 +84,32 @@ def test_ideal_ot_rejects_length_mismatch():
 def test_reduction_table_example():
     secrets = [GF11.asarray([3]), GF11.asarray([7]), GF11.asarray([2])]
     table = build_reduction_table(GF11, secrets, None, masks=[GF11.asarray([4])])
-    got = [(int(top[0]), int(bottom[0])) for top, bottom in table]
-    assert got == [(3, 4), (0, 6)]  # 7+4 = 0 and 2+4 = 6 mod 11
+    assert table.shape == (2, 2, 1)
+    assert table[:, :, 0].T.tolist() == [[3, 4], [0, 6]]  # 7+4 = 0 and 2+4 = 6 mod 11
+
+
+def test_reduction_table_columns_match_definition():
+    # column 0 is (a0, r0), middle column j is (a_j + r_{j-1}, r_{j-1} + r_j),
+    # the last is (a_{c-2} + r_{c-3}, a_{c-1} + r_{c-3}); rows are vectors
+    rng = substream(2024, "ot", "columns")
+    for f in (GF11, gf4(), PrimeField(2**61 - 1)):
+        for c in (3, 4, 7):
+            a = [f.asarray([f.sample(rng) for _ in range(3)]) for _ in range(c)]
+            r = [f.asarray([f.sample(rng) for _ in range(3)]) for _ in range(c - 2)]
+            want = [(a[0], r[0])]
+            want += [(f.vadd(a[j], r[j - 1]), f.vadd(r[j - 1], r[j])) for j in range(1, c - 2)]
+            want += [(f.vadd(a[c - 2], r[c - 3]), f.vadd(a[c - 1], r[c - 3]))]
+            table = build_reduction_table(f, a, None, masks=r)
+            assert table.shape == (2, c - 1, 3)
+            for j, (top, bottom) in enumerate(want):
+                assert table[0, j].tolist() == top.tolist()
+                assert table[1, j].tolist() == bottom.tolist()
 
 
 def test_reduction_table_c2_degenerate():
     table = build_reduction_table(GF11, [GF11.asarray([5]), GF11.asarray([9])], None)
-    assert len(table) == 1
-    assert (int(table[0][0][0]), int(table[0][1][0])) == (5, 9)
+    assert table.shape == (2, 1, 1)
+    assert (int(table[0, 0, 0]), int(table[1, 0, 0])) == (5, 9)
 
 
 def test_reduction_table_mask_uniformity():
@@ -92,7 +119,7 @@ def test_reduction_table_mask_uniformity():
     counts = Counter()
     for _ in range(n):
         table = build_reduction_table(GF11, secrets, rng)
-        counts[int(table[0][1][0])] += 1  # r0 sits in column 0, row 2
+        counts[int(table[1, 0, 0])] += 1  # r0 sits in column 0, row 2
     p = 1 / 11
     sigma = math.sqrt(n * p * (1 - p))
     for v in range(11):
@@ -161,7 +188,7 @@ def test_reduction_sender_privacy_posterior_uniform():
         for a0, a1, a2, r0 in itertools.product(range(3), repeat=4):
             secrets = [f.asarray([a]) for a in (a0, a1, a2)]
             table = build_reduction_table(f, secrets, None, masks=[f.asarray([r0])])
-            view = tuple(int(table[j][picks[j]][0]) for j in range(c - 1))
+            view = tuple(int(table[picks[j], j, 0]) for j in range(c - 1))
             views[view].append((a0, a1, a2))
         others = [j for j in range(c) if j != i]
         for view, tuples in views.items():
@@ -447,20 +474,22 @@ def test_missing_bit_statistics_over_200_runs():
 
 def test_bs_backend_end_to_end():
     # the shipped transfer: both wire roles over a duplex pair, the sender
-    # on its own thread
+    # on its own thread; 20 random transfers in batches of 1 to 5
     backend = BsBackend(make_bs_params(N=4096, ell=16))
     rng = substream(2024, "ot", "bs-wire")
     chan_s, chan_r = duplex_pair(timeout=10)
-    for run in range(20):
-        m0, m1, b = rng.randbytes(6), rng.randbytes(6), rng.randrange(2)
+    for run, size in enumerate((1, 5, 4, 3, 2, 5)):
+        m0s = [rng.randbytes(6) for _ in range(size)]
+        m1s = [rng.randbytes(6) for _ in range(size)]
+        bits = [rng.randrange(2) for _ in range(size)]
         sender = threading.Thread(
-            target=backend.send, args=(chan_s, m0, m1, random.Random(run))
+            target=backend.send, args=(chan_s, m0s, m1s, random.Random(run))
         )
         sender.start()
-        got = backend.receive(chan_r, b, random.Random(1000 + run))
+        got = backend.receive(chan_r, bits, random.Random(1000 + run))
         sender.join(timeout=10)
         assert not sender.is_alive()
-        assert got == (m0, m1)[b]
+        assert got == [(m0, m1)[b] for m0, m1, b in zip(m0s, m1s, bits)]
 
 
 def test_element_codec_round_trip():

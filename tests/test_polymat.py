@@ -83,14 +83,15 @@ def test_power_row_examples():
 
 def test_power_row_entries_are_powers():
     rng = substream(2024, "polymat", "powers")
-    for _ in range(200):
-        x = GF11.sample(rng)
-        s = rng.randrange(1, 8)
-        low = power_row(GF11, x, s, "low")
-        high = power_row(GF11, x, s, "high")
-        for k in range(s):
-            assert low[k] == GF11.pow(x, k)
-            assert high[k] == GF11.pow(x, s * k)
+    for field in (GF11, GF4, PrimeField(2**61 - 1)):
+        for _ in range(200):
+            x = field.sample(rng)
+            s = rng.randrange(1, 12)
+            low = power_row(field, x, s, "low")
+            high = power_row(field, x, s, "high")
+            for k in range(s):
+                assert low[k] == field.pow(x, k)
+                assert high[k] == field.pow(x, s * k)
 
 
 # -- bilinear form --

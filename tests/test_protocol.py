@@ -1,5 +1,7 @@
 """Protocol core: parameters, keys, commit, evaluate, verify, recover."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from polycommit.protocol import (
     theta_matrix,
     verify,
 )
+from polycommit.session import honest_coefficients
 from polycommit.wire import Reader, Writer
 
 GF11 = PrimeField(11)
@@ -156,6 +159,35 @@ def test_commit_prover_view_invariant_under_verifier_key():
         commit(a, key, pk, cfg, backend, substream(2024, "protocol", "secrecy-rng"))
         traces.append(backend.sender_trace)
     assert traces[0] == traces[1]
+
+
+@pytest.mark.parametrize(
+    "field, d, r, c, xi, transfers, digest",
+    [
+        (GF11, 9, 2, 3, 6, 18,
+         "a04e2e16145f9b01fa6d7f295a8d49a142e94a0e7dfacccbe801985afc39a02b"),
+        (PrimeField(1_099_511_627_803), 25, 3, 2, 2**40, 44,  # object dtype
+         "f1887a7ddc53acba6e24200dc5df1d8493cd391312257883771a31bb731fea32"),
+        (gf4(), 4, 2, 1, 0, 2,
+         "de51d191b19a235bf4c077d67da5c363488db384fcf12609235574723c364006"),
+    ],
+    ids=["gf11", "p40", "gf4"],
+)
+def test_commit_sender_trace_is_stable(field, d, r, c, xi, transfers, digest):
+    # Golden digest of every 1-of-2 pair the sender deposits in one
+    # commitment.  A change to the value tables, the mask stream, the
+    # reduction table or the element codec must update it on purpose.
+    cfg = make_config(field, d=d, r=r, c=c, xi=xi)
+    matrix = poly_to_matrix(field, honest_coefficients(cfg, 5), cfg.s)
+    pk = keygen_prover(cfg, substream(5, "prover"))
+    key = keygen_verifier(cfg, substream(5, "verifier"))
+    box = IdealOt()
+    commit(matrix, key, pk, cfg, box, substream(5, "commit"))
+    assert len(box.sender_trace) == transfers
+    h = hashlib.sha256()
+    for m0, m1 in box.sender_trace:
+        h.update(m0 + m1)
+    assert h.hexdigest() == digest
 
 
 # -- evaluate --

@@ -7,6 +7,7 @@ import pytest
 
 from polycommit import PrimeField, gf4, substream
 from polycommit.ot import IdealOt
+from polycommit.polymat import power_row
 from polycommit.s2pc import (
     S2pcError,
     S2pcSpec,
@@ -44,13 +45,32 @@ def test_right_functional_is_column():
     rng = substream(2024, "s2pc", "right")
     m = GF11.asarray([[GF11.sample(rng) for _ in range(3)] for _ in range(3)])
     f = right_functional(GF11, 3)
-    got = f(5, m)
+    got = f((5,), m)[0]
     low = [1, 5, GF11.mul(5, 5)]
     want = [
         (int(m[i, 0]) * low[0] + int(m[i, 1]) * low[1] + int(m[i, 2]) * low[2]) % 11
         for i in range(3)
     ]
     assert got.tolist() == want
+
+
+def test_value_tables_match_power_row_reference():
+    # one matrix product per table equals one power row product per
+    # domain element, in int64, object-dtype and table fields
+    rng = substream(2024, "s2pc", "reference")
+    for f, s, domain in (
+        (GF11, 3, (7, 8, 9, 10)),
+        (GF4, 2, (2, 3)),
+        (PrimeField(2**61 - 1), 4, (5, 6, 2**61 - 2)),
+    ):
+        m = f.asarray([[f.sample(rng) for _ in range(s)] for _ in range(s)])
+        left = build_value_table(f, S2pcSpec("left", domain, left_functional(f, s)), m)
+        right = build_value_table(f, S2pcSpec("right", domain, right_functional(f, s)), m)
+        assert left.shape == right.shape == (len(domain), s)
+        for j, z in enumerate(domain):
+            high, low = power_row(f, z, s, "high"), power_row(f, z, s, "low")
+            assert left[j].tolist() == f.matmul(high[None, :], m)[0].tolist()
+            assert right[j].tolist() == f.matmul(m, low).tolist()
 
 
 def test_spec_rejects_bad_domains():

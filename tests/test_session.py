@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import socket
 import threading
 import time
 
@@ -28,6 +29,7 @@ from polycommit.session import (
     EXIT_REJECT,
     ProverSession,
     VerifierSession,
+    _tcp_pair,
     default_queries,
     honest_coefficients,
     make_backend,
@@ -103,6 +105,18 @@ def test_bounded_storage_wire_is_stable():
     assert hashlib.sha256(blob).hexdigest() == (
         "72a54abcc9561f67c37c96bbdafb8403d6b3b3dadbb017c77d1db2c9367a197e"
     )
+
+
+def test_tcp_channels_send_without_nagle():
+    # small frames go out at once instead of waiting for the peer's
+    # delayed ACK of the previous one
+    chans = _tcp_pair()
+    try:
+        for chan in chans:
+            assert chan._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+    finally:
+        for chan in chans:
+            chan.close()
 
 
 def test_transport_independence():
@@ -451,8 +465,9 @@ def test_swap_that_is_not_a_bit_aborts():
     assert hostile_verifier(desk_config(c=1), bad_swap) == (EXIT_PROTOCOL, EXIT_PROTOCOL, 1)
 
 
-# -- hostile field elements: the receiving role ends in exit 4 and an ABORT
-# frame, and so does its peer, instead of waiting out its receive timeout --
+# -- hostile field elements and malformed payloads: the receiving role ends
+# in exit 4 and an ABORT frame, and so does its peer, instead of waiting
+# out its receive timeout or accepting the payload --
 
 
 class Outbox:
@@ -479,15 +494,17 @@ def q_at(data, offset):
 
 
 def mangled(backend_cls, mangle, *args):
-    """A ``backend_cls`` whose sender passes both messages of its n-th
-    1-of-2 through ``mangle(message, n)``."""
+    """A ``backend_cls`` whose sender passes both messages of the n-th
+    1-of-2 of each batch through ``mangle(message, n)``."""
 
     class Mangled(backend_cls):
-        calls = 0
-
-        def send(self, chan, m0, m1, rng):
-            n, self.calls = self.calls, self.calls + 1
-            super().send(chan, mangle(m0, n), mangle(m1, n), rng)
+        def send(self, chan, m0s, m1s, rng):
+            super().send(
+                chan,
+                [mangle(m, n) for n, m in enumerate(m0s)],
+                [mangle(m, n) for n, m in enumerate(m1s)],
+                rng,
+            )
 
     return Mangled(*args)
 
@@ -497,10 +514,21 @@ OT_MANGLES = {
     "ot-odd-length": lambda m, n: m[:-1],
     "ot-one-element": lambda m, n: m[:8],
     "ot-mixed-length": lambda m, n: m[: 8 * (3 - n % 2)],
+    # 4, 2, 3 elements: wrong one by one, right in total
+    "ot-compensating-lengths": lambda m, n: (m + m[:8], m[:-8], m)[n],
+}
+
+# Payloads that decode but do not parse: (sending role, tag, rewrite).
+MALFORMED = {
+    "negotiate-junk": ("verifier", Tag.NEGOTIATE, lambda p: p + b"junk"),
+    "eval-resp-status": ("prover", Tag.EVAL_RESP, lambda p: b"\x07" + p[1:]),
+    "eval-resp-junk": ("prover", Tag.EVAL_RESP, lambda p: p + b"junk"),
 }
 
 
-@pytest.mark.parametrize("case", ["eval-resp", "eval-req", *OT_MANGLES, "bs-non-canonical"])
+@pytest.mark.parametrize(
+    "case", ["eval-resp", "eval-req", *OT_MANGLES, "bs-non-canonical", *MALFORMED]
+)
 def test_hostile_element_ends_both_roles_in_exit_4(case):
     cfg = desk_config(c=1)
     backend, prover_out, verifier_out = IdealBackend(), (), ()
@@ -508,6 +536,12 @@ def test_hostile_element_ends_both_roles_in_exit_4(case):
         prover_out = (Tag.EVAL_RESP, lambda p: q_at(p, 5))
     elif case == "eval-req":  # x = q
         verifier_out = (Tag.EVAL_REQ, lambda p: q_at(p, 0))
+    elif case in MALFORMED:
+        sender, tag, rewrite = MALFORMED[case]
+        if sender == "prover":
+            prover_out = (tag, rewrite)
+        else:
+            verifier_out = (tag, rewrite)
     elif case == "bs-non-canonical":
         backend = mangled(BsBackend, OT_MANGLES["ot-non-canonical"], SMALL_BS)
     else:
@@ -532,6 +566,6 @@ def test_hostile_element_ends_both_roles_in_exit_4(case):
         t.join(timeout=max(0, deadline - time.monotonic()))
     assert not any(t.is_alive() for t in threads)
     assert codes == {"prover": EXIT_PROTOCOL, "verifier": EXIT_PROTOCOL}
-    receiver = "prover" if case == "eval-req" else "verifier"
+    receiver = "prover" if verifier_out else "verifier"
     tag, payload = sides[receiver][1].sent[-1]
     assert tag == Tag.ABORT and Reader(payload).u8() == EXIT_PROTOCOL

@@ -71,6 +71,8 @@ def test_unknown_tag_rejected():
 def test_payload_writer_reader_round_trip():
     w = Writer().u8(7).u32(1234).u64(2**40).blob(b"blob")
     w.elem(GF11, 7).vector(GF11, [1, 2, 3]).matrix(GF11, [[1, 2], [3, 4]])
+    w.u32s([0, 5, 2**32 - 1])
+    assert w.bytes().endswith(b"".join(Writer().u32(v).bytes() for v in (3, 0, 5, 2**32 - 1)))
     r = Reader(w.bytes())
     assert r.u8() == 7
     assert r.u32() == 1234
@@ -79,6 +81,7 @@ def test_payload_writer_reader_round_trip():
     assert r.elem(GF11) == 7
     assert r.vector(GF11).tolist() == [1, 2, 3]
     assert r.matrix(GF11).tolist() == [[1, 2], [3, 4]]
+    assert r.u32s().tolist() == [0, 5, 2**32 - 1]
     r.done()
 
 
