@@ -30,11 +30,20 @@ Three layers, each independently testable:
    final swap bit from the receiver aligns his known set with his choice
    bit; since which solution is his is not determined by the transcript,
    the swap bit hides the choice.  The security parameter k is enforced as
-   a floor on the round count.
+   a floor on the round count.  Every constraint must lie below 2^t: one
+   on higher bits would leave the receiver's encoding out of the solution
+   pair, and his swap bit would then reveal his choice.  The solve is
+   forward elimination plus back-substitution in increasing pivot order.
 
-   The wire roles in the session module are the only end-to-end
-   transfer; :func:`bs_phase1`, :func:`bs_setpair` and :func:`bs_transfer`
-   drive the same steps one at a time for the acceptance suite.
+   The sender's constraints and extractor seeds never depend on the
+   replies, so :class:`IhSender` may draw all t-1 constraints before the
+   first reply.  That lets the wire roles in the session module run a
+   batch of transfers as lanes: each lane's broadcasts, then one IH frame
+   per round carrying one constraint per lane, with each lane still
+   sequential (constraint j+1 only after reply j).  Those wire roles are
+   the only end-to-end transfer; :func:`bs_phase1`, :func:`bs_setpair` and
+   :func:`bs_transfer` drive the same steps one at a time for the
+   acceptance suite.
 
 3. The 1-of-c reduction: the sender masks her c secrets into a 2 x (c-1)
    table so that any single row choice per column reveals exactly one
@@ -309,40 +318,32 @@ def _reduce(h: int, pivots: dict[int, int]) -> int:
 
 def _solve_pair(rounds: list[tuple[int, int]], t: int) -> tuple[int, int]:
     """Solutions of t-1 independent parity constraints on t bits."""
-    pivots: dict[int, tuple[int, int]] = {}
+    # each row carries its reply as bit 0, so one XOR updates both sides
+    pivots: dict[int, int] = {}
     for h, c in rounds:
-        row, rhs = h, c
-        while row:
+        row = h << 1 | c
+        while row > 1:
             p = row.bit_length() - 1
-            if p in pivots:
-                prow, prhs = pivots[p]
-                row ^= prow
-                rhs ^= prhs
-            else:
-                pivots[p] = (row, rhs)
+            prow = pivots.get(p)
+            if prow is None:
+                pivots[p] = row
                 break
+            row ^= prow
         else:
-            if rhs:
+            if row:
                 raise OtError("inconsistent interactive-hashing replies")
     if len(pivots) != t - 1:
         raise OtError("constraints are not independent")
-    # full reduction so each pivot row involves only its pivot and the free bit
-    for p in sorted(pivots, reverse=True):
-        row, rhs = pivots[p]
-        for p2 in list(pivots):
-            if p2 == p:
-                continue
-            r2, c2 = pivots[p2]
-            if (r2 >> p) & 1:
-                pivots[p2] = (r2 ^ row, c2 ^ rhs)
-    free = next(b for b in range(t) if b not in pivots)
+    # back-substitution: a pivot row holds no bit above its pivot, so in
+    # increasing pivot order every other bit it touches is already known
+    free = next(b for b in range(t) if b + 1 not in pivots)
+    order = sorted(pivots)
     sols = []
     for fval in (0, 1):
-        w = fval << free
-        for p, (row, rhs) in pivots.items():
-            bit = rhs ^ (fval if (row >> free) & 1 else 0)
-            w |= bit << p
-        sols.append(w)
+        w = fval << (free + 1) | 1  # the solution shifted up, with 1 at bit 0 for the reply
+        for p in order:
+            w |= ((pivots[p] & w).bit_count() & 1) << p
+        sols.append(w >> 1)
     return (sols[0], sols[1]) if sols[0] < sols[1] else (sols[1], sols[0])
 
 
@@ -379,34 +380,38 @@ def ih_encoding_bits(n: int, subset_size: int) -> int:
 class IhSender:
     """Sender side of the narrowing rounds: draws constraints independent
     of the received replies, keeping the accepted h-sequence a function of
-    her randomness alone."""
+    her randomness alone.  So she may draw all t-1 of them before the first
+    reply; the wire still sends constraint j+1 only after reply j."""
 
     def __init__(self, t: int, rng: random.Random):
         self.t = t
         self.rng = rng
-        self.rounds: list[tuple[int, int]] = []
+        self.constraints: list[int] = []
+        self.replies: list[int] = []
         self._pivots: dict[int, int] = {}
-        self._pending: int | None = None
 
     def need_more(self) -> bool:
-        return len(self.rounds) < self.t - 1
+        return len(self.constraints) < self.t - 1
+
+    @property
+    def rounds(self) -> list[tuple[int, int]]:
+        return list(zip(self.constraints, self.replies))
 
     def next_constraint(self) -> int:
-        if self._pending is not None:
-            raise OtError("previous constraint still awaits its reply")
+        if not self.need_more():
+            raise OtError("all t-1 constraints are drawn")
         while True:
             h = self.rng.getrandbits(self.t)
             residual = _reduce(h, self._pivots)
             if residual:
                 self._pivots[residual.bit_length() - 1] = residual
-                self._pending = h
+                self.constraints.append(h)
                 return h
 
     def push_reply(self, bit: int) -> None:
-        if self._pending is None:
+        if len(self.replies) == len(self.constraints):
             raise OtError("no constraint outstanding")
-        self.rounds.append((self._pending, bit & 1))
-        self._pending = None
+        self.replies.append(bit & 1)
 
     def solutions(self) -> tuple[int, int]:
         return _solve_pair(self.rounds, self.t)
@@ -539,20 +544,19 @@ def encode_pair(
     x0: np.ndarray,
     x1: np.ndarray,
     sample_a: StoredSample,
-    rng: random.Random,
+    seeds: tuple[int, int],
 ) -> EncodedPair:
     """Sender side: one-time-pad each message with an extractor output of
-    the tape bits at the corresponding set; extractor seeds are public.
-    The sender sees only the two sets, never which one the receiver knows.
+    the tape bits at the corresponding set; the two 64-bit extractor seeds
+    are public.  The sender sees only the two sets, never which one the
+    receiver knows.
     """
     if len(m0) != len(m1):
         raise OtError("messages in one OT session must have equal length")
-    seeds, cts = [], []
-    for m, positions in ((m0, x0), (m1, x1)):
-        seed = rng.getrandbits(64)
+    cts = []
+    for m, positions, seed in ((m0, x0, seeds[0]), (m1, x1, seeds[1])):
         r = _bits_int(sample_a, positions)
         pad = _pad(seed, r, len(positions), 8 * len(m))
-        seeds.append(seed)
         cts.append(_xor_bytes(m, pad))
     return EncodedPair(seeds=(seeds[0], seeds[1]), ciphertexts=(cts[0], cts[1]))
 
@@ -574,7 +578,8 @@ def bs_transfer(
     sample_b: StoredSample,
     rng: random.Random,
 ) -> bytes:
-    enc = encode_pair(m0, m1, pair.x0, pair.x1, sample_a, rng)
+    seeds = (rng.getrandbits(64), rng.getrandbits(64))
+    enc = encode_pair(m0, m1, pair.x0, pair.x1, sample_a, seeds)
     return decode_pair(enc, pair, sample_b)
 
 

@@ -11,13 +11,25 @@ S2PC: ``send(chan, m0s, m1s, rng)`` carries the |S|-1 message pairs of the
 sender's reduction table and ``receive(chan, bits, rng)`` returns one pick
 per bit.  "ideal" shares a trusted in-process box between co-hosted roles
 (one queue item per S2PC; only S2PC_BEGIN markers touch the wire); "bs"
-runs the batch's transfers one after another on the wire with TAPE_CHUNK /
-OMEGA_REVEAL / IH_ROUND / ENCODED_PAIR frames, so a bounded-storage run
-works across real sockets.  Its wire roles below are the only end-to-end
-bounded-storage transfer.  Every payload is parsed to its last byte.  A
-malformed frame, status byte or element (each S2PC pick must be s
-elements), or MAX_BROADCASTS declined broadcasts, ends the session with
-exit 4 and an ABORT frame.
+runs the batch on the wire as L = |S|-1 lanes, one transfer per lane, so a
+bounded-storage run works across real sockets:
+
+- broadcasts, lane after lane: TAPE_CHUNK frames, OMEGA_REVEAL, and an
+  IH_ROUND status byte (1 asks for a fresh broadcast, 0 accepts it);
+- t-1 rounds, each one IH_ROUND constraint frame holding L constraints of
+  ceil(t/8) little-endian bytes, each below 2^t, answered by one IH_ROUND
+  reply frame of L bits;
+- one IH_ROUND swap frame of L bits, then one ENCODED_PAIR frame holding
+  L (seed, ciphertext, seed, ciphertext) pairs.
+
+Each lane's tape, positions, constraints, replies, swap, seeds and
+ciphertexts are those of the same transfer run alone.  Honest storage is
+n bits per lane, L*n bits per party during a batch.  These wire roles are
+the only end-to-end bounded-storage transfer.  Every payload is parsed to
+its last byte.  A malformed frame, status byte, bit or element (each S2PC
+pick must be s elements), a constraint of the wrong width, or
+MAX_BROADCASTS declined broadcasts, ends the session with exit 4 and an
+ABORT frame; the receiver checks every constraint before he replies.
 
 Exit codes: 0 ok, 2 config, 3 transport, 4 protocol violation,
 5 verification reject.
@@ -173,8 +185,37 @@ def _read_reveal(payload: bytes, params: BsOtParams) -> np.ndarray:
     return omega
 
 
-def ot2_wire_send(chan, params: BsOtParams, m0: bytes, m1: bytes, rng: random.Random) -> None:
-    """Sender side of one bounded-storage transfer over the channel."""
+def _read_lane_bits(chan, subtype: int, lanes: int) -> bytes:
+    """An IH reply or swap frame: exactly one bit per lane."""
+    r = _expect_ih(chan, subtype)
+    bits = r.blob()
+    r.done()
+    if len(bits) != lanes:
+        raise DecodeError(f"expected {lanes} bits, got {len(bits)} bytes")
+    if any(v > 1 for v in bits):
+        raise DecodeError(f"expected bits, got {max(bits)}")
+    return bits
+
+
+def _read_constraints(chan, lanes: int, t: int) -> list[int]:
+    """An IH constraint frame: exactly one ceil(t/8)-byte little-endian
+    constraint per lane, each below 2^t.  A wider constraint would leave the
+    receiver's own encoding out of the solution pair and let the swap bit
+    give away his choice."""
+    r = _expect_ih(chan, _IH_CONSTRAINT)
+    data = r.blob()
+    r.done()
+    width = (t + 7) // 8
+    if len(data) != lanes * width:
+        raise DecodeError(f"expected {lanes} constraints of {width} bytes, got {len(data)} bytes")
+    hs = [int.from_bytes(data[j : j + width], "little") for j in range(0, len(data), width)]
+    if any(h >> t for h in hs):
+        raise OtError(f"an IH constraint is wider than t = {t} bits")
+    return hs
+
+
+def _broadcast_send(chan, params: BsOtParams, rng: random.Random):
+    """Broadcast tapes until the receiver accepts one; its stored sample."""
     for _ in range(MAX_BROADCASTS):
         sampler = TapeSampler(params, rng)
         for offset, chunk in iter_tape_chunks(params, rng):
@@ -189,34 +230,14 @@ def ot2_wire_send(chan, params: BsOtParams, m0: bytes, m1: bytes, rng: random.Ra
             chan.send(Tag.TAPE_CHUNK, payload)
         sample = sampler.finish()
         chan.send(Tag.OMEGA_REVEAL, Writer().u32s(sample.indices).bytes())
-        if _read_bit(_expect_ih(chan, _IH_STATUS)):  # receiver asks for a fresh broadcast
-            continue
-        t = ih_encoding_bits(params.n, params.subset_size)
-        sender = IhSender(t, rng)
-        while sender.need_more():
-            h = sender.next_constraint()
-            hb = h.to_bytes((t + 7) // 8, "little")
-            chan.send(Tag.IH_ROUND, Writer().u8(_IH_CONSTRAINT).blob(hb).bytes())
-            sender.push_reply(_read_bit(_expect_ih(chan, _IH_REPLY)))
-        swap = _read_bit(_expect_ih(chan, _IH_SWAP))
-        w0, w1 = sender.solutions()
-        x0, x1 = ih_sets(sample.indices, w0, w1, swap, params.subset_size)
-        enc = encode_pair(m0, m1, x0, x1, sample, rng)
-        payload = (
-            Writer()
-            .u64(enc.seeds[0])
-            .blob(enc.ciphertexts[0])
-            .u64(enc.seeds[1])
-            .blob(enc.ciphertexts[1])
-            .bytes()
-        )
-        chan.send(Tag.ENCODED_PAIR, payload)
-        return
+        if not _read_bit(_expect_ih(chan, _IH_STATUS)):
+            return sample
     raise OtError(f"receiver declined {MAX_BROADCASTS} broadcasts in a row")
 
 
-def ot2_wire_receive(chan, params: BsOtParams, b: int, rng: random.Random) -> bytes:
-    """Receiver side of one bounded-storage transfer over the channel."""
+def _broadcast_receive(chan, params: BsOtParams, t: int, rng: random.Random):
+    """Store broadcasts until one yields an encodable shared subset;
+    returns the sender's positions, the stored sample and the encoding."""
     for _ in range(MAX_BROADCASTS):
         sampler = TapeSampler(params, rng)
         omega_a = None
@@ -231,32 +252,79 @@ def ot2_wire_receive(chan, params: BsOtParams, b: int, rng: random.Random) -> by
                 omega_a = _read_reveal(payload, params)
         sample = sampler.finish()
         shared = np.nonzero(np.isin(omega_a, sample.indices))[0]
-        ell_x = params.subset_size
-        t = ih_encoding_bits(params.n, ell_x)
-        w = pick_encoding(shared, ell_x, t, rng) if len(shared) >= params.ell else None
-        if w is None:
-            chan.send(Tag.IH_ROUND, Writer().u8(_IH_STATUS).u8(1).bytes())
-            continue
-        chan.send(Tag.IH_ROUND, Writer().u8(_IH_STATUS).u8(0).bytes())
-        rounds = []
-        for _ in range(t - 1):
-            h = int.from_bytes(_expect_ih(chan, _IH_CONSTRAINT).blob(), "little")
-            reply = (h & w).bit_count() & 1
-            rounds.append((h, reply))
-            chan.send(Tag.IH_ROUND, Writer().u8(_IH_REPLY).u8(reply).bytes())
-        w0, w1 = _solve_pair(rounds, t)
-        swap = (0 if w == w0 else 1) ^ b
-        chan.send(Tag.IH_ROUND, Writer().u8(_IH_SWAP).u8(swap).bytes())
-        _, payload = _expect(chan, Tag.ENCODED_PAIR)
-        r = Reader(payload)
-        seed0 = r.u64()
-        ct0 = r.blob()
-        seed1 = r.u64()
-        ct1 = r.blob()
-        enc = EncodedPair(seeds=(seed0, seed1), ciphertexts=(ct0, ct1))
-        x0, x1 = ih_sets(omega_a, w0, w1, swap, ell_x)
-        return decode_pair(enc, SetPair(x0=x0, x1=x1, choice=b), sample)
+        w = None
+        if len(shared) >= params.ell:
+            w = pick_encoding(shared, params.subset_size, t, rng)
+        chan.send(Tag.IH_ROUND, Writer().u8(_IH_STATUS).u8(w is None).bytes())
+        if w is not None:
+            return omega_a, sample, w
     raise OtError(f"no usable broadcast in {MAX_BROADCASTS} attempts")
+
+
+def ot2_wire_send(chan, params: BsOtParams, m0s, m1s, rng: random.Random) -> None:
+    """Sender side of one batch of bounded-storage transfers, one lane per
+    transfer.  Each lane's broadcasts come first, lane after lane; right
+    after a lane's accepted broadcast she draws its t-1 constraints and its
+    two extractor seeds, so each lane draws what the same transfer run
+    alone would.  Then each IH round is one constraint frame for every
+    lane, answered by one reply frame; one swap frame and one ENCODED_PAIR
+    frame close the batch."""
+    t = ih_encoding_bits(params.n, params.subset_size)
+    lanes = []
+    for _ in m0s:
+        sample = _broadcast_send(chan, params, rng)
+        ih = IhSender(t, rng)
+        while ih.need_more():
+            ih.next_constraint()
+        lanes.append((sample, ih, (rng.getrandbits(64), rng.getrandbits(64))))
+    width = (t + 7) // 8
+    for j in range(t - 1):
+        hb = b"".join(ih.constraints[j].to_bytes(width, "little") for _, ih, _ in lanes)
+        chan.send(Tag.IH_ROUND, Writer().u8(_IH_CONSTRAINT).blob(hb).bytes())
+        for (_, ih, _), bit in zip(lanes, _read_lane_bits(chan, _IH_REPLY, len(lanes))):
+            ih.push_reply(bit)
+    swaps = _read_lane_bits(chan, _IH_SWAP, len(lanes))
+    w = Writer()
+    for (sample, ih, seeds), swap, m0, m1 in zip(lanes, swaps, m0s, m1s):
+        w0, w1 = ih.solutions()
+        x0, x1 = ih_sets(sample.indices, w0, w1, swap, params.subset_size)
+        enc = encode_pair(m0, m1, x0, x1, sample, seeds)
+        w.u64(enc.seeds[0]).blob(enc.ciphertexts[0]).u64(enc.seeds[1]).blob(enc.ciphertexts[1])
+    chan.send(Tag.ENCODED_PAIR, w.bytes())
+
+
+def ot2_wire_receive(chan, params: BsOtParams, bits, rng: random.Random) -> list[bytes]:
+    """Receiver side of one batch of bounded-storage transfers: pick
+    bits[j] of lane j.  Each constraint is checked as it arrives and every
+    lane is solved before the swap frame goes out, so a malformed
+    constraint ends the batch before the choice bits touch the wire."""
+    ell_x = params.subset_size
+    t = ih_encoding_bits(params.n, ell_x)
+    lanes = [_broadcast_receive(chan, params, t, rng) for _ in bits]
+    rounds = [[] for _ in lanes]
+    for _ in range(t - 1):
+        replies = bytearray()
+        for lane_rounds, h, (_, _, w) in zip(rounds, _read_constraints(chan, len(lanes), t), lanes):
+            reply = (h & w).bit_count() & 1
+            lane_rounds.append((h, reply))
+            replies.append(reply)
+        chan.send(Tag.IH_ROUND, Writer().u8(_IH_REPLY).blob(bytes(replies)).bytes())
+    sols = [_solve_pair(lane_rounds, t) for lane_rounds in rounds]
+    swaps = bytes((w != w0) ^ b for (w0, _), (_, _, w), b in zip(sols, lanes, bits))
+    chan.send(Tag.IH_ROUND, Writer().u8(_IH_SWAP).blob(swaps).bytes())
+    _, payload = _expect(chan, Tag.ENCODED_PAIR)
+    r = Reader(payload)
+    encs = []
+    for _ in lanes:
+        seed0, ct0 = r.u64(), r.blob()
+        seed1, ct1 = r.u64(), r.blob()
+        encs.append(EncodedPair(seeds=(seed0, seed1), ciphertexts=(ct0, ct1)))
+    r.done()
+    picks = []
+    for (omega_a, sample, _), (w0, w1), swap, enc, b in zip(lanes, sols, swaps, encs, bits):
+        x0, x1 = ih_sets(omega_a, w0, w1, swap, ell_x)
+        picks.append(decode_pair(enc, SetPair(x0=x0, x1=x1, choice=b), sample))
+    return picks
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +348,17 @@ class IdealBackend:
 
 @dataclass
 class BsBackend:
-    """Every transfer of a batch runs the bounded-storage protocol on the
-    wire, in batch order."""
+    """Each batch runs the bounded-storage protocol on the wire, one lane
+    per transfer."""
 
     params: BsOtParams = dc_field(default_factory=make_bs_params)
     name: str = "bs"
 
     def send(self, chan, m0s, m1s, rng):
-        for m0, m1 in zip(m0s, m1s):
-            ot2_wire_send(chan, self.params, m0, m1, rng)
+        ot2_wire_send(chan, self.params, m0s, m1s, rng)
 
     def receive(self, chan, bits, rng):
-        return [ot2_wire_receive(chan, self.params, b, rng) for b in bits]
+        return ot2_wire_receive(chan, self.params, bits, rng)
 
 
 def make_backend(name: str, bs_params: BsOtParams | None = None):

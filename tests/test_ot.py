@@ -1,7 +1,9 @@
 """Oblivious transfer: ideal functionality, bounded-storage sketch, 1-of-c."""
 
+import functools
 import itertools
 import math
+import operator
 import random
 import threading
 from collections import Counter, defaultdict
@@ -17,6 +19,7 @@ from polycommit.ot import (
     IntersectionShortfall,
     OtError,
     StoredSample,
+    _solve_pair,
     bs_phase1,
     bs_setpair,
     bs_transfer,
@@ -335,6 +338,48 @@ def test_setpair_transcripts_identical_for_both_choices():
     assert transcript.swap == (0 if colex_rank(pick) == w0 else 1) ^ 1
 
 
+def gf2_rank(rows):
+    pivots = {}
+    for row in rows:
+        while row and row.bit_length() in pivots:
+            row ^= pivots[row.bit_length()]
+        if row:
+            pivots[row.bit_length()] = row
+    return len(pivots)
+
+
+def parities(hs, w):
+    return [(h & w).bit_count() & 1 for h in hs]
+
+
+@pytest.mark.parametrize("t", range(2, 13))
+def test_solve_pair_matches_brute_force(t):
+    # For random independent constraints and every t-bit w, the solve
+    # returns exactly the t-bit words with w's replies, sorted.
+    rng = random.Random(t)
+    for _ in range(3):
+        hs = []
+        while gf2_rank(hs) < t - 1:
+            hs = [rng.getrandbits(t) for _ in range(t - 1)]
+        words = defaultdict(list)
+        for w in range(1 << t):
+            words[tuple(parities(hs, w))].append(w)
+        assert all(len(ws) == 2 for ws in words.values())
+        for w in range(1 << t):
+            replies = parities(hs, w)
+            assert _solve_pair(list(zip(hs, replies)), t) == tuple(words[tuple(replies)])
+        w = rng.getrandbits(t)
+        replies = parities(hs, w)
+        total = functools.reduce(operator.xor, hs)
+        with pytest.raises(OtError, match="inconsistent"):
+            _solve_pair(
+                [*zip(hs, replies), (total, functools.reduce(operator.xor, replies) ^ 1)], t
+            )
+        dependent = hs[:-1] + [functools.reduce(operator.xor, hs[:-1], 0)]
+        with pytest.raises(OtError, match="not independent"):
+            _solve_pair(list(zip(dependent, parities(dependent, w))), t)
+
+
 def test_setpair_insufficient_intersection_is_retriable():
     params = tiny_params(ell=6)
     tape = np.zeros(params.K, dtype=np.uint8)
@@ -384,7 +429,7 @@ def test_unknown_bits_make_other_decode_a_coinflip():
     missing = [int(p) for p in other if p not in set(sb.indices.tolist())]
     assert missing, "seed chosen so the receiver misses at least one bit"
     m0, m1 = b"\x37", b"\xc4"
-    enc = encode_pair(m0, m1, pair.x0, pair.x1, sa, rng)
+    enc = encode_pair(m0, m1, pair.x0, pair.x1, sa, (rng.getrandbits(64), rng.getrandbits(64)))
     truth = (m0, m1)[1 - pair.choice]
     ct = enc.ciphertexts[1 - pair.choice]
     seed = enc.seeds[1 - pair.choice]
@@ -437,7 +482,7 @@ def test_missing_bit_statistics_over_200_runs():
         done += 1
         m0 = bytes([done % 256, 17, (done * 5) % 256, 91])
         m1 = bytes([(done * 3) % 256, 44, done % 251, 7])
-        enc = encode_pair(m0, m1, pair.x0, pair.x1, sa, rng)
+        enc = encode_pair(m0, m1, pair.x0, pair.x1, sa, (rng.getrandbits(64), rng.getrandbits(64)))
         other = pair.other()
         known = set(sb.indices.tolist())
         r_guess = 0

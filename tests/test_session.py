@@ -91,9 +91,10 @@ def test_bounded_storage_backend_end_to_end():
 
 
 def test_bounded_storage_wire_is_stable():
-    # Golden digest of the prover's whole transcript (657 frames, 25,763
-    # bytes, 7 broadcasts for 6 transfers).  A change to an RNG stream or
-    # to the wire format must update it on purpose.
+    # Golden digest of the prover's whole transcript (241 frames, 22,871
+    # bytes, 7 broadcasts for 6 transfers in 2 batches of 3 lanes).  A
+    # change to an RNG stream or to the wire format must update it on
+    # purpose.
     cfg = desk_config(c=1)
     res_p, res_v, _ = run_pair(
         cfg, honest_coefficients(cfg, 14), [1, 2], seed=14, backend="bs",
@@ -101,9 +102,63 @@ def test_bounded_storage_wire_is_stable():
     )
     assert res_p.exit_code == EXIT_OK and res_v.exit_code == EXIT_OK
     blob = b"".join(wire.encode_frame(t, p) for t, p in res_p.transcript.frames)
-    assert (len(res_p.transcript.frames), len(blob)) == (657, 25_763)
+    assert (len(res_p.transcript.frames), len(blob)) == (241, 22_871)
     assert hashlib.sha256(blob).hexdigest() == (
-        "72a54abcc9561f67c37c96bbdafb8403d6b3b3dadbb017c77d1db2c9367a197e"
+        "7fb65dbaf3a264fa7a1c725f1e090bcdbd1768cca9dafac891f0e3c5b4b5eb29"
+    )
+
+
+def lane_digests(frames, t):
+    """Per transfer, in order, the SHA-256 of its TAPE_CHUNK and
+    OMEGA_REVEAL payloads, its t-1 constraints as ceil(t/8)-byte
+    little-endian values, its replies, its swap bit, and its two
+    (u64 seed, ciphertext) pairs, read from a transcript in lane framing."""
+    width = (t + 7) // 8
+    out, lanes, broadcast = [], [], []
+    for tag, payload in frames:
+        if tag in (Tag.TAPE_CHUNK, Tag.OMEGA_REVEAL):
+            broadcast.append(payload)
+            continue
+        r = Reader(payload)
+        if tag == Tag.IH_ROUND:
+            sub = r.u8()
+            if sub == 0:
+                if r.u8() == 0:  # accepted: the lane's broadcast is over
+                    lanes.append({0: broadcast, 1: [], 2: [], 3: []})
+                    broadcast = []
+            else:
+                data = r.blob()
+                step = width if sub == 1 else 1
+                assert len(data) == step * len(lanes)
+                for lane, j in zip(lanes, range(0, len(data), step)):
+                    lane[sub].append(data[j : j + step])
+        elif tag == Tag.ENCODED_PAIR:
+            for lane in lanes:
+                h = hashlib.sha256(b"".join(b"".join(lane[k]) for k in range(4)))
+                for _ in range(2):
+                    h.update(r.u64().to_bytes(8, "big") + r.blob())
+                out.append(h.digest())
+            lanes = []
+        else:
+            continue
+        r.done()
+    return out
+
+
+def test_bounded_storage_lanes_keep_each_transfer():
+    # Each transfer's tape, positions, constraints, replies, swap, seeds and
+    # ciphertexts, recorded when every transfer ran alone on the wire: lanes
+    # change the framing and the order of frames, not what one transfer is.
+    cfg = desk_config(c=1)
+    res_p, _, _ = run_pair(
+        cfg, honest_coefficients(cfg, 14), [1, 2], seed=14, backend="bs",
+        bs_params=SMALL_BS,
+    )
+    t = ih_encoding_bits(SMALL_BS.n, SMALL_BS.subset_size)
+    digests = lane_digests(res_p.transcript.frames, t)
+    assert len(digests) == 6
+    assert hashlib.sha256(b"".join(digests)).hexdigest() == (
+        "88a867963ef7f45b21d8a7f041a51051801101c0594489c8b9769e37ebf8598e"
     )
 
 
@@ -341,11 +396,10 @@ def run_against(session, script):
 
 
 def abort_code(chan):
-    """Read frames until the peer's ABORT; return its exit code."""
-    while True:
-        tag, payload = chan.recv()
-        if tag == Tag.ABORT:
-            return Reader(payload).u8()
+    """The peer's next frame must be its ABORT; return its exit code."""
+    tag, payload = chan.recv()
+    assert tag == Tag.ABORT, Tag(tag).name
+    return Reader(payload).u8()
 
 
 def reveal(positions):
@@ -379,22 +433,53 @@ def send_tape(chan, rng):
     return sampler.finish()
 
 
-def test_dependent_ih_constraints_abort():
-    def repeat_one_constraint(chan, rng):
-        while True:  # honest broadcasts until the verifier goes on to hashing
+LANES = len(desk_config(c=1).prohibited) - 1  # 1-of-2 transfers per S2PC
+T = ih_encoding_bits(SMALL_BS.n, SMALL_BS.subset_size)
+WIDTH = (T + 7) // 8  # bytes per constraint
+
+
+def ih_frame(subtype, data):
+    return Writer().u8(subtype).blob(data).bytes()
+
+
+def accepted_broadcasts(chan, rng):
+    """Honest broadcasts until the verifier has accepted one per lane."""
+    for _ in range(LANES):
+        while True:
             chan.send(Tag.OMEGA_REVEAL, reveal(send_tape(chan, rng).indices))
             r = Reader(chan.recv()[1])
             r.u8()
             if r.u8() == 0:
                 break
-        t = ih_encoding_bits(SMALL_BS.n, SMALL_BS.subset_size)
-        for _ in range(t - 1):
-            chan.send(Tag.IH_ROUND, Writer().u8(1).blob(b"\x01").bytes())
+
+
+def test_dependent_ih_constraints_abort():
+    # the same constraint in every round of every lane: the verifier answers
+    # each round, then aborts instead of sending its swap frame
+    def repeat_one_constraint(chan, rng):
+        accepted_broadcasts(chan, rng)
+        for _ in range(T - 1):
+            chan.send(Tag.IH_ROUND, ih_frame(1, (1).to_bytes(WIDTH, "little") * LANES))
             assert chan.recv()[0] == Tag.IH_ROUND
 
     assert hostile_prover(desk_config(c=1), repeat_one_constraint) == (
         EXIT_PROTOCOL, EXIT_PROTOCOL,
     )
+
+
+@pytest.mark.parametrize("case", ["above-t", "wide"])
+def test_constraints_beyond_t_bits_abort_before_any_reply(case):
+    # Constraints on bits at or above t leave the verifier's own encoding
+    # out of the solution pair, so his swap bit would be 1 ^ b, his choice
+    # in clear.  He must abort at the first such constraint: no reply, no
+    # swap.  "wide" sends them the way a per-transfer wire once took them,
+    # as many bytes as the bits need.
+    def beyond_t(chan, rng):
+        accepted_broadcasts(chan, rng)
+        width = WIDTH if case == "above-t" else (2 * T + 6) // 8
+        chan.send(Tag.IH_ROUND, ih_frame(1, (1 << T).to_bytes(width, "little") * LANES))
+
+    assert hostile_prover(desk_config(c=1), beyond_t) == (EXIT_PROTOCOL, EXIT_PROTOCOL)
 
 
 @pytest.mark.parametrize("case", ["empty", "before-tape", "too-few", "unsorted", "off-tape"])
@@ -450,19 +535,20 @@ def test_endless_rerun_requests_hit_the_broadcast_cap():
 
 
 def test_swap_that_is_not_a_bit_aborts():
-    t = ih_encoding_bits(SMALL_BS.n, SMALL_BS.subset_size)
     replies = []
 
     def bad_swap(chan, tag):
         if tag == Tag.OMEGA_REVEAL:
             chan.send(Tag.IH_ROUND, Writer().u8(0).u8(0).bytes())
         elif tag == Tag.IH_ROUND:
-            chan.send(Tag.IH_ROUND, Writer().u8(2).u8(0).bytes())
+            chan.send(Tag.IH_ROUND, ih_frame(2, bytes(LANES)))
             replies.append(0)
-            if len(replies) == t - 1:
-                chan.send(Tag.IH_ROUND, Writer().u8(3).u8(2).bytes())
+            if len(replies) == T - 1:
+                chan.send(Tag.IH_ROUND, ih_frame(3, bytes(LANES - 1) + b"\x02"))
 
-    assert hostile_verifier(desk_config(c=1), bad_swap) == (EXIT_PROTOCOL, EXIT_PROTOCOL, 1)
+    assert hostile_verifier(desk_config(c=1), bad_swap) == (
+        EXIT_PROTOCOL, EXIT_PROTOCOL, LANES,
+    )
 
 
 # -- hostile field elements and malformed payloads: the receiving role ends
@@ -526,8 +612,44 @@ MALFORMED = {
 }
 
 
+def ih_only(subtype, rewrite):
+    """``rewrite`` for the IH_ROUND payloads of ``subtype``, identity for
+    the others."""
+    return lambda p: rewrite(p) if p[0] == subtype else p
+
+
+def lane_data(subtype, edit):
+    """An IH frame of ``subtype`` with its per-lane bytes passed through
+    ``edit``."""
+    return ih_only(subtype, lambda p: ih_frame(subtype, edit(Reader(p[1:]).blob())))
+
+
+# Bounded-storage lane frames that do not parse, in the same shape.  The
+# first such frame of the first S2PC ends the session.
+LANE_FRAMES = {
+    "constraints-missing": ("prover", Tag.IH_ROUND, lane_data(1, lambda d: d[:-WIDTH])),
+    "constraints-extra": ("prover", Tag.IH_ROUND, lane_data(1, lambda d: d + d[:WIDTH])),
+    "constraint-wide": (
+        "prover", Tag.IH_ROUND, lane_data(1, lambda d: d[:WIDTH] + b"\x00" + d[WIDTH:]),
+    ),
+    "constraints-trailing": ("prover", Tag.IH_ROUND, ih_only(1, lambda p: p + b"\x00")),
+    "replies-missing": ("verifier", Tag.IH_ROUND, lane_data(2, lambda d: d[:-1])),
+    "replies-extra": ("verifier", Tag.IH_ROUND, lane_data(2, lambda d: d + b"\x00")),
+    "reply-not-a-bit": ("verifier", Tag.IH_ROUND, lane_data(2, lambda d: b"\x02" + d[1:])),
+    "replies-trailing": ("verifier", Tag.IH_ROUND, ih_only(2, lambda p: p + b"\x00")),
+    "swaps-missing": ("verifier", Tag.IH_ROUND, lane_data(3, lambda d: d[:-1])),
+    "swaps-extra": ("verifier", Tag.IH_ROUND, lane_data(3, lambda d: d + b"\x00")),
+    "swap-not-a-bit": ("verifier", Tag.IH_ROUND, lane_data(3, lambda d: b"\x02" + d[1:])),
+    "swaps-trailing": ("verifier", Tag.IH_ROUND, ih_only(3, lambda p: p + b"\x00")),
+    # every pair has the same length, so the last one is the last 1/LANES
+    "pair-missing": ("prover", Tag.ENCODED_PAIR, lambda p: p[: len(p) // LANES * (LANES - 1)]),
+    "pair-trailing": ("prover", Tag.ENCODED_PAIR, lambda p: p + b"\x00"),
+}
+
+
 @pytest.mark.parametrize(
-    "case", ["eval-resp", "eval-req", *OT_MANGLES, "bs-non-canonical", *MALFORMED]
+    "case",
+    ["eval-resp", "eval-req", *OT_MANGLES, "bs-non-canonical", *MALFORMED, *LANE_FRAMES],
 )
 def test_hostile_element_ends_both_roles_in_exit_4(case):
     cfg = desk_config(c=1)
@@ -536,8 +658,10 @@ def test_hostile_element_ends_both_roles_in_exit_4(case):
         prover_out = (Tag.EVAL_RESP, lambda p: q_at(p, 5))
     elif case == "eval-req":  # x = q
         verifier_out = (Tag.EVAL_REQ, lambda p: q_at(p, 0))
-    elif case in MALFORMED:
-        sender, tag, rewrite = MALFORMED[case]
+    elif case in MALFORMED or case in LANE_FRAMES:
+        sender, tag, rewrite = MALFORMED.get(case) or LANE_FRAMES[case]
+        if case in LANE_FRAMES:
+            backend = BsBackend(SMALL_BS)
         if sender == "prover":
             prover_out = (tag, rewrite)
         else:
