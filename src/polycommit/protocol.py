@@ -18,8 +18,14 @@ the two parities
 in O(c*s) field operations, and recovery returns
 highRow(x) v - u lowRow(x)^T, which equals f(x) for honest responses.
 
-:func:`commit` runs the 2c secure computations locally over the ideal box;
-the session roles run the same S2PC halves and specs over the wire.
+The commitment has one implementation, two halves over batch calls:
+:func:`commit_send` builds the left table P_high(S)(A+B) and the right
+table (B P_low(S)^T)^T once each and serves c left runs, then c right
+runs, from them; :func:`commit_receive` takes the pick at each key point's
+position in S and stacks Gamma and Omega.  Both halves call
+``begin(kind, index)`` before each run, so the schedule lives here: the
+session roles mark and check it with S2PC_BEGIN frames, and :func:`commit`
+runs both halves back to back over an ideal box.
 """
 
 from __future__ import annotations
@@ -32,8 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import Field, FieldError, compare, is_probable_prime, validate_spec
+from . import s2pc
+from .ot import ot_c_of_1_receive, ot_c_of_1_send
 from .polymat import power_row, structured_matrix
-from .s2pc import S2pcSpec, left_functional, right_functional, s2pc_run
+from .s2pc import LEFT, RIGHT
 
 __all__ = [
     "ConfigError",
@@ -51,7 +59,8 @@ __all__ = [
     "keygen_prover",
     "lambda_matrix",
     "theta_matrix",
-    "commitment_specs",
+    "commit_send",
+    "commit_receive",
     "commit",
     "evaluate",
     "verify",
@@ -223,13 +232,43 @@ def theta_matrix(cfg: ProtocolConfig, key: VerifierKey) -> np.ndarray:
     return structured_matrix(cfg.field, key.thetas, cfg.s, "low")
 
 
-def commitment_specs(cfg: ProtocolConfig) -> tuple[S2pcSpec, S2pcSpec]:
-    """The (left, right) S2PCs: a row of Gamma from A+B, a column of Omega
-    from B, each at a reserved point."""
+def _schedule(cfg: ProtocolConfig) -> list[tuple[int, int]]:
+    """The 2c S2PC runs in order: c left runs, then c right runs, each
+    (kind, index) once."""
+    return [(kind, index) for kind in (LEFT, RIGHT) for index in range(cfg.c)]
+
+
+def commit_send(cfg: ProtocolConfig, coeff_matrix, prover_key: ProverKey, send, rng, begin) -> None:
+    """Prover half: one value table per kind, then for each run of the
+    schedule ``begin(kind, index)`` and a 1-of-|S| sender half over the
+    kind's table, one ``send(m0s, m1s)`` batch."""
     f = cfg.field
-    return (
-        S2pcSpec("left", cfg.prohibited, left_functional(f, cfg.s)),
-        S2pcSpec("right", cfg.prohibited, right_functional(f, cfg.s)),
+    tables = {
+        LEFT: s2pc.build_value_table(
+            f, cfg.prohibited, cfg.s, LEFT, f.vadd(coeff_matrix, prover_key.mask)
+        ),
+        RIGHT: s2pc.build_value_table(f, cfg.prohibited, cfg.s, RIGHT, prover_key.mask),
+    }
+    for kind, index in _schedule(cfg):
+        begin(kind, index)
+        ot_c_of_1_send(f, tables[kind], send, rng)
+
+
+def commit_receive(cfg: ProtocolConfig, verifier_key: VerifierKey, receive, begin) -> VerificationKey:
+    """Verifier half: for each run of the schedule ``begin(kind, index)``
+    and one ``receive(bits)`` batch that picks the row at the key point's
+    position in S, s elements long; the c left picks are the rows of
+    Gamma, the c right picks the columns of Omega."""
+    points = {LEFT: verifier_key.lambdas, RIGHT: verifier_key.thetas}
+    picks = []
+    for kind, index in _schedule(cfg):
+        begin(kind, index)
+        position = cfg.prohibited.index(points[kind][index])
+        picks.append(
+            ot_c_of_1_receive(cfg.field, position, len(cfg.prohibited), receive, cfg.s)
+        )
+    return VerificationKey(
+        gamma=np.stack(picks[: cfg.c]), omega=np.stack(picks[cfg.c :], axis=1)
     )
 
 
@@ -241,27 +280,20 @@ def commit(
     box,
     rng: random.Random,
 ) -> VerificationKey:
-    """Run the 2c secure computations and assemble (Gamma, Omega).
-
-    Local two-party simulation over the ideal box: the verifier's side
-    supplies the key points, the prover's side the masked matrices.  Any
-    failed run raises before a partial key is assembled.
-    """
-    f = cfg.field
+    """Run both commitment halves locally over the ideal box and return
+    (Gamma, Omega).  Every key point is checked against S before any
+    message exists, so a bad key aborts with nothing sent."""
     if coeff_matrix.shape != (cfg.s, cfg.s):
         raise ConfigError(f"coefficient matrix must be {cfg.s}x{cfg.s}, got {coeff_matrix.shape}")
-    masked = f.vadd(coeff_matrix, prover_key.mask)
-    left, right = commitment_specs(cfg)
-    gamma_rows = [
-        s2pc_run(f, lam, masked, left, box, rng) for lam in verifier_key.lambdas
-    ]
-    omega_cols = [
-        s2pc_run(f, th, prover_key.mask, right, box, rng)
-        for th in verifier_key.thetas
-    ]
-    return VerificationKey(
-        gamma=np.stack(gamma_rows), omega=np.stack(omega_cols, axis=1)
-    )
+    outside = set(verifier_key.lambdas + verifier_key.thetas) - set(cfg.prohibited)
+    if outside:
+        raise ConfigError(f"key points {sorted(outside)} lie outside the reserved set")
+
+    def unmarked(kind, index):  # the box needs no marker between runs
+        pass
+
+    commit_send(cfg, coeff_matrix, prover_key, box.send, rng, unmarked)
+    return commit_receive(cfg, verifier_key, box.receive, unmarked)
 
 
 def evaluate(

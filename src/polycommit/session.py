@@ -1,12 +1,16 @@
 """Two-party session driver: role state machines over a frame transport.
 
-One session walks NEGOTIATE -> 2c secure-computation sub-sessions ->
-COMMIT_DONE -> an evaluation loop of EVAL_REQ / EVAL_RESP / VERDICT ->
-orderly ABORT(0).  Any out-of-order frame aborts with a protocol-violation
-code.  The prover refuses queries above the agreed bound without ending
-the session.
+One session walks NEGOTIATE -> SET_AGREE -> the commitment -> COMMIT_DONE
+-> an evaluation loop of EVAL_REQ / EVAL_RESP / VERDICT -> orderly
+ABORT(0).  The prover runs :func:`~polycommit.protocol.commit_send` and
+the verifier :func:`~polycommit.protocol.commit_receive`, so the
+commitment's schedule is the protocol's: c left runs, then c right runs,
+indices 0..c-1, each opened by one S2PC_BEGIN(kind, index) frame that the
+verifier sends and the prover checks against the schedule.  Any frame out
+of order or out of schedule aborts with a protocol-violation code.  The
+prover refuses queries above the agreed bound without ending the session.
 
-OT backends supply the 1-of-2 steps of the S2PC halves one batch per
+OT backends supply the 1-of-2 steps of the commitment halves one batch per
 S2PC: ``send(chan, m0s, m1s, rng)`` carries the |S|-1 message pairs of the
 sender's reduction table and ``receive(chan, bits, rng)`` returns one pick
 per bit.  "ideal" shares a trusted in-process box between co-hosted roles
@@ -69,14 +73,14 @@ from .protocol import (
     ProtocolConfig,
     RefusalError,
     VerificationKey,
-    commitment_specs,
+    commit_receive,
+    commit_send,
     evaluate,
     keygen_prover,
     keygen_verifier,
     recover,
     verify,
 )
-from .s2pc import s2pc_receive, s2pc_send
 from .seeds import substream
 from .wire import (
     DecodeError,
@@ -120,9 +124,6 @@ _IH_STATUS = 0
 _IH_CONSTRAINT = 1
 _IH_REPLY = 2
 _IH_SWAP = 3
-
-_KIND_LEFT = 1
-_KIND_RIGHT = 2
 
 
 class SessionAbort(Exception):
@@ -383,7 +384,7 @@ class ProverStats:
 
 
 class ProverSession:
-    """Serves one verifier: commitment sub-sessions, then evaluations."""
+    """Serves one verifier: the commitment's sender half, then evaluations."""
 
     def __init__(
         self,
@@ -397,29 +398,22 @@ class ProverSession:
         self.backend = backend
         self.rng = substream(seed, "prover")
         self.prover_key = keygen_prover(cfg, self.rng)
-        self._specs = commitment_specs(cfg)
         self.stats = ProverStats()
         self._seen_queries: set[int] = set()
-
-    def _serve_s2pc(self, chan, kind: int) -> None:
-        if kind not in (_KIND_LEFT, _KIND_RIGHT):
-            raise SessionAbort(EXIT_PROTOCOL, f"unknown S2PC kind {kind}")
-        f = self.cfg.field
-        spec = self._specs[kind - _KIND_LEFT]
-        secret = self.prover_key.mask
-        if kind == _KIND_LEFT:
-            secret = f.vadd(self.matrix, secret)
-        s2pc_send(
-            f,
-            spec,
-            secret,
-            lambda m0s, m1s: self.backend.send(chan, m0s, m1s, self.rng),
-            self.rng,
-        )
 
     def run(self, chan) -> int:
         cfg = self.cfg
         f = cfg.field
+
+        def begin(kind: int, index: int) -> None:
+            r = Reader(_expect(chan, Tag.S2PC_BEGIN)[1])
+            got = (r.u8(), r.u32())
+            r.done()
+            if got != (kind, index):
+                raise SessionAbort(
+                    EXIT_PROTOCOL, f"S2PC_BEGIN {got} out of schedule, wanted {(kind, index)}"
+                )
+
         try:
             _, payload = _expect(chan, Tag.NEGOTIATE)
             r = Reader(payload)
@@ -430,32 +424,20 @@ class ProverSession:
                 _send_abort(chan, EXIT_CONFIG, "configuration digest mismatch")
                 return EXIT_CONFIG
             chan.send(Tag.SET_AGREE, Writer().blob(set_digest(cfg)).bytes())
+            commit_send(
+                cfg,
+                self.matrix,
+                self.prover_key,
+                lambda m0s, m1s: self.backend.send(chan, m0s, m1s, self.rng),
+                self.rng,
+                begin,
+            )
+            Reader(_expect(chan, Tag.COMMIT_DONE)[1]).done()
 
-            committed = False
-            sessions = 0
             while True:
-                tag, payload = chan.recv()
-                if tag == Tag.S2PC_BEGIN:
-                    if committed:
-                        raise SessionAbort(
-                            EXIT_PROTOCOL, "S2PC_BEGIN after COMMIT_DONE"
-                        )
-                    r = Reader(payload)
-                    kind, _index = r.u8(), r.u32()
-                    r.done()
-                    self._serve_s2pc(chan, kind)
-                    sessions += 1
-                elif tag == Tag.COMMIT_DONE:
-                    if sessions != 2 * cfg.c:
-                        raise SessionAbort(
-                            EXIT_PROTOCOL,
-                            f"commitment closed after {sessions} of {2 * cfg.c} runs",
-                        )
-                    committed = True
-                elif tag == Tag.EVAL_REQ:
-                    if not committed:
-                        raise SessionAbort(EXIT_PROTOCOL, "evaluation before commitment")
-                    r = Reader(payload)
+                tag, payload = _expect(chan, Tag.EVAL_REQ, Tag.VERDICT, Tag.ABORT)
+                r = Reader(payload)
+                if tag == Tag.EVAL_REQ:
                     x = r.elem(f)
                     r.done()
                     if x in self._seen_queries:
@@ -473,20 +455,14 @@ class ProverSession:
                     w.vector(f, resp.v).vector(f, resp.u)
                     chan.send(Tag.EVAL_RESP, w.bytes())
                 elif tag == Tag.VERDICT:
-                    r = Reader(payload)
                     accepted = _read_bit(r)
                     if accepted:
                         r.elem(f)  # the recovered value
                     r.done()
                     self.stats.verdicts.append(bool(accepted))
-                elif tag == Tag.ABORT:
-                    r = Reader(payload)
+                else:
                     code = r.u8()
                     return EXIT_OK if code == 0 else code
-                else:
-                    raise SessionAbort(
-                        EXIT_PROTOCOL, f"unexpected frame {Tag(tag).name}"
-                    )
         except SessionAbort as abort:
             _send_abort(chan, abort.code, str(abort))
             return abort.code
@@ -517,18 +493,7 @@ class VerifierSession:
         self.backend = backend
         self.rng = substream(seed, "verifier")
         self.key = keygen_verifier(cfg, self.rng)
-        self._specs = commitment_specs(cfg)
         self.outcome = VerifierOutcome()
-
-    def _request_s2pc(self, chan, kind: int, index: int, point: int) -> np.ndarray:
-        chan.send(Tag.S2PC_BEGIN, Writer().u8(kind).u32(index).bytes())
-        return s2pc_receive(
-            self.cfg.field,
-            self._specs[kind - _KIND_LEFT],
-            point,
-            lambda bits: self.backend.receive(chan, bits, self.rng),
-            self.cfg.s,
-        )
 
     def run(self, chan) -> int:
         cfg = self.cfg
@@ -538,19 +503,18 @@ class VerifierSession:
             w.elem(f, cfg.xi)
             chan.send(Tag.NEGOTIATE, w.bytes())
             _, payload = _expect(chan, Tag.SET_AGREE)
-            if Reader(payload).blob() != set_digest(cfg):
+            r = Reader(payload)
+            digest = r.blob()
+            r.done()
+            if digest != set_digest(cfg):
                 raise SessionAbort(EXIT_CONFIG, "reserved-set digest mismatch")
-
-            gamma_rows = [
-                self._request_s2pc(chan, _KIND_LEFT, i, lam)
-                for i, lam in enumerate(self.key.lambdas)
-            ]
-            omega_cols = [
-                self._request_s2pc(chan, _KIND_RIGHT, i, th)
-                for i, th in enumerate(self.key.thetas)
-            ]
-            vk = VerificationKey(
-                gamma=np.stack(gamma_rows), omega=np.stack(omega_cols, axis=1)
+            vk = commit_receive(
+                cfg,
+                self.key,
+                lambda bits: self.backend.receive(chan, bits, self.rng),
+                lambda kind, index: chan.send(
+                    Tag.S2PC_BEGIN, Writer().u8(kind).u32(index).bytes()
+                ),
             )
             self.outcome.verification_key = vk
             chan.send(Tag.COMMIT_DONE, b"")

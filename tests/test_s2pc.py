@@ -1,4 +1,5 @@
-"""One-sided secure two-party computation over the OT table."""
+"""The commitment's one-sided secure two-party computations: value tables,
+and what one S2PC of each kind delivers through ``protocol.commit``."""
 
 import itertools
 
@@ -8,24 +9,25 @@ import pytest
 from polycommit import PrimeField, gf4, substream
 from polycommit.ot import IdealOt
 from polycommit.polymat import power_row
-from polycommit.s2pc import (
-    S2pcError,
-    S2pcSpec,
-    build_value_table,
-    left_functional,
-    right_functional,
-    s2pc_run,
+from polycommit.protocol import (
+    ConfigError,
+    ProverKey,
+    VerifierKey,
+    commit,
+    make_config,
+    random_matrix,
 )
+from polycommit.s2pc import LEFT, RIGHT, build_value_table
 
 GF11 = PrimeField(11)
 GF4 = gf4()
+CFG = make_config(GF11, d=9, r=2, c=1, xi=6)  # reserved set (7, 8, 9, 10)
 
 
 def test_value_table_high_row_example():
-    # left functional on the identity matrix tabulates the high power rows:
+    # the left table of the identity matrix holds the high power rows:
     # x**3, x**6 mod 11 for x = 7, 8, 9, 10
-    spec = S2pcSpec("left", (7, 8, 9, 10), left_functional(GF11, 3))
-    table = build_value_table(GF11, spec, GF11.asarray(np.eye(3, dtype=np.int64)))
+    table = build_value_table(GF11, (7, 8, 9, 10), 3, LEFT, GF11.asarray(np.eye(3, dtype=np.int64)))
     assert [row.tolist() for row in table] == [
         [1, 2, 4],
         [1, 6, 3],
@@ -35,8 +37,7 @@ def test_value_table_high_row_example():
 
 
 def test_value_table_zero_input():
-    spec = S2pcSpec("left", (7, 8, 9, 10), left_functional(GF11, 3))
-    table = build_value_table(GF11, spec, GF11.zeros((3, 3)))
+    table = build_value_table(GF11, (7, 8, 9, 10), 3, LEFT, GF11.zeros((3, 3)))
     assert all(row.tolist() == [0, 0, 0] for row in table)
     assert len(table) == 4
 
@@ -44,8 +45,7 @@ def test_value_table_zero_input():
 def test_right_functional_is_column():
     rng = substream(2024, "s2pc", "right")
     m = GF11.asarray([[GF11.sample(rng) for _ in range(3)] for _ in range(3)])
-    f = right_functional(GF11, 3)
-    got = f((5,), m)[0]
+    got = build_value_table(GF11, (5,), 3, RIGHT, m)[0]
     low = [1, 5, GF11.mul(5, 5)]
     want = [
         (int(m[i, 0]) * low[0] + int(m[i, 1]) * low[1] + int(m[i, 2]) * low[2]) % 11
@@ -64,8 +64,8 @@ def test_value_tables_match_power_row_reference():
         (PrimeField(2**61 - 1), 4, (5, 6, 2**61 - 2)),
     ):
         m = f.asarray([[f.sample(rng) for _ in range(s)] for _ in range(s)])
-        left = build_value_table(f, S2pcSpec("left", domain, left_functional(f, s)), m)
-        right = build_value_table(f, S2pcSpec("right", domain, right_functional(f, s)), m)
+        left = build_value_table(f, domain, s, LEFT, m)
+        right = build_value_table(f, domain, s, RIGHT, m)
         assert left.shape == right.shape == (len(domain), s)
         for j, z in enumerate(domain):
             high, low = power_row(f, z, s, "high"), power_row(f, z, s, "low")
@@ -73,70 +73,67 @@ def test_value_tables_match_power_row_reference():
             assert right[j].tolist() == f.matmul(m, low).tolist()
 
 
-def test_spec_rejects_bad_domains():
-    f = left_functional(GF11, 3)
-    with pytest.raises(S2pcError):
-        S2pcSpec("one", (7,), f)
-    with pytest.raises(S2pcError):
-        S2pcSpec("unsorted", (8, 7), f)
-    with pytest.raises(S2pcError):
-        S2pcSpec("dup", (7, 7, 8), f)
-
-
 def test_run_returns_requested_row():
+    # A + B = identity, so the left pick at lambda = 7 is 7's high power
+    # row; the right pick at theta is the right table's row at theta
     rng = substream(2024, "s2pc", "run")
-    spec = S2pcSpec("left", (7, 8, 9, 10), left_functional(GF11, 3))
-    y = GF11.asarray(np.eye(3, dtype=np.int64))
-    assert s2pc_run(GF11, 7, y, spec, IdealOt(), rng).tolist() == [1, 2, 4]
-    table = build_value_table(GF11, spec, y)
-    assert s2pc_run(GF11, spec.domain[0], y, spec, IdealOt(), rng).tolist() == table[0].tolist()
+    b = random_matrix(GF11, (3, 3), rng)
+    a = GF11.vsub(GF11.asarray(np.eye(3, dtype=np.int64)), b)
+    vk = commit(a, VerifierKey((7,), (9,)), ProverKey(b), CFG, IdealOt(), rng)
+    assert vk.gamma.tolist() == [[1, 2, 4]]
+    right = build_value_table(GF11, CFG.prohibited, 3, RIGHT, b)
+    assert vk.omega[:, 0].tolist() == right[2].tolist()
 
 
 def test_run_exhaustive_over_domain():
     rng = substream(2024, "s2pc", "exhaustive")
-    spec = S2pcSpec("left", (7, 8, 9, 10), left_functional(GF11, 3))
     for _ in range(20):
-        y = GF11.asarray([[GF11.sample(rng) for _ in range(3)] for _ in range(3)])
-        table = build_value_table(GF11, spec, y)
-        for j, x in enumerate(spec.domain):
-            got = s2pc_run(GF11, x, y, spec, IdealOt(), rng)
-            assert got.tolist() == table[j].tolist()
+        a = random_matrix(GF11, (3, 3), rng)
+        b = random_matrix(GF11, (3, 3), rng)
+        left = build_value_table(GF11, CFG.prohibited, 3, LEFT, GF11.vadd(a, b))
+        right = build_value_table(GF11, CFG.prohibited, 3, RIGHT, b)
+        for j, x in enumerate(CFG.prohibited):
+            vk = commit(a, VerifierKey((x,), (x,)), ProverKey(b), CFG, IdealOt(), rng)
+            assert vk.gamma[0].tolist() == left[j].tolist()
+            assert vk.omega[:, 0].tolist() == right[j].tolist()
 
 
 def test_out_of_domain_aborts_before_any_message():
-    backend = IdealOt()
-    spec = S2pcSpec("left", (7, 8, 9, 10), left_functional(GF11, 3))
-    with pytest.raises(S2pcError):
-        s2pc_run(GF11, 3, GF11.zeros((3, 3)), spec, backend, substream(0))
-    assert backend.sender_trace == []  # nothing was sent
+    # either side's point outside the reserved set: nothing is sent
+    zero = GF11.zeros((3, 3))
+    for key in (VerifierKey((3,), (7,)), VerifierKey((7,), (3,))):
+        box = IdealOt()
+        with pytest.raises(ConfigError):
+            commit(zero, key, ProverKey(zero), CFG, box, substream(0))
+        assert box.sender_trace == []
 
 
 def test_sender_trace_invariant_across_receiver_inputs():
-    spec = S2pcSpec("left", (7, 8, 9, 10), left_functional(GF11, 3))
     y = GF11.asarray([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     traces = []
-    for x in spec.domain:
+    for x in CFG.prohibited:
         rng = substream(2024, "s2pc", "trace")  # matched sender randomness
-        backend = IdealOt()
-        s2pc_run(GF11, x, y, spec, backend, rng)
-        traces.append(backend.sender_trace)
+        box = IdealOt()
+        commit(y, VerifierKey((x,), (x,)), ProverKey(y), CFG, box, rng)
+        traces.append(box.sender_trace)
     assert all(t == traces[0] for t in traces)
 
 
 def test_receiver_posterior_uniform_on_fiber():
-    # Tiny instance: GF(4), s = 2, domain {2, 3}.  Enumerate every sender
-    # input y; the receiver's whole view is the output row, so grouping y
-    # by output must partition the y-space into equal-size fibers (cosets
-    # of a linear map) and the posterior within a fiber is uniform.
-    f = left_functional(GF4, 2)
-    spec = S2pcSpec("left", (2, 3), f)
+    # Tiny instance: GF(4), s = 2, reserved set {2, 3}, zero mask.  Enumerate
+    # every left input A; the receiver's whole view is (Gamma, Omega), so
+    # grouping A by view must partition the A-space into equal-size fibers
+    # (cosets of a linear map) and the posterior within a fiber is uniform.
+    cfg = make_config(GF4, d=4, r=2, c=1, xi=1)
+    assert cfg.prohibited == (2, 3)
+    mask = ProverKey(GF4.zeros((2, 2)))
     rng = substream(2024, "s2pc", "fiber")
-    for x in spec.domain:
+    for x in cfg.prohibited:
         fibers: dict[tuple, list] = {}
         for entries in itertools.product(range(4), repeat=4):
-            y = GF4.asarray(entries).reshape(2, 2)
-            out = tuple(s2pc_run(GF4, x, y, spec, IdealOt(), rng).tolist())
-            fibers.setdefault(out, []).append(entries)
+            a = GF4.asarray(entries).reshape(2, 2)
+            vk = commit(a, VerifierKey((x,), (x,)), mask, cfg, IdealOt(), rng)
+            fibers.setdefault((vk.gamma.tobytes(), vk.omega.tobytes()), []).append(entries)
         assert sum(len(v) for v in fibers.values()) == 256
         sizes = {len(v) for v in fibers.values()}
         assert sizes == {256 // len(fibers)}  # uniform posterior on each fiber

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from polycommit import PrimeField, wire
+from polycommit import PrimeField, s2pc, wire
 from polycommit.field import encode_elements
 from polycommit.ot import (
     MAX_BROADCASTS,
@@ -20,6 +20,7 @@ from polycommit.ot import (
 )
 from polycommit.polymat import horner_eval
 from polycommit.protocol import make_config
+from polycommit.s2pc import LEFT, RIGHT
 from polycommit.session import (
     BsBackend,
     IdealBackend,
@@ -522,6 +523,83 @@ def hostile_verifier(cfg, on_frame):
 
     code, (aborted, broadcasts) = run_against(prover, script)
     return code, aborted, broadcasts
+
+
+def test_set_agree_with_a_trailing_byte_aborts():
+    cfg = desk_config(c=1)
+    verifier = VerifierSession(cfg, [1], IdealBackend(), 44)
+
+    def script(chan):
+        assert chan.recv()[0] == Tag.NEGOTIATE
+        chan.send(Tag.SET_AGREE, Writer().blob(set_digest(cfg)).bytes() + b"\x00")
+        return abort_code(chan)
+
+    assert run_against(verifier, script) == (EXIT_PROTOCOL, EXIT_PROTOCOL)
+
+
+# -- the commitment schedule: c left runs, then c right runs, indices
+# 0..c-1, each once --
+
+
+def s2pc_begin(kind, index):
+    return Writer().u8(kind).u32(index).bytes()
+
+
+HONEST_RUNS = [(LEFT, 0), (LEFT, 1), (RIGHT, 0), (RIGHT, 1)]  # c = 2
+
+# (honest runs served first, the frames that follow them)
+SCHEDULES = {
+    "right-before-left": (0, [(Tag.S2PC_BEGIN, s2pc_begin(RIGHT, 0))]),
+    "skipped-index": (0, [(Tag.S2PC_BEGIN, s2pc_begin(LEFT, 1))]),
+    "repeated-index": (1, [(Tag.S2PC_BEGIN, s2pc_begin(LEFT, 0))]),
+    "unknown-kind": (0, [(Tag.S2PC_BEGIN, s2pc_begin(3, 0))]),
+    "begin-trailing": (0, [(Tag.S2PC_BEGIN, s2pc_begin(LEFT, 0) + b"\x00")]),
+    "done-early": (3, [(Tag.COMMIT_DONE, b"")]),
+    "done-trailing": (4, [(Tag.COMMIT_DONE, b"\x00")]),
+    "begin-after-done": (4, [(Tag.COMMIT_DONE, b""), (Tag.S2PC_BEGIN, s2pc_begin(LEFT, 0))]),
+    "abort-between-runs": (1, [(Tag.ABORT, Writer().u8(EXIT_CONFIG).blob(b"stop").bytes())]),
+}
+
+
+@pytest.mark.parametrize("case", SCHEDULES)
+def test_prover_holds_the_commitment_schedule(case):
+    # A verifier that leaves the schedule ends the prover in exit 4 and an
+    # ABORT frame; one that aborts between runs ends it with its own code.
+    cfg = desk_config(c=2)
+    backend = IdealBackend()
+    prover = ProverSession(cfg, honest_coefficients(cfg, 46), backend, 46)
+    served, frames = SCHEDULES[case]
+
+    def script(chan):
+        chan.send(Tag.NEGOTIATE, Writer().blob(config_digest(cfg)).elem(GF11, cfg.xi).bytes())
+        assert chan.recv()[0] == Tag.SET_AGREE
+        for kind, index in HONEST_RUNS[:served]:
+            chan.send(Tag.S2PC_BEGIN, s2pc_begin(kind, index))
+            backend.box.receive([0] * LANES)  # the run completes
+        for tag, payload in frames:
+            chan.send(tag, payload)
+        return None if tag == Tag.ABORT else abort_code(chan)
+
+    if case == "abort-between-runs":
+        assert run_against(prover, script) == (EXIT_CONFIG, None)
+    else:
+        assert run_against(prover, script) == (EXIT_PROTOCOL, EXIT_PROTOCOL)
+
+
+def test_each_value_table_is_built_once_per_commitment(monkeypatch):
+    calls = []
+    build = s2pc.build_value_table
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(s2pc, "build_value_table", counting)
+    cfg = desk_config(c=3)
+    res_p, res_v, _ = run_pair(cfg, honest_coefficients(cfg, 45), [], seed=45)
+    assert res_p.exit_code == res_v.exit_code == EXIT_OK
+    assert len(calls) == 2  # one per kind, not one per run
+    assert [args[3] for args in calls] == [LEFT, RIGHT]
 
 
 def test_endless_rerun_requests_hit_the_broadcast_cap():
