@@ -377,6 +377,14 @@ def ih_encoding_bits(n: int, subset_size: int) -> int:
     return int(math.log2(math.comb(n, subset_size)))
 
 
+def hashing_bits(n: int, subset_size: int, k: int) -> int:
+    """t, refused when its t-1 hashing rounds fall below the floor k."""
+    t = ih_encoding_bits(n, subset_size)
+    if t - 1 < k:
+        raise OtError(f"{t - 1} hashing rounds are below the security parameter {k}")
+    return t
+
+
 class IhSender:
     """Sender side of the narrowing rounds: draws constraints independent
     of the received replies, keeping the accepted h-sequence a function of
@@ -482,12 +490,7 @@ def bs_setpair(
             f"need {params.ell}; rerun the broadcast phase"
         )
     n = len(sample_a.indices)
-    t = ih_encoding_bits(n, ell_x)
-    if t - 1 < k:
-        raise OtError(
-            f"instance admits only {t - 1} hashing rounds, below the "
-            f"security parameter {k}"
-        )
+    t = hashing_bits(n, ell_x, k)
     if subset_choice is None:
         w = pick_encoding(inter_positions, ell_x, t, receiver_rng)
         if w is None:

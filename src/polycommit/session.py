@@ -29,11 +29,12 @@ bounded-storage run works across real sockets:
 Each lane's tape, positions, constraints, replies, swap, seeds and
 ciphertexts are those of the same transfer run alone.  Honest storage is
 n bits per lane, L*n bits per party during a batch.  These wire roles are
-the only end-to-end bounded-storage transfer.  Every payload is parsed to
-its last byte.  A malformed frame, status byte, bit or element (each S2PC
-pick must be s elements), a constraint of the wrong width, or
-MAX_BROADCASTS declined broadcasts, ends the session with exit 4 and an
-ABORT frame; the receiver checks every constraint before he replies.
+the only end-to-end bounded-storage transfer.  Each frame a role receives,
+ABORT included, is parsed to its last byte by :func:`~polycommit.wire.parse`;
+the role checks what needs its context: S2PC picks of s elements, lane
+counts, constraint widths, tape chunks in order, and k IH rounds.  Any
+failure, or MAX_BROADCASTS declined broadcasts, ends the session with exit
+4 and an ABORT frame; the receiver checks every constraint before he replies.
 
 Exit codes: 0 ok, 2 config, 3 transport, 4 protocol violation,
 5 verification reject.
@@ -42,6 +43,7 @@ Exit codes: 0 ok, 2 config, 3 transport, 4 protocol violation,
 from __future__ import annotations
 
 import logging
+import queue
 import random
 import threading
 from dataclasses import dataclass, field as dc_field
@@ -51,6 +53,7 @@ import numpy as np
 from .field import encode_elements  # noqa: F401  perfbench's tracer test reads this binding
 from .ot import (
     MAX_BROADCASTS,
+    TAPE_CHUNK_BITS,
     BsOtParams,
     EncodedPair,
     IdealOt,
@@ -61,7 +64,7 @@ from .ot import (
     _solve_pair,
     decode_pair,
     encode_pair,
-    ih_encoding_bits,
+    hashing_bits,
     ih_sets,
     iter_tape_chunks,
     make_bs_params,
@@ -83,14 +86,23 @@ from .protocol import (
 )
 from .seeds import substream
 from .wire import (
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_PROTOCOL,
+    EXIT_REJECT,
+    EXIT_TRANSPORT,
+    IH_CONSTRAINT,
+    IH_REPLY,
+    IH_STATUS,
+    IH_SWAP,
     DecodeError,
-    Reader,
     Tag,
     TranscriptRecorder,
     TransportError,
     Writer,
     config_digest,
     duplex_pair,
+    parse,
     set_digest,
     SocketChannel,
 )
@@ -113,18 +125,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_TRANSPORT = 3
-EXIT_PROTOCOL = 4
-EXIT_REJECT = 5
-
-# IH_ROUND subtypes
-_IH_STATUS = 0
-_IH_CONSTRAINT = 1
-_IH_REPLY = 2
-_IH_SWAP = 3
-
 
 class SessionAbort(Exception):
     def __init__(self, code: int, message: str):
@@ -132,18 +132,24 @@ class SessionAbort(Exception):
         self.code = code
 
 
-def _expect(chan, *tags) -> tuple[int, bytes]:
+def _expect(chan, field, *tags, subtype=None) -> tuple[int, object]:
+    """The next frame, one of ``tags`` (an IH_ROUND of ``subtype``), as (tag,
+    value of :func:`~polycommit.wire.parse`); a peer ABORT ends the role."""
     tag, payload = chan.recv()
-    if tag == Tag.ABORT and Tag.ABORT not in tags:
-        r = Reader(payload)
-        code = r.u8()
-        raise SessionAbort(code or EXIT_PROTOCOL, r.blob().decode())
-    if tag not in tags:
+    if tag not in tags and tag != Tag.ABORT:
         raise SessionAbort(
             EXIT_PROTOCOL, f"out-of-order frame {Tag(tag).name}, wanted "
             f"{'/'.join(Tag(t).name for t in tags)}"
         )
-    return tag, payload
+    value = parse(tag, payload, field)
+    if tag not in tags:
+        code, message = value
+        raise SessionAbort(code or EXIT_PROTOCOL, message)
+    if subtype is not None:
+        got, value = value
+        if got != subtype:
+            raise SessionAbort(EXIT_PROTOCOL, f"IH_ROUND subtype {got}, wanted {subtype}")
+    return tag, value
 
 
 def _send_abort(chan, code: int, message: str) -> None:
@@ -158,54 +164,12 @@ def _send_abort(chan, code: int, message: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _expect_ih(chan, subtype: int) -> Reader:
-    _, payload = _expect(chan, Tag.IH_ROUND)
-    r = Reader(payload)
-    if r.u8() != subtype:
-        raise SessionAbort(EXIT_PROTOCOL, f"expected an IH frame of subtype {subtype}")
-    return r
-
-
-def _read_bit(r: Reader) -> int:
-    v = r.u8()
-    if v > 1:
-        raise DecodeError(f"expected a bit, got {v}")
-    return v
-
-
-def _read_reveal(payload: bytes, params: BsOtParams) -> np.ndarray:
-    """The sender's stored positions: exactly n distinct sorted positions
-    on the tape."""
-    r = Reader(payload)
-    omega = r.u32s()
-    r.done()
-    if len(omega) != params.n:
-        raise OtError(f"OMEGA_REVEAL holds {len(omega)} positions, expected {params.n}")
-    if np.any(np.diff(omega) <= 0) or omega[-1] >= params.K:
-        raise OtError("OMEGA_REVEAL positions must be distinct, sorted and on the tape")
-    return omega
-
-
-def _read_lane_bits(chan, subtype: int, lanes: int) -> bytes:
-    """An IH reply or swap frame: exactly one bit per lane."""
-    r = _expect_ih(chan, subtype)
-    bits = r.blob()
-    r.done()
-    if len(bits) != lanes:
-        raise DecodeError(f"expected {lanes} bits, got {len(bits)} bytes")
-    if any(v > 1 for v in bits):
-        raise DecodeError(f"expected bits, got {max(bits)}")
-    return bits
-
-
 def _read_constraints(chan, lanes: int, t: int) -> list[int]:
     """An IH constraint frame: exactly one ceil(t/8)-byte little-endian
     constraint per lane, each below 2^t.  A wider constraint would leave the
     receiver's own encoding out of the solution pair and let the swap bit
     give away his choice."""
-    r = _expect_ih(chan, _IH_CONSTRAINT)
-    data = r.blob()
-    r.done()
+    data = _expect(chan, None, Tag.IH_ROUND, subtype=IH_CONSTRAINT)[1]
     width = (t + 7) // 8
     if len(data) != lanes * width:
         raise DecodeError(f"expected {lanes} constraints of {width} bytes, got {len(data)} bytes")
@@ -231,7 +195,7 @@ def _broadcast_send(chan, params: BsOtParams, rng: random.Random):
             chan.send(Tag.TAPE_CHUNK, payload)
         sample = sampler.finish()
         chan.send(Tag.OMEGA_REVEAL, Writer().u32s(sample.indices).bytes())
-        if not _read_bit(_expect_ih(chan, _IH_STATUS)):
+        if not _expect(chan, None, Tag.IH_ROUND, subtype=IH_STATUS)[1]:
             return sample
     raise OtError(f"receiver declined {MAX_BROADCASTS} broadcasts in a row")
 
@@ -241,22 +205,22 @@ def _broadcast_receive(chan, params: BsOtParams, t: int, rng: random.Random):
     returns the sender's positions, the stored sample and the encoding."""
     for _ in range(MAX_BROADCASTS):
         sampler = TapeSampler(params, rng)
-        omega_a = None
-        while omega_a is None:
-            tag, payload = _expect(chan, Tag.TAPE_CHUNK, Tag.OMEGA_REVEAL)
-            if tag == Tag.TAPE_CHUNK:
-                r = Reader(payload)
-                offset, nbits = r.u64(), r.u32()
-                packed = np.frombuffer(r.blob(), dtype=np.uint8)
-                sampler.consume(offset, np.unpackbits(packed)[:nbits])
-            else:
-                omega_a = _read_reveal(payload, params)
+        offset = 0
+        while offset < params.K:
+            got, chunk = _expect(chan, None, Tag.TAPE_CHUNK)[1]
+            if got != offset or len(chunk) != min(TAPE_CHUNK_BITS, params.K - offset):
+                raise OtError(f"TAPE_CHUNK of {len(chunk)} bits at {got}, wanted one at {offset}")
+            sampler.consume(offset, chunk)
+            offset += len(chunk)
         sample = sampler.finish()
+        omega_a = _expect(chan, None, Tag.OMEGA_REVEAL)[1]
+        if len(omega_a) != params.n or np.any(np.diff(omega_a) <= 0) or omega_a[-1] >= params.K:
+            raise OtError(f"OMEGA_REVEAL must be {params.n} distinct sorted positions on the tape")
         shared = np.nonzero(np.isin(omega_a, sample.indices))[0]
         w = None
         if len(shared) >= params.ell:
             w = pick_encoding(shared, params.subset_size, t, rng)
-        chan.send(Tag.IH_ROUND, Writer().u8(_IH_STATUS).u8(w is None).bytes())
+        chan.send(Tag.IH_ROUND, Writer().u8(IH_STATUS).u8(w is None).bytes())
         if w is not None:
             return omega_a, sample, w
     raise OtError(f"no usable broadcast in {MAX_BROADCASTS} attempts")
@@ -270,7 +234,7 @@ def ot2_wire_send(chan, params: BsOtParams, m0s, m1s, rng: random.Random) -> Non
     alone would.  Then each IH round is one constraint frame for every
     lane, answered by one reply frame; one swap frame and one ENCODED_PAIR
     frame close the batch."""
-    t = ih_encoding_bits(params.n, params.subset_size)
+    t = hashing_bits(params.n, params.subset_size, params.k)
     lanes = []
     for _ in m0s:
         sample = _broadcast_send(chan, params, rng)
@@ -281,10 +245,15 @@ def ot2_wire_send(chan, params: BsOtParams, m0s, m1s, rng: random.Random) -> Non
     width = (t + 7) // 8
     for j in range(t - 1):
         hb = b"".join(ih.constraints[j].to_bytes(width, "little") for _, ih, _ in lanes)
-        chan.send(Tag.IH_ROUND, Writer().u8(_IH_CONSTRAINT).blob(hb).bytes())
-        for (_, ih, _), bit in zip(lanes, _read_lane_bits(chan, _IH_REPLY, len(lanes))):
+        chan.send(Tag.IH_ROUND, Writer().u8(IH_CONSTRAINT).blob(hb).bytes())
+        replies = _expect(chan, None, Tag.IH_ROUND, subtype=IH_REPLY)[1]
+        if len(replies) != len(lanes):
+            raise DecodeError(f"expected {len(lanes)} replies, got {len(replies)}")
+        for (_, ih, _), bit in zip(lanes, replies):
             ih.push_reply(bit)
-    swaps = _read_lane_bits(chan, _IH_SWAP, len(lanes))
+    swaps = _expect(chan, None, Tag.IH_ROUND, subtype=IH_SWAP)[1]
+    if len(swaps) != len(lanes):
+        raise DecodeError(f"expected {len(lanes)} swap bits, got {len(swaps)}")
     w = Writer()
     for (sample, ih, seeds), swap, m0, m1 in zip(lanes, swaps, m0s, m1s):
         w0, w1 = ih.solutions()
@@ -300,7 +269,7 @@ def ot2_wire_receive(chan, params: BsOtParams, bits, rng: random.Random) -> list
     lane is solved before the swap frame goes out, so a malformed
     constraint ends the batch before the choice bits touch the wire."""
     ell_x = params.subset_size
-    t = ih_encoding_bits(params.n, ell_x)
+    t = hashing_bits(params.n, ell_x, params.k)
     lanes = [_broadcast_receive(chan, params, t, rng) for _ in bits]
     rounds = [[] for _ in lanes]
     for _ in range(t - 1):
@@ -309,21 +278,17 @@ def ot2_wire_receive(chan, params: BsOtParams, bits, rng: random.Random) -> list
             reply = (h & w).bit_count() & 1
             lane_rounds.append((h, reply))
             replies.append(reply)
-        chan.send(Tag.IH_ROUND, Writer().u8(_IH_REPLY).blob(bytes(replies)).bytes())
+        chan.send(Tag.IH_ROUND, Writer().u8(IH_REPLY).blob(bytes(replies)).bytes())
     sols = [_solve_pair(lane_rounds, t) for lane_rounds in rounds]
     swaps = bytes((w != w0) ^ b for (w0, _), (_, _, w), b in zip(sols, lanes, bits))
-    chan.send(Tag.IH_ROUND, Writer().u8(_IH_SWAP).blob(swaps).bytes())
-    _, payload = _expect(chan, Tag.ENCODED_PAIR)
-    r = Reader(payload)
-    encs = []
-    for _ in lanes:
-        seed0, ct0 = r.u64(), r.blob()
-        seed1, ct1 = r.u64(), r.blob()
-        encs.append(EncodedPair(seeds=(seed0, seed1), ciphertexts=(ct0, ct1)))
-    r.done()
+    chan.send(Tag.IH_ROUND, Writer().u8(IH_SWAP).blob(swaps).bytes())
+    pairs = _expect(chan, None, Tag.ENCODED_PAIR)[1]
+    if len(pairs) != len(lanes):
+        raise DecodeError(f"expected {len(lanes)} encoded pairs, got {len(pairs)}")
     picks = []
-    for (omega_a, sample, _), (w0, w1), swap, enc, b in zip(lanes, sols, swaps, encs, bits):
+    for (omega_a, sample, _), (w0, w1), swap, (p0, p1), b in zip(lanes, sols, swaps, pairs, bits):
         x0, x1 = ih_sets(omega_a, w0, w1, swap, ell_x)
+        enc = EncodedPair(seeds=(p0[0], p1[0]), ciphertexts=(p0[1], p1[1]))
         picks.append(decode_pair(enc, SetPair(x0=x0, x1=x1, choice=b), sample))
     return picks
 
@@ -344,7 +309,10 @@ class IdealBackend:
         self.box.send(m0s, m1s)
 
     def receive(self, chan, bits, rng):
-        return self.box.receive(bits)
+        try:
+            return self.box.receive(bits)
+        except queue.Empty as exc:  # the sender never deposited this batch
+            raise TransportError("the ideal OT box stayed empty") from exc
 
 
 @dataclass
@@ -406,20 +374,14 @@ class ProverSession:
         f = cfg.field
 
         def begin(kind: int, index: int) -> None:
-            r = Reader(_expect(chan, Tag.S2PC_BEGIN)[1])
-            got = (r.u8(), r.u32())
-            r.done()
+            got = _expect(chan, f, Tag.S2PC_BEGIN)[1]
             if got != (kind, index):
                 raise SessionAbort(
                     EXIT_PROTOCOL, f"S2PC_BEGIN {got} out of schedule, wanted {(kind, index)}"
                 )
 
         try:
-            _, payload = _expect(chan, Tag.NEGOTIATE)
-            r = Reader(payload)
-            digest = r.blob()
-            xi = r.elem(f)
-            r.done()
+            digest, xi = _expect(chan, f, Tag.NEGOTIATE)[1]
             if digest != config_digest(cfg) or xi != cfg.xi:
                 _send_abort(chan, EXIT_CONFIG, "configuration digest mismatch")
                 return EXIT_CONFIG
@@ -432,14 +394,12 @@ class ProverSession:
                 self.rng,
                 begin,
             )
-            Reader(_expect(chan, Tag.COMMIT_DONE)[1]).done()
+            _expect(chan, f, Tag.COMMIT_DONE)
 
             while True:
-                tag, payload = _expect(chan, Tag.EVAL_REQ, Tag.VERDICT, Tag.ABORT)
-                r = Reader(payload)
+                tag, value = _expect(chan, f, Tag.EVAL_REQ, Tag.VERDICT, Tag.ABORT)
                 if tag == Tag.EVAL_REQ:
-                    x = r.elem(f)
-                    r.done()
+                    x = value
                     if x in self._seen_queries:
                         self.stats.duplicate_queries += 1
                         log.warning("duplicate query point %d", x)
@@ -455,14 +415,9 @@ class ProverSession:
                     w.vector(f, resp.v).vector(f, resp.u)
                     chan.send(Tag.EVAL_RESP, w.bytes())
                 elif tag == Tag.VERDICT:
-                    accepted = _read_bit(r)
-                    if accepted:
-                        r.elem(f)  # the recovered value
-                    r.done()
-                    self.stats.verdicts.append(bool(accepted))
+                    self.stats.verdicts.append(value is not None)
                 else:
-                    code = r.u8()
-                    return EXIT_OK if code == 0 else code
+                    return value[0]  # the verifier's closing code
         except SessionAbort as abort:
             _send_abort(chan, abort.code, str(abort))
             return abort.code
@@ -502,11 +457,7 @@ class VerifierSession:
             w = Writer().blob(config_digest(cfg))
             w.elem(f, cfg.xi)
             chan.send(Tag.NEGOTIATE, w.bytes())
-            _, payload = _expect(chan, Tag.SET_AGREE)
-            r = Reader(payload)
-            digest = r.blob()
-            r.done()
-            if digest != set_digest(cfg):
+            if _expect(chan, f, Tag.SET_AGREE)[1] != set_digest(cfg):
                 raise SessionAbort(EXIT_CONFIG, "reserved-set digest mismatch")
             vk = commit_receive(
                 cfg,
@@ -529,14 +480,11 @@ class VerifierSession:
                 )
             for x in self.queries:
                 chan.send(Tag.EVAL_REQ, Writer().elem(f, x).bytes())
-                _, payload = _expect(chan, Tag.EVAL_RESP)
-                r = Reader(payload)
-                if _read_bit(r):
-                    r.done()
+                resp = _expect(chan, f, Tag.EVAL_RESP)[1]
+                if resp is None:
                     self.outcome.refused.append(x)
                     continue
-                resp = EvalResponse(v=r.vector(f), u=r.vector(f))
-                r.done()
+                resp = EvalResponse(*resp)
                 if verify(x, resp, vk, self.key, cfg):
                     value = recover(x, resp, cfg)
                     self.outcome.recovered.append((x, value))
@@ -577,10 +525,9 @@ class TamperingChannel:
         tag, payload = self._inner.recv()
         if self._armed and tag == Tag.EVAL_RESP:
             f = self._cfg.field
-            r = Reader(payload)
-            if r.u8() == 0:
-                v = r.vector(f)
-                u = r.vector(f)
+            resp = parse(tag, payload, f)
+            if resp is not None:
+                v, u = resp
                 v[0] = f.add(int(v[0]), 1)
                 payload = Writer().u8(0).vector(f, v).vector(f, u).bytes()
                 self._armed = False

@@ -9,6 +9,9 @@ explicit dimensions.
 
 Decoding raises :class:`DecodeError` and nothing else, for a malformed
 frame or a non-canonical element; writers take canonical values unchecked.
+:func:`parse` has one parser per tag and IH_ROUND subtype; each range-checks
+its status, bit and size fields and reads the payload to its last byte.  The
+roles receive every frame through it and check what needs their context.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .field import (
     elem_size,
     encode_elements,
 )
+from .ot import TAPE_CHUNK_BITS
 from .protocol import (
     ConfigError,
     ProtocolConfig,
@@ -44,6 +48,7 @@ from .protocol import (
 __all__ = [
     "FORMAT_VERSION",
     "Tag",
+    "parse",
     "DecodeError",
     "TransportError",
     "encode_frame",
@@ -79,6 +84,21 @@ class Tag(enum.IntEnum):
     EVAL_RESP = 10
     VERDICT = 11
     ABORT = 12
+
+
+# A role's exit codes; an ABORT frame carries one of them.
+EXIT_OK = 0
+EXIT_CONFIG = 2
+EXIT_TRANSPORT = 3
+EXIT_PROTOCOL = 4
+EXIT_REJECT = 5
+EXIT_CODES = (EXIT_OK, EXIT_CONFIG, EXIT_TRANSPORT, EXIT_PROTOCOL, EXIT_REJECT)
+
+# IH_ROUND subtypes, the first byte of its payload
+IH_STATUS = 0  # one bit: 1 asks for a fresh broadcast, 0 accepts it
+IH_CONSTRAINT = 1  # blob: one constraint per lane
+IH_REPLY = 2  # blob: one bit per lane
+IH_SWAP = 3  # blob: one bit per lane
 
 
 class TransportError(OSError):
@@ -134,7 +154,7 @@ def read_frame_from(buf, offset: int) -> tuple[tuple[int, bytes], int]:
 
 
 # ---------------------------------------------------------------------------
-# Payload readers/writers
+# Payload readers/writers, and one parser per tag
 # ---------------------------------------------------------------------------
 
 
@@ -228,9 +248,84 @@ class Reader:
         flat = decode_elements(field, self._take(rows * cols * elem_size(field)))
         return flat.reshape(rows, cols)
 
+    def at_end(self) -> bool:
+        return self._pos == len(self._buf)
+
     def done(self):
-        if self._pos != len(self._buf):
+        if not self.at_end():
             raise DecodeError(f"{len(self._buf) - self._pos} trailing bytes")
+
+
+def _bit(r: Reader) -> int:
+    v = r.u8()
+    if v > 1:
+        raise DecodeError(f"expected a bit, got {v}")
+    return v
+
+
+def _bits(r: Reader) -> bytes:
+    data = r.blob()
+    if data and max(data) > 1:
+        raise DecodeError(f"expected bits, got {max(data)}")
+    return data
+
+
+_IH_PARSERS = {IH_STATUS: _bit, IH_CONSTRAINT: Reader.blob, IH_REPLY: _bits, IH_SWAP: _bits}
+
+
+def _ih_round(r: Reader, field) -> tuple[int, object]:
+    subtype = r.u8()
+    if subtype not in _IH_PARSERS:
+        raise DecodeError(f"unknown IH_ROUND subtype {subtype}")
+    return subtype, _IH_PARSERS[subtype](r)
+
+
+def _tape_chunk(r: Reader, field) -> tuple[int, np.ndarray]:
+    offset, nbits, packed = r.u64(), r.u32(), r.blob()
+    if nbits > TAPE_CHUNK_BITS or len(packed) != (nbits + 7) // 8:
+        raise DecodeError(f"a TAPE_CHUNK of {nbits} bits in {len(packed)} bytes")
+    return offset, np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=nbits)
+
+
+def _encoded_pairs(r: Reader, field) -> list:
+    pairs = []
+    while not r.at_end():
+        pairs.append(((r.u64(), r.blob()), (r.u64(), r.blob())))
+    return pairs
+
+
+def _abort(r: Reader, field) -> tuple[int, str]:
+    code, message = r.u8(), r.blob().decode(errors="replace")
+    if code not in EXIT_CODES:
+        raise DecodeError(f"ABORT carries unknown exit code {code}")
+    return code, message
+
+
+# tag -> parser(reader, field) of its payload; parse() checks the last byte
+_PARSERS = {
+    Tag.NEGOTIATE: lambda r, f: (r.blob(), r.elem(f)),  # (config digest, xi)
+    Tag.SET_AGREE: lambda r, f: r.blob(),  # reserved-set digest
+    Tag.S2PC_BEGIN: lambda r, f: (r.u8(), r.u32()),  # (kind, index)
+    Tag.TAPE_CHUNK: _tape_chunk,  # (offset, bits)
+    Tag.OMEGA_REVEAL: lambda r, f: r.u32s(),  # the sender's positions
+    Tag.IH_ROUND: _ih_round,  # (subtype, value)
+    Tag.ENCODED_PAIR: _encoded_pairs,  # [((seed, ct), (seed, ct)), ...]
+    Tag.COMMIT_DONE: lambda r, f: None,
+    Tag.EVAL_REQ: lambda r, f: r.elem(f),  # x
+    Tag.EVAL_RESP: lambda r, f: None if _bit(r) else (r.vector(f), r.vector(f)),  # None or (v, u)
+    Tag.VERDICT: lambda r, f: r.elem(f) if _bit(r) else None,  # recovered value or reject
+    Tag.ABORT: _abort,  # (exit code, message)
+}
+
+
+def parse(tag: int, payload: bytes, field: Field | None = None):
+    """The value a frame of ``tag`` carries, read from ``payload`` to its
+    last byte; the tags that carry elements need their ``field``.  Raises
+    :class:`DecodeError` on a malformed payload."""
+    r = Reader(payload)
+    value = _PARSERS[tag](r, field)
+    r.done()
+    return value
 
 
 # ---------------------------------------------------------------------------

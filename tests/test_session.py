@@ -13,6 +13,7 @@ from polycommit import PrimeField, s2pc, wire
 from polycommit.field import encode_elements
 from polycommit.ot import (
     MAX_BROADCASTS,
+    IdealOt,
     TapeSampler,
     ih_encoding_bits,
     iter_tape_chunks,
@@ -28,6 +29,7 @@ from polycommit.session import (
     EXIT_OK,
     EXIT_PROTOCOL,
     EXIT_REJECT,
+    EXIT_TRANSPORT,
     ProverSession,
     VerifierSession,
     _tcp_pair,
@@ -37,7 +39,16 @@ from polycommit.session import (
     run_pair,
     run_role,
 )
-from polycommit.wire import Reader, Tag, Writer, config_digest, duplex_pair, set_digest
+from polycommit.wire import (
+    IH_CONSTRAINT,
+    IH_STATUS,
+    Tag,
+    Writer,
+    config_digest,
+    duplex_pair,
+    parse,
+    set_digest,
+)
 
 GF11 = PrimeField(11)
 
@@ -119,30 +130,26 @@ def lane_digests(frames, t):
     for tag, payload in frames:
         if tag in (Tag.TAPE_CHUNK, Tag.OMEGA_REVEAL):
             broadcast.append(payload)
-            continue
-        r = Reader(payload)
-        if tag == Tag.IH_ROUND:
-            sub = r.u8()
-            if sub == 0:
-                if r.u8() == 0:  # accepted: the lane's broadcast is over
+        elif tag == Tag.IH_ROUND:
+            sub, value = parse(tag, payload)
+            if sub == IH_STATUS:
+                if value == 0:  # accepted: the lane's broadcast is over
                     lanes.append({0: broadcast, 1: [], 2: [], 3: []})
                     broadcast = []
             else:
-                data = r.blob()
-                step = width if sub == 1 else 1
-                assert len(data) == step * len(lanes)
-                for lane, j in zip(lanes, range(0, len(data), step)):
-                    lane[sub].append(data[j : j + step])
+                step = width if sub == IH_CONSTRAINT else 1
+                assert len(value) == step * len(lanes)
+                for lane, j in zip(lanes, range(0, len(value), step)):
+                    lane[sub].append(value[j : j + step])
         elif tag == Tag.ENCODED_PAIR:
-            for lane in lanes:
+            pairs = parse(tag, payload)
+            assert len(pairs) == len(lanes)
+            for lane, pair in zip(lanes, pairs):
                 h = hashlib.sha256(b"".join(b"".join(lane[k]) for k in range(4)))
-                for _ in range(2):
-                    h.update(r.u64().to_bytes(8, "big") + r.blob())
+                for seed, ciphertext in pair:
+                    h.update(seed.to_bytes(8, "big") + ciphertext)
                 out.append(h.digest())
             lanes = []
-        else:
-            continue
-        r.done()
     return out
 
 
@@ -400,7 +407,7 @@ def abort_code(chan):
     """The peer's next frame must be its ABORT; return its exit code."""
     tag, payload = chan.recv()
     assert tag == Tag.ABORT, Tag(tag).name
-    return Reader(payload).u8()
+    return parse(tag, payload)[0]
 
 
 def reveal(positions):
@@ -425,12 +432,16 @@ def hostile_prover(cfg, after_begin):
     return run_against(verifier, script)
 
 
+def tape_chunk(offset, bits, nbits=None):
+    nbits = len(bits) if nbits is None else nbits
+    return Writer().u64(offset).u32(nbits).blob(np.packbits(bits).tobytes()).bytes()
+
+
 def send_tape(chan, rng):
     sampler = TapeSampler(SMALL_BS, rng)
     for offset, chunk in iter_tape_chunks(SMALL_BS, rng):
         sampler.consume(offset, chunk)
-        payload = Writer().u64(offset).u32(len(chunk)).blob(np.packbits(chunk).tobytes())
-        chan.send(Tag.TAPE_CHUNK, payload.bytes())
+        chan.send(Tag.TAPE_CHUNK, tape_chunk(offset, chunk))
     return sampler.finish()
 
 
@@ -448,9 +459,7 @@ def accepted_broadcasts(chan, rng):
     for _ in range(LANES):
         while True:
             chan.send(Tag.OMEGA_REVEAL, reveal(send_tape(chan, rng).indices))
-            r = Reader(chan.recv()[1])
-            r.u8()
-            if r.u8() == 0:
+            if parse(*chan.recv()) == (IH_STATUS, 0):
                 break
 
 
@@ -503,6 +512,32 @@ def test_malformed_omega_reveal_aborts(case):
     assert hostile_prover(desk_config(c=1), bad_reveal) == (EXIT_PROTOCOL, EXIT_PROTOCOL)
 
 
+# SMALL_BS streams each tape as one chunk of K bits at offset 0
+TAPE_STREAMS = {
+    "trailing": lambda bits: [tape_chunk(0, bits) + b"\x00"],
+    "nbits-beyond-blob": lambda bits: [tape_chunk(0, bits, nbits=len(bits) + 10**6)],
+    "short": lambda bits: [tape_chunk(0, bits[:-1])],
+    "at-K": lambda bits: [tape_chunk(SMALL_BS.K, bits)],
+    "repeated": lambda bits: [tape_chunk(0, bits)] * 2,
+}
+
+
+@pytest.mark.parametrize("case", TAPE_STREAMS)
+def test_malformed_tape_stream_aborts(case):
+    # each chunk must parse to its last byte and come in order from offset
+    # 0, min(TAPE_CHUNK_BITS, K - offset) bits long; OMEGA_REVEAL only after
+    # the whole tape
+    def bad_tape(chan, rng):
+        sampler = TapeSampler(SMALL_BS, rng)
+        (offset, bits), = iter_tape_chunks(SMALL_BS, rng)
+        sampler.consume(offset, bits)
+        for payload in TAPE_STREAMS[case](bits):
+            chan.send(Tag.TAPE_CHUNK, payload)
+        chan.send(Tag.OMEGA_REVEAL, reveal(sampler.finish().indices))
+
+    assert hostile_prover(desk_config(c=1), bad_tape) == (EXIT_PROTOCOL, EXIT_PROTOCOL)
+
+
 def hostile_verifier(cfg, on_frame):
     """Open a commitment against a bs prover, then answer each frame with
     ``on_frame(chan, tag)`` until the prover's ABORT; returns the prover's
@@ -517,7 +552,7 @@ def hostile_verifier(cfg, on_frame):
         while True:
             tag, payload = chan.recv()
             if tag == Tag.ABORT:
-                return Reader(payload).u8(), broadcasts
+                return parse(tag, payload)[0], broadcasts
             broadcasts += tag == Tag.OMEGA_REVEAL
             on_frame(chan, tag)
 
@@ -547,6 +582,16 @@ def s2pc_begin(kind, index):
 
 HONEST_RUNS = [(LEFT, 0), (LEFT, 1), (RIGHT, 0), (RIGHT, 1)]  # c = 2
 
+
+def serve_commitment(chan, cfg, backend, runs):
+    """Open a session with an ideal-backend prover and complete ``runs``."""
+    chan.send(Tag.NEGOTIATE, Writer().blob(config_digest(cfg)).elem(GF11, cfg.xi).bytes())
+    assert chan.recv()[0] == Tag.SET_AGREE
+    for kind, index in runs:
+        chan.send(Tag.S2PC_BEGIN, s2pc_begin(kind, index))
+        backend.box.receive([0] * LANES)  # the run completes
+
+
 # (honest runs served first, the frames that follow them)
 SCHEDULES = {
     "right-before-left": (0, [(Tag.S2PC_BEGIN, s2pc_begin(RIGHT, 0))]),
@@ -571,11 +616,7 @@ def test_prover_holds_the_commitment_schedule(case):
     served, frames = SCHEDULES[case]
 
     def script(chan):
-        chan.send(Tag.NEGOTIATE, Writer().blob(config_digest(cfg)).elem(GF11, cfg.xi).bytes())
-        assert chan.recv()[0] == Tag.SET_AGREE
-        for kind, index in HONEST_RUNS[:served]:
-            chan.send(Tag.S2PC_BEGIN, s2pc_begin(kind, index))
-            backend.box.receive([0] * LANES)  # the run completes
+        serve_commitment(chan, cfg, backend, HONEST_RUNS[:served])
         for tag, payload in frames:
             chan.send(tag, payload)
         return None if tag == Tag.ABORT else abort_code(chan)
@@ -699,7 +740,7 @@ def ih_only(subtype, rewrite):
 def lane_data(subtype, edit):
     """An IH frame of ``subtype`` with its per-lane bytes passed through
     ``edit``."""
-    return ih_only(subtype, lambda p: ih_frame(subtype, edit(Reader(p[1:]).blob())))
+    return ih_only(subtype, lambda p: ih_frame(subtype, edit(parse(Tag.IH_ROUND, p)[1])))
 
 
 # Bounded-storage lane frames that do not parse, in the same shape.  The
@@ -722,6 +763,7 @@ LANE_FRAMES = {
     # every pair has the same length, so the last one is the last 1/LANES
     "pair-missing": ("prover", Tag.ENCODED_PAIR, lambda p: p[: len(p) // LANES * (LANES - 1)]),
     "pair-trailing": ("prover", Tag.ENCODED_PAIR, lambda p: p + b"\x00"),
+    "status-trailing": ("verifier", Tag.IH_ROUND, ih_only(IH_STATUS, lambda p: p + b"\x00")),
 }
 
 
@@ -770,4 +812,73 @@ def test_hostile_element_ends_both_roles_in_exit_4(case):
     assert codes == {"prover": EXIT_PROTOCOL, "verifier": EXIT_PROTOCOL}
     receiver = "prover" if verifier_out else "verifier"
     tag, payload = sides[receiver][1].sent[-1]
-    assert tag == Tag.ABORT and Reader(payload).u8() == EXIT_PROTOCOL
+    assert tag == Tag.ABORT and parse(tag, payload)[0] == EXIT_PROTOCOL
+
+
+def test_too_few_hashing_rounds_end_both_roles_before_any_broadcast():
+    # k is a floor on the IH rounds: at N=256, ell=8 a transfer has only 18
+    cfg = desk_config(c=1)
+    weak = make_bs_params(N=256, ell=8, k=40)
+    res_p, res_v, _ = run_pair(
+        cfg, honest_coefficients(cfg, 14), [1, 2], seed=14, backend="bs", bs_params=weak
+    )
+    assert res_p.exit_code == res_v.exit_code == EXIT_PROTOCOL
+    assert Tag.TAPE_CHUNK not in [tag for tag, _ in res_p.transcript.frames]
+
+
+class QuickBox(IdealOt):
+    """An ideal box whose receiver waits 0.2 s for a batch."""
+
+    def receive(self, bits, timeout=0.2):
+        return super().receive(bits, timeout)
+
+
+def test_ideal_box_left_empty_ends_the_verifier_in_exit_3():
+    # the prover aborts instead of depositing the batch; the verifier, who
+    # waits on the box and not on the wire, times out as a transport fault
+    cfg = desk_config(c=1)
+    verifier = VerifierSession(cfg, [1], IdealBackend(QuickBox()), 47)
+
+    def script(chan):
+        assert chan.recv()[0] == Tag.NEGOTIATE
+        chan.send(Tag.SET_AGREE, Writer().blob(set_digest(cfg)).bytes())
+        assert chan.recv()[0] == Tag.S2PC_BEGIN
+        chan.send(Tag.ABORT, Writer().u8(EXIT_PROTOCOL).blob(b"stop").bytes())
+
+    assert run_against(verifier, script) == (EXIT_TRANSPORT, None)
+
+
+# (role, ABORT payload it receives after NEGOTIATE or at the close, the
+# role's exit code)
+PEER_ABORTS = {
+    # a message that is not UTF-8 still ends the role with the peer's code
+    "message-not-utf8": (
+        "verifier", Writer().u8(EXIT_CONFIG).blob(b"\xff\xfe").bytes(), EXIT_CONFIG,
+    ),
+    "unknown-code": ("verifier", Writer().u8(1).blob(b"").bytes(), EXIT_PROTOCOL),
+    "closing-trailing": (
+        "prover", Writer().u8(EXIT_OK).blob(b"end of session").bytes() + b"\x00", EXIT_PROTOCOL,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PEER_ABORTS)
+def test_peer_abort_is_parsed_like_any_frame(case):
+    cfg = desk_config(c=1)
+    role, payload, code = PEER_ABORTS[case]
+    backend = IdealBackend()
+    if role == "verifier":
+        session = VerifierSession(cfg, [1], backend, 48)
+    else:
+        session = ProverSession(cfg, honest_coefficients(cfg, 48), backend, 48)
+
+    def script(chan):
+        if role == "verifier":
+            assert chan.recv()[0] == Tag.NEGOTIATE
+        else:  # the whole commitment, then the closing ABORT
+            serve_commitment(chan, cfg, backend, [(LEFT, 0), (RIGHT, 0)])
+            chan.send(Tag.COMMIT_DONE, b"")
+        chan.send(Tag.ABORT, payload)
+        return abort_code(chan)
+
+    assert run_against(session, script) == (code, code)

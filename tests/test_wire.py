@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from polycommit import PrimeField, gf4, substream
+from polycommit.ot import TAPE_CHUNK_BITS
 from polycommit.protocol import (
     ConfigError,
     VerificationKey,
@@ -24,6 +25,7 @@ from polycommit.wire import (
     encode_frame,
     load_prover_state,
     load_verifier_state,
+    parse,
     read_frame_from,
     save_prover_state,
     save_verifier_state,
@@ -98,6 +100,44 @@ def test_reader_flags_trailing_and_truncation():
         r.done()
     with pytest.raises(DecodeError):
         Reader(b"\x00").u32()
+
+
+def chunk(nbits, nbytes):
+    return Writer().u64(0).u32(nbits).blob(bytes(nbytes)).bytes()
+
+
+# payloads that each parser refuses on its own, without a session's context
+UNPARSABLE = {
+    "ih-unknown-subtype": (Tag.IH_ROUND, Writer().u8(4).blob(b"").bytes()),
+    "ih-status-not-a-bit": (Tag.IH_ROUND, Writer().u8(0).u8(2).bytes()),
+    "ih-reply-not-a-bit": (Tag.IH_ROUND, Writer().u8(2).blob(b"\x00\x02").bytes()),
+    "eval-resp-status": (Tag.EVAL_RESP, b"\x02"),
+    "verdict-not-a-bit": (Tag.VERDICT, b"\x02"),
+    "abort-unknown-code": (Tag.ABORT, Writer().u8(1).blob(b"").bytes()),
+    "chunk-blob-short": (Tag.TAPE_CHUNK, chunk(17, 2)),
+    # honest chunks stop at TAPE_CHUNK_BITS; a longer one is refused before
+    # its bits are unpacked
+    "chunk-beyond-cap": (Tag.TAPE_CHUNK, chunk(TAPE_CHUNK_BITS + 8, TAPE_CHUNK_BITS // 8 + 1)),
+    "pair-truncated": (Tag.ENCODED_PAIR, Writer().u64(1).blob(b"ab").u64(2).bytes()),
+}
+
+
+@pytest.mark.parametrize("case", UNPARSABLE)
+def test_parse_refuses_malformed_payloads(case):
+    tag, payload = UNPARSABLE[case]
+    with pytest.raises(DecodeError):
+        parse(tag, payload, GF11)
+
+
+def test_parse_reads_each_value():
+    assert parse(Tag.ABORT, Writer().u8(4).blob(b"\xffok").bytes()) == (4, "\ufffdok")
+    assert parse(Tag.EVAL_RESP, b"\x01", GF11) is None
+    assert parse(Tag.VERDICT, Writer().u8(1).elem(GF11, 7).bytes(), GF11) == 7
+    assert parse(Tag.IH_ROUND, Writer().u8(3).blob(b"\x01\x00").bytes()) == (3, b"\x01\x00")
+    offset, bits = parse(Tag.TAPE_CHUNK, Writer().u64(8).u32(3).blob(b"\xa0").bytes())
+    assert offset == 8 and bits.tolist() == [1, 0, 1]
+    pairs = Writer().u64(1).blob(b"a").u64(2).blob(b"b").bytes()
+    assert parse(Tag.ENCODED_PAIR, pairs * 2) == [((1, b"a"), (2, b"b"))] * 2
 
 
 # -- config JSON --
