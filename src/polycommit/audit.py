@@ -47,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from .field import Field, FieldError
-from .polymat import power_row, rank, structured_matrix
+from .polymat import horner_eval, power_row, rank, structured_matrix
 from .protocol import (
     EvalResponse,
     ProtocolConfig,
@@ -88,13 +88,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _poly_eval(field: Field, coeffs: np.ndarray, x: int) -> int:
-    acc = 0
-    for a in reversed(coeffs.tolist()):
-        acc = field.add(field.mul(acc, x), int(a))
-    return acc
-
-
 def soundness_exact(
     field: Field,
     delta: np.ndarray,
@@ -119,7 +112,7 @@ def soundness_exact(
     points = [field.pow(y, s) if side == "v" else y for y in prohibited]
     if len(set(points)) != len(points):
         raise FieldError("reserved-set image is not distinct; need gcd(s, q-1) = 1")
-    t = sum(1 for p in points if _poly_eval(field, d, p) == 0)
+    t = sum(1 for p in points if horner_eval(field, d, p) == 0)
     return Fraction(math.comb(t, c), math.comb(len(prohibited), c))
 
 
@@ -531,23 +524,15 @@ def unit_vector_attack(cfg: ProtocolConfig, key: VerifierKey | None = None) -> A
     )
 
 
-def adaptive_worst_case(
-    cfg: ProtocolConfig, m: int, exhaustive_keys: bool = True
-) -> tuple[int, tuple]:
+def adaptive_worst_case(cfg: ProtocolConfig, m: int) -> tuple[int, tuple]:
     """Minimum rank-oracle entropy over every legal key and ordered-free
     query set of size m: the worst any adaptive verifier can do, since
     adaptivity reduces to a minimum over constants once the commitment is
     in the conditioning."""
-    f = cfg.field
     queries_pool = range(cfg.xi + 1)
     best = None
     arg = None
-    key_pool = (
-        itertools.combinations(cfg.prohibited, cfg.c)
-        if exhaustive_keys
-        else [tuple(cfg.prohibited[: cfg.c])]
-    )
-    key_pairs = list(key_pool)
+    key_pairs = list(itertools.combinations(cfg.prohibited, cfg.c))
     for lams in key_pairs:
         for thetas in key_pairs:
             key = VerifierKey(lams, thetas)

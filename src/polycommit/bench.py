@@ -28,6 +28,7 @@ from .protocol import (
     EvalResponse,
     ProtocolConfig,
     ProverKey,
+    VerificationKey,
     VerifierKey,
     evaluate,
     lambda_matrix,
@@ -156,23 +157,27 @@ def _raw_config(field, d: int, c: int) -> ProtocolConfig:
     )
 
 
+def _round_setup(field, d: int, c: int, rng):
+    """The raw configuration, A and B drawn from ``rng``, a fixed verifier
+    key, and (Gamma, Omega) built directly."""
+    cfg = _raw_config(field, d, c)
+    a = random_matrix(field, (cfg.s, cfg.s), rng)
+    pk = ProverKey(random_matrix(field, (cfg.s, cfg.s), rng))
+    key = VerifierKey(tuple(range(2, 2 + c)), tuple(range(2, 2 + c)))
+    vk = VerificationKey(
+        gamma=field.matmul(lambda_matrix(cfg, key), field.vadd(a, pk.mask)),
+        omega=field.matmul(pk.mask, theta_matrix(cfg, key).T),
+    )
+    return cfg, a, pk, key, vk
+
+
 def bench_round(
     d: int, c: int = 10, q: int = 1_000_003, rounds: int = 3, seed: int = 7
 ) -> BenchReport:
     """Measure per-round prover and verifier operation counts at degree d."""
     field = CountingField(PrimeField(q))
-    cfg = _raw_config(field, d, c)
     rng = substream(seed, "bench", d)
-    a = random_matrix(field, (cfg.s, cfg.s), rng)
-    pk = ProverKey(random_matrix(field, (cfg.s, cfg.s), rng))
-    key = VerifierKey(tuple(range(2, 2 + c)), tuple(range(2, 2 + c)))
-    masked = field.vadd(a, pk.mask)
-    vk_gamma = field.matmul(lambda_matrix(cfg, key), masked)
-    vk_omega = field.matmul(pk.mask, theta_matrix(cfg, key).T)
-    from .protocol import VerificationKey
-
-    vk = VerificationKey(gamma=vk_gamma, omega=vk_omega)
-
+    cfg, a, pk, key, vk = _round_setup(field, d, c, rng)
     xs = [rng.randrange(2) + 3 * i + 1 for i in range(rounds)]
     responses: list[EvalResponse] = []
     field.counter.reset()
@@ -210,26 +215,7 @@ def run_bench(
 
 def wall_clock_probe(d: int = 1_000_000, c: int = 10, seed: int = 7) -> BenchReport:
     """Un-instrumented timing at large degree (the soft latency target)."""
-    field = PrimeField(1_000_003)
-    cfg = _raw_config(field, d, c)
-    rng = substream(seed, "wall", d)
-    s = cfg.s
-    a = field.asarray(
-        np.array([[rng.randrange(field.q) for _ in range(s)] for _ in range(s)])
-    )
-    pk = ProverKey(
-        field.asarray(
-            np.array([[rng.randrange(field.q) for _ in range(s)] for _ in range(s)])
-        )
-    )
-    key = VerifierKey(tuple(range(2, 2 + c)), tuple(range(2, 2 + c)))
-    masked = field.vadd(a, pk.mask)
-    from .protocol import VerificationKey
-
-    vk = VerificationKey(
-        gamma=field.matmul(lambda_matrix(cfg, key), masked),
-        omega=field.matmul(pk.mask, theta_matrix(cfg, key).T),
-    )
+    cfg, a, pk, key, vk = _round_setup(PrimeField(1_000_003), d, c, substream(seed, "wall", d))
     t0 = time.perf_counter()
     resp = evaluate(5, a, pk, cfg)
     prover_seconds = time.perf_counter() - t0

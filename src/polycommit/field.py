@@ -448,11 +448,11 @@ def encode_elements(field: Field, values: Iterable[int]) -> bytes:
     return np.asarray(values).astype(_wire_dtype(field)).tobytes()
 
 
-def decode_elements(field: Field, data: bytes, count: int | None = None) -> np.ndarray:
-    """Canonical elements from bytes; ``count`` pins the element count."""
+def decode_elements(field: Field, data: bytes) -> np.ndarray:
+    """Canonical elements from bytes."""
     width = elem_size(field)
-    if len(data) % width or (count is not None and len(data) != count * width):
-        raise DecodeError(f"{len(data)} bytes are not {count or 'whole'} {width}-byte elements")
+    if len(data) % width:
+        raise DecodeError(f"{len(data)} bytes are not whole {width}-byte elements")
     try:
         # uint64 words of 2**63 and above turn negative in int64 fields
         return field.asarray(np.frombuffer(data, dtype=_wire_dtype(field)))

@@ -665,14 +665,11 @@ def ot_c_of_1_send(field: Field, secrets, send, rng) -> None:
     send(msgs[:columns], msgs[columns:])
 
 
-def ot_c_of_1_receive(field: Field, i: int, c: int, receive, width=None) -> np.ndarray:
+def ot_c_of_1_receive(field: Field, i: int, c: int, receive, width: int) -> np.ndarray:
     """Receiver half: one ``receive(bits)`` batch, each pick ``width``
-    elements long (the first pick's length when not given), decoded at
-    once; then secret i."""
+    elements long, decoded at once; then secret i."""
     picks = receive(row_picks(i, c))
     size = elem_size(field)
-    if width is None:
-        width = len(picks[0]) // size
     if any(len(m) != width * size for m in picks):
         raise DecodeError(f"a 1-of-2 message is not {width} {size}-byte elements")
     received = decode_elements(field, b"".join(picks)).reshape(len(picks), width)
@@ -688,4 +685,4 @@ def ot_c_of_1(
 ) -> np.ndarray:
     """1-of-c transfer run locally: both halves in turn over an ideal box."""
     ot_c_of_1_send(field, secrets, box.send, rng)
-    return ot_c_of_1_receive(field, i, len(secrets), box.receive)
+    return ot_c_of_1_receive(field, i, len(secrets), box.receive, len(secrets[0]))

@@ -24,7 +24,6 @@ from .field import Field, FieldError
 
 __all__ = [
     "poly_to_matrix",
-    "matrix_to_poly",
     "horner_eval",
     "power_row",
     "bilinear_eval",
@@ -41,14 +40,6 @@ def poly_to_matrix(field: Field, coeffs, s: int) -> np.ndarray:
     if arr.ndim != 1 or arr.size != s * s:
         raise FieldError(f"need exactly {s * s} coefficients, got shape {arr.shape}")
     return arr.reshape(s, s)
-
-
-def matrix_to_poly(field: Field, matrix: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`poly_to_matrix`."""
-    arr = field.asarray(matrix)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise FieldError(f"coefficient matrix must be square, got {arr.shape}")
-    return arr.reshape(-1)
 
 
 def horner_eval(field: Field, coeffs, x: int) -> int:

@@ -22,10 +22,10 @@ The commitment has one implementation, two halves over batch calls:
 :func:`commit_send` builds the left table P_high(S)(A+B) and the right
 table (B P_low(S)^T)^T once each and serves c left runs, then c right
 runs, from them; :func:`commit_receive` takes the pick at each key point's
-position in S and stacks Gamma and Omega.  Both halves call
-``begin(kind, index)`` before each run, so the schedule lives here: the
-session roles mark and check it with S2PC_BEGIN frames, and :func:`commit`
-runs both halves back to back over an ideal box.
+position in S and stacks Gamma and Omega.  The public parameters fix the
+schedule, so nothing about it travels: both halves walk the same
+``_schedule``, the session roles run them over a backend, and
+:func:`commit` runs them back to back over an ideal box.
 """
 
 from __future__ import annotations
@@ -238,10 +238,10 @@ def _schedule(cfg: ProtocolConfig) -> list[tuple[int, int]]:
     return [(kind, index) for kind in (LEFT, RIGHT) for index in range(cfg.c)]
 
 
-def commit_send(cfg: ProtocolConfig, coeff_matrix, prover_key: ProverKey, send, rng, begin) -> None:
+def commit_send(cfg: ProtocolConfig, coeff_matrix, prover_key: ProverKey, send, rng) -> None:
     """Prover half: one value table per kind, then for each run of the
-    schedule ``begin(kind, index)`` and a 1-of-|S| sender half over the
-    kind's table, one ``send(m0s, m1s)`` batch."""
+    schedule a 1-of-|S| sender half over the kind's table, one
+    ``send(m0s, m1s)`` batch."""
     f = cfg.field
     tables = {
         LEFT: s2pc.build_value_table(
@@ -249,20 +249,18 @@ def commit_send(cfg: ProtocolConfig, coeff_matrix, prover_key: ProverKey, send, 
         ),
         RIGHT: s2pc.build_value_table(f, cfg.prohibited, cfg.s, RIGHT, prover_key.mask),
     }
-    for kind, index in _schedule(cfg):
-        begin(kind, index)
+    for kind, _ in _schedule(cfg):
         ot_c_of_1_send(f, tables[kind], send, rng)
 
 
-def commit_receive(cfg: ProtocolConfig, verifier_key: VerifierKey, receive, begin) -> VerificationKey:
-    """Verifier half: for each run of the schedule ``begin(kind, index)``
-    and one ``receive(bits)`` batch that picks the row at the key point's
-    position in S, s elements long; the c left picks are the rows of
-    Gamma, the c right picks the columns of Omega."""
+def commit_receive(cfg: ProtocolConfig, verifier_key: VerifierKey, receive) -> VerificationKey:
+    """Verifier half: for each run of the schedule one ``receive(bits)``
+    batch that picks the row at the key point's position in S, s elements
+    long; the c left picks are the rows of Gamma, the c right picks the
+    columns of Omega."""
     points = {LEFT: verifier_key.lambdas, RIGHT: verifier_key.thetas}
     picks = []
     for kind, index in _schedule(cfg):
-        begin(kind, index)
         position = cfg.prohibited.index(points[kind][index])
         picks.append(
             ot_c_of_1_receive(cfg.field, position, len(cfg.prohibited), receive, cfg.s)
@@ -288,12 +286,8 @@ def commit(
     outside = set(verifier_key.lambdas + verifier_key.thetas) - set(cfg.prohibited)
     if outside:
         raise ConfigError(f"key points {sorted(outside)} lie outside the reserved set")
-
-    def unmarked(kind, index):  # the box needs no marker between runs
-        pass
-
-    commit_send(cfg, coeff_matrix, prover_key, box.send, rng, unmarked)
-    return commit_receive(cfg, verifier_key, box.receive, unmarked)
+    commit_send(cfg, coeff_matrix, prover_key, box.send, rng)
+    return commit_receive(cfg, verifier_key, box.receive)
 
 
 def evaluate(

@@ -19,7 +19,7 @@ from .polymat import structured_matrix
 
 __all__ = ["LEFT", "RIGHT", "build_value_table"]
 
-# The two S2PC kinds, numbered as S2PC_BEGIN carries them.
+# The two S2PC kinds.
 LEFT, RIGHT = 1, 2
 
 

@@ -1,22 +1,22 @@
 """Two-party session driver: role state machines over a frame transport.
 
-One session walks NEGOTIATE -> SET_AGREE -> the commitment -> COMMIT_DONE
--> an evaluation loop of EVAL_REQ / EVAL_RESP / VERDICT -> orderly
-ABORT(0).  The prover runs :func:`~polycommit.protocol.commit_send` and
-the verifier :func:`~polycommit.protocol.commit_receive`, so the
-commitment's schedule is the protocol's: c left runs, then c right runs,
-indices 0..c-1, each opened by one S2PC_BEGIN(kind, index) frame that the
-verifier sends and the prover checks against the schedule.  Any frame out
-of order or out of schedule aborts with a protocol-violation code.  The
-prover refuses queries above the agreed bound without ending the session.
+One session walks NEGOTIATE (the config digest) -> SET_AGREE -> the
+commitment -> COMMIT_DONE -> an evaluation loop of EVAL_REQ / EVAL_RESP /
+VERDICT -> orderly ABORT(0).  The prover runs
+:func:`~polycommit.protocol.commit_send` and the verifier
+:func:`~polycommit.protocol.commit_receive`; the config fixes their
+schedule (c left runs, then c right runs), so no frame marks a run.  Any
+frame out of order aborts with a protocol-violation code.  The prover
+refuses queries above the agreed bound without ending the session.
 
 OT backends supply the 1-of-2 steps of the commitment halves one batch per
 S2PC: ``send(chan, m0s, m1s, rng)`` carries the |S|-1 message pairs of the
 sender's reduction table and ``receive(chan, bits, rng)`` returns one pick
 per bit.  "ideal" shares a trusted in-process box between co-hosted roles
-(one queue item per S2PC; only S2PC_BEGIN markers touch the wire); "bs"
-runs the batch on the wire as L = |S|-1 lanes, one transfer per lane, so a
-bounded-storage run works across real sockets:
+(one queue item per S2PC, so the sender may run ahead of the receiver and
+no OT frame touches the wire); "bs" runs the batch on the wire as
+L = |S|-1 lanes, one transfer per lane, so a bounded-storage run works
+across real sockets:
 
 - broadcasts, lane after lane: TAPE_CHUNK frames, OMEGA_REVEAL, and an
   IH_ROUND status byte (1 asks for a fresh broadcast, 0 accepts it);
@@ -152,11 +152,17 @@ def _expect(chan, field, *tags, subtype=None) -> tuple[int, object]:
     return tag, value
 
 
-def _send_abort(chan, code: int, message: str) -> None:
+def _ended_by(chan, exc: Exception) -> int:
+    """The exit code ``exc`` ends a role with; unless the transport failed,
+    the peer gets it in an ABORT frame."""
+    if isinstance(exc, TransportError):
+        return EXIT_TRANSPORT
+    code = exc.code if isinstance(exc, SessionAbort) else EXIT_PROTOCOL
     try:
-        chan.send(Tag.ABORT, Writer().u8(code).blob(message.encode()).bytes())
-    except (TransportError, OSError):
+        chan.send(Tag.ABORT, Writer().u8(code).blob(str(exc).encode()).bytes())
+    except OSError:
         pass
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -372,19 +378,9 @@ class ProverSession:
     def run(self, chan) -> int:
         cfg = self.cfg
         f = cfg.field
-
-        def begin(kind: int, index: int) -> None:
-            got = _expect(chan, f, Tag.S2PC_BEGIN)[1]
-            if got != (kind, index):
-                raise SessionAbort(
-                    EXIT_PROTOCOL, f"S2PC_BEGIN {got} out of schedule, wanted {(kind, index)}"
-                )
-
         try:
-            digest, xi = _expect(chan, f, Tag.NEGOTIATE)[1]
-            if digest != config_digest(cfg) or xi != cfg.xi:
-                _send_abort(chan, EXIT_CONFIG, "configuration digest mismatch")
-                return EXIT_CONFIG
+            if _expect(chan, f, Tag.NEGOTIATE)[1] != config_digest(cfg):
+                raise SessionAbort(EXIT_CONFIG, "configuration digest mismatch")
             chan.send(Tag.SET_AGREE, Writer().blob(set_digest(cfg)).bytes())
             commit_send(
                 cfg,
@@ -392,7 +388,6 @@ class ProverSession:
                 self.prover_key,
                 lambda m0s, m1s: self.backend.send(chan, m0s, m1s, self.rng),
                 self.rng,
-                begin,
             )
             _expect(chan, f, Tag.COMMIT_DONE)
 
@@ -418,14 +413,8 @@ class ProverSession:
                     self.stats.verdicts.append(value is not None)
                 else:
                     return value[0]  # the verifier's closing code
-        except SessionAbort as abort:
-            _send_abort(chan, abort.code, str(abort))
-            return abort.code
-        except (DecodeError, OtError) as exc:
-            _send_abort(chan, EXIT_PROTOCOL, str(exc))
-            return EXIT_PROTOCOL
-        except TransportError:
-            return EXIT_TRANSPORT
+        except (SessionAbort, DecodeError, OtError, TransportError) as exc:
+            return _ended_by(chan, exc)
 
 
 @dataclass
@@ -454,18 +443,13 @@ class VerifierSession:
         cfg = self.cfg
         f = cfg.field
         try:
-            w = Writer().blob(config_digest(cfg))
-            w.elem(f, cfg.xi)
-            chan.send(Tag.NEGOTIATE, w.bytes())
+            chan.send(Tag.NEGOTIATE, Writer().blob(config_digest(cfg)).bytes())
             if _expect(chan, f, Tag.SET_AGREE)[1] != set_digest(cfg):
                 raise SessionAbort(EXIT_CONFIG, "reserved-set digest mismatch")
             vk = commit_receive(
                 cfg,
                 self.key,
                 lambda bits: self.backend.receive(chan, bits, self.rng),
-                lambda kind, index: chan.send(
-                    Tag.S2PC_BEGIN, Writer().u8(kind).u32(index).bytes()
-                ),
             )
             self.outcome.verification_key = vk
             chan.send(Tag.COMMIT_DONE, b"")
@@ -494,14 +478,8 @@ class VerifierSession:
                     chan.send(Tag.VERDICT, Writer().u8(0).bytes())
             chan.send(Tag.ABORT, Writer().u8(0).blob(b"end of session").bytes())
             return self.outcome.exit_code()
-        except SessionAbort as abort:
-            _send_abort(chan, abort.code, str(abort))
-            return abort.code
-        except (DecodeError, OtError) as exc:
-            _send_abort(chan, EXIT_PROTOCOL, str(exc))
-            return EXIT_PROTOCOL
-        except TransportError:
-            return EXIT_TRANSPORT
+        except (SessionAbort, DecodeError, OtError, TransportError) as exc:
+            return _ended_by(chan, exc)
 
 
 # ---------------------------------------------------------------------------
@@ -628,12 +606,12 @@ def run_role(
     queries=(),
     backend: str = "bs",
     bs_params: BsOtParams | None = None,
-    listen: bool | None = None,
 ):
     """Run a single role over TCP.  The prover listens, the verifier
-    connects (override with ``listen``).  The ideal backend cannot span
-    processes, so standalone roles default to the bounded-storage backend.
-    Returns (exit_code, TranscriptRecorder, outcome-or-None)."""
+    connects.  The ideal backend cannot span processes, so standalone roles
+    default to the bounded-storage backend.  The arguments are checked
+    before any socket opens.  Returns (exit_code, TranscriptRecorder,
+    outcome-or-None)."""
     import socket as socket_mod
 
     if backend == "ideal":
@@ -642,34 +620,26 @@ def run_role(
             "roles must use the bounded-storage backend"
         )
     shared = make_backend(backend, bs_params)
-    should_listen = (role == "prover") if listen is None else listen
+    if role == "prover":
+        if coeffs is None:
+            raise ValueError("the prover role needs polynomial coefficients")
+        session = ProverSession(cfg, coeffs, shared, seed)
+    elif role == "verifier":
+        session = VerifierSession(cfg, queries, shared, seed)
+    else:
+        raise ValueError(f"unknown role {role!r}")
     try:
-        if should_listen:
-            listener = socket_mod.socket()
-            listener.setsockopt(socket_mod.SOL_SOCKET, socket_mod.SO_REUSEADDR, 1)
-            listener.bind(address)
-            listener.listen(1)
-            sock, _ = listener.accept()
-            listener.close()
+        if role == "prover":
+            with socket_mod.create_server(address, backlog=1) as listener:
+                sock, _ = listener.accept()
         else:
             sock = socket_mod.create_connection(address, timeout=30)
     except OSError as exc:
         raise TransportError(str(exc)) from exc
     chan = TranscriptRecorder(SocketChannel(sock))
-    if role == "prover":
-        if coeffs is None:
-            raise ValueError("the prover role needs polynomial coefficients")
-        session = ProverSession(cfg, coeffs, shared, seed)
-        code = session.run(chan)
-        outcome = None
-    elif role == "verifier":
-        session = VerifierSession(cfg, queries, shared, seed)
-        code = session.run(chan)
-        outcome = session.outcome
-    else:
-        raise ValueError(f"unknown role {role!r}")
+    code = session.run(chan)
     chan.close()
-    return code, chan, outcome
+    return code, chan, session.outcome if role == "verifier" else None
 
 
 def honest_coefficients(cfg: ProtocolConfig, seed: int) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Binary framing, canonical serialization, transports, persistence.
 
 Frame layout: 4-byte big-endian payload length, 1 tag byte, payload.
-Unknown tags abort the session.  Configuration travels as versioned JSON
-(human-edited); role state persists as versioned binary (machine-only).
+Unknown tags, 3 included, abort the session.  Configuration travels as
+versioned JSON (human-edited); role state persists as versioned binary
+(machine-only).
 Field elements follow the field module's widths: 8-byte little-endian for
 prime fields, 1 byte for table fields; matrices are row-major with
 explicit dimensions.
@@ -74,7 +75,8 @@ MAX_FRAME_PAYLOAD = 1 << 24
 class Tag(enum.IntEnum):
     NEGOTIATE = 1
     SET_AGREE = 2
-    S2PC_BEGIN = 3
+    # 3 is unassigned: the config fixes the commitment's schedule, so no
+    # frame opens a run
     TAPE_CHUNK = 4
     OMEGA_REVEAL = 5
     IH_ROUND = 6
@@ -303,9 +305,8 @@ def _abort(r: Reader, field) -> tuple[int, str]:
 
 # tag -> parser(reader, field) of its payload; parse() checks the last byte
 _PARSERS = {
-    Tag.NEGOTIATE: lambda r, f: (r.blob(), r.elem(f)),  # (config digest, xi)
+    Tag.NEGOTIATE: lambda r, f: r.blob(),  # config digest
     Tag.SET_AGREE: lambda r, f: r.blob(),  # reserved-set digest
-    Tag.S2PC_BEGIN: lambda r, f: (r.u8(), r.u32()),  # (kind, index)
     Tag.TAPE_CHUNK: _tape_chunk,  # (offset, bits)
     Tag.OMEGA_REVEAL: lambda r, f: r.u32s(),  # the sender's positions
     Tag.IH_ROUND: _ih_round,  # (subtype, value)

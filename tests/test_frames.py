@@ -121,7 +121,6 @@ def kind(tag, payload):
 # the honest session
 RECEIVED = [
     ("prover", Tag.NEGOTIATE, None),
-    ("prover", Tag.S2PC_BEGIN, None),
     ("prover", Tag.IH_ROUND, IH_STATUS),
     ("prover", Tag.IH_ROUND, IH_REPLY),
     ("prover", Tag.IH_ROUND, IH_SWAP),

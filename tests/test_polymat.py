@@ -7,7 +7,6 @@ from polycommit import FieldError, PrimeField, gf4, substream
 from polycommit.polymat import (
     bilinear_eval,
     horner_eval,
-    matrix_to_poly,
     poly_to_matrix,
     power_row,
     rank,
@@ -32,14 +31,6 @@ def direct_eval(field, coeffs, x):
 def test_reshape_s2():
     m = poly_to_matrix(GF11, [1, 2, 3, 4], 2)
     assert m.tolist() == [[1, 2], [3, 4]]
-
-
-def test_reshape_round_trip():
-    rng = substream(2024, "polymat", "roundtrip")
-    for s in (2, 3, 5):
-        coeffs = [GF11.sample(rng) for _ in range(s * s)]
-        m = poly_to_matrix(GF11, coeffs, s)
-        assert matrix_to_poly(GF11, m).tolist() == coeffs
 
 
 def test_reshape_index_arithmetic():

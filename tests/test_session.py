@@ -103,7 +103,7 @@ def test_bounded_storage_backend_end_to_end():
 
 
 def test_bounded_storage_wire_is_stable():
-    # Golden digest of the prover's whole transcript (241 frames, 22,871
+    # Golden digest of the prover's whole transcript (239 frames, 22,843
     # bytes, 7 broadcasts for 6 transfers in 2 batches of 3 lanes).  A
     # change to an RNG stream or to the wire format must update it on
     # purpose.
@@ -114,9 +114,9 @@ def test_bounded_storage_wire_is_stable():
     )
     assert res_p.exit_code == EXIT_OK and res_v.exit_code == EXIT_OK
     blob = b"".join(wire.encode_frame(t, p) for t, p in res_p.transcript.frames)
-    assert (len(res_p.transcript.frames), len(blob)) == (241, 22_871)
+    assert (len(res_p.transcript.frames), len(blob)) == (239, 22_843)
     assert hashlib.sha256(blob).hexdigest() == (
-        "7fb65dbaf3a264fa7a1c725f1e090bcdbd1768cca9dafac891f0e3c5b4b5eb29"
+        "263003011cd60d90b68e8a0e79b3545c5fffd68d78daaee2adefafc461ce685f"
     )
 
 
@@ -274,11 +274,7 @@ def test_out_of_order_frame_aborts():
     t = threading.Thread(target=run, daemon=True)
     t.start()
     # speak a well-formed NEGOTIATE, then jump straight to EVAL_REQ
-    from polycommit.wire import config_digest
-
-    w = Writer().blob(config_digest(cfg))
-    w.elem(GF11, cfg.xi)
-    chan_v.send(Tag.NEGOTIATE, w.bytes())
+    chan_v.send(Tag.NEGOTIATE, Writer().blob(config_digest(cfg)).bytes())
     chan_v.recv()  # SET_AGREE
     chan_v.send(Tag.EVAL_REQ, Writer().elem(GF11, 1).bytes())
     tag, payload = chan_v.recv()
@@ -345,6 +341,26 @@ def test_run_role_rejects_ideal_backend():
     cfg = desk_config()
     with pytest.raises(ValueError):
         run_role("verifier", cfg, 0, ("127.0.0.1", 1), backend="ideal")
+
+
+def test_run_role_rejects_a_prover_without_coefficients_before_it_listens():
+    result = {}
+
+    def prover():
+        try:
+            run_role("prover", desk_config(), 0, ("127.0.0.1", 0), coeffs=None)
+        except ValueError as exc:
+            result["error"] = exc
+
+    t = threading.Thread(target=prover, daemon=True)
+    t.start()
+    t.join(timeout=5)
+    assert not t.is_alive() and "error" in result
+
+
+def test_run_role_rejects_an_unknown_role_before_it_connects():
+    with pytest.raises(ValueError, match="unknown role"):
+        run_role("observer", desk_config(), 0, ("127.0.0.1", 1))
 
 
 def test_no_key_material_on_the_wire():
@@ -417,16 +433,15 @@ def reveal(positions):
     return w.bytes()
 
 
-def hostile_prover(cfg, after_begin):
-    """Answer NEGOTIATE and the first S2PC_BEGIN honestly, then run
-    ``after_begin(chan, rng)`` against a bs verifier."""
+def hostile_prover(cfg, attack):
+    """Answer NEGOTIATE honestly, then run ``attack(chan, rng)`` as the
+    first commitment run against a bs verifier."""
     verifier = VerifierSession(cfg, [1], BsBackend(SMALL_BS), 40)
 
     def script(chan):
         assert chan.recv()[0] == Tag.NEGOTIATE
         chan.send(Tag.SET_AGREE, Writer().blob(set_digest(cfg)).bytes())
-        assert chan.recv()[0] == Tag.S2PC_BEGIN
-        after_begin(chan, random.Random(41))
+        attack(chan, random.Random(41))
         return abort_code(chan)
 
     return run_against(verifier, script)
@@ -545,9 +560,8 @@ def hostile_verifier(cfg, on_frame):
     prover = ProverSession(cfg, honest_coefficients(cfg, 42), BsBackend(SMALL_BS), 42)
 
     def script(chan):
-        chan.send(Tag.NEGOTIATE, Writer().blob(config_digest(cfg)).elem(GF11, cfg.xi).bytes())
+        chan.send(Tag.NEGOTIATE, Writer().blob(config_digest(cfg)).bytes())
         assert chan.recv()[0] == Tag.SET_AGREE
-        chan.send(Tag.S2PC_BEGIN, Writer().u8(1).u32(0).bytes())
         broadcasts = 0
         while True:
             tag, payload = chan.recv()
@@ -572,59 +586,53 @@ def test_set_agree_with_a_trailing_byte_aborts():
     assert run_against(verifier, script) == (EXIT_PROTOCOL, EXIT_PROTOCOL)
 
 
-# -- the commitment schedule: c left runs, then c right runs, indices
-# 0..c-1, each once --
-
-
-def s2pc_begin(kind, index):
-    return Writer().u8(kind).u32(index).bytes()
-
-
-HONEST_RUNS = [(LEFT, 0), (LEFT, 1), (RIGHT, 0), (RIGHT, 1)]  # c = 2
+# -- the commitment: the config fixes its 2c runs, c left then c right, so
+# no frame opens a run; COMMIT_DONE closes it --
 
 
 def serve_commitment(chan, cfg, backend, runs):
-    """Open a session with an ideal-backend prover and complete ``runs``."""
-    chan.send(Tag.NEGOTIATE, Writer().blob(config_digest(cfg)).elem(GF11, cfg.xi).bytes())
+    """Open a session with an ideal-backend prover and take the batches of
+    its first ``runs`` runs from the box."""
+    chan.send(Tag.NEGOTIATE, Writer().blob(config_digest(cfg)).bytes())
     assert chan.recv()[0] == Tag.SET_AGREE
-    for kind, index in runs:
-        chan.send(Tag.S2PC_BEGIN, s2pc_begin(kind, index))
-        backend.box.receive([0] * LANES)  # the run completes
+    for _ in range(runs):
+        backend.box.receive([0] * LANES)
 
 
-# (honest runs served first, the frames that follow them)
-SCHEDULES = {
-    "right-before-left": (0, [(Tag.S2PC_BEGIN, s2pc_begin(RIGHT, 0))]),
-    "skipped-index": (0, [(Tag.S2PC_BEGIN, s2pc_begin(LEFT, 1))]),
-    "repeated-index": (1, [(Tag.S2PC_BEGIN, s2pc_begin(LEFT, 0))]),
-    "unknown-kind": (0, [(Tag.S2PC_BEGIN, s2pc_begin(3, 0))]),
-    "begin-trailing": (0, [(Tag.S2PC_BEGIN, s2pc_begin(LEFT, 0) + b"\x00")]),
-    "done-early": (3, [(Tag.COMMIT_DONE, b"")]),
-    "done-trailing": (4, [(Tag.COMMIT_DONE, b"\x00")]),
-    "begin-after-done": (4, [(Tag.COMMIT_DONE, b""), (Tag.S2PC_BEGIN, s2pc_begin(LEFT, 0))]),
-    "abort-between-runs": (1, [(Tag.ABORT, Writer().u8(EXIT_CONFIG).blob(b"stop").bytes())]),
+STALE_BEGIN = (3, Writer().u8(LEFT).u32(0).bytes())  # tag 3 is unassigned
+CLOSE = (Tag.ABORT, Writer().u8(EXIT_OK).blob(b"end of session").bytes())
+
+# (runs taken from the box first, the frames that follow them, the prover's
+# exit code, the code of the ABORT it sends or None)
+AROUND_THE_COMMITMENT = {
+    "stale-begin": (0, [STALE_BEGIN], EXIT_PROTOCOL, EXIT_PROTOCOL),
+    # the prover cannot tell how many batches the verifier took
+    "done-early": (3, [(Tag.COMMIT_DONE, b""), CLOSE], EXIT_OK, None),
+    "done-trailing": (4, [(Tag.COMMIT_DONE, b"\x00")], EXIT_PROTOCOL, EXIT_PROTOCOL),
+    "begin-after-done": (4, [(Tag.COMMIT_DONE, b""), STALE_BEGIN], EXIT_PROTOCOL, EXIT_PROTOCOL),
+    "abort-between-runs": (
+        1, [(Tag.ABORT, Writer().u8(EXIT_CONFIG).blob(b"stop").bytes())], EXIT_CONFIG, None,
+    ),
 }
 
 
-@pytest.mark.parametrize("case", SCHEDULES)
-def test_prover_holds_the_commitment_schedule(case):
-    # A verifier that leaves the schedule ends the prover in exit 4 and an
-    # ABORT frame; one that aborts between runs ends it with its own code.
+@pytest.mark.parametrize("case", AROUND_THE_COMMITMENT)
+def test_prover_ends_the_commitment_on_commit_done_alone(case):
+    # After its last batch the prover takes COMMIT_DONE and nothing else: a
+    # tag-3 frame or a malformed COMMIT_DONE ends it in exit 4 and an ABORT
+    # frame, and a verifier's ABORT ends it with the verifier's code.
     cfg = desk_config(c=2)
     backend = IdealBackend()
     prover = ProverSession(cfg, honest_coefficients(cfg, 46), backend, 46)
-    served, frames = SCHEDULES[case]
+    runs, frames, code, aborted = AROUND_THE_COMMITMENT[case]
 
     def script(chan):
-        serve_commitment(chan, cfg, backend, HONEST_RUNS[:served])
+        serve_commitment(chan, cfg, backend, runs)
         for tag, payload in frames:
             chan.send(tag, payload)
         return None if tag == Tag.ABORT else abort_code(chan)
 
-    if case == "abort-between-runs":
-        assert run_against(prover, script) == (EXIT_CONFIG, None)
-    else:
-        assert run_against(prover, script) == (EXIT_PROTOCOL, EXIT_PROTOCOL)
+    assert run_against(prover, script) == (code, aborted)
 
 
 def test_each_value_table_is_built_once_per_commitment(monkeypatch):
@@ -726,6 +734,8 @@ OT_MANGLES = {
 # Payloads that decode but do not parse: (sending role, tag, rewrite).
 MALFORMED = {
     "negotiate-junk": ("verifier", Tag.NEGOTIATE, lambda p: p + b"junk"),
+    # the digest followed by xi, as NEGOTIATE was once framed
+    "negotiate-with-xi": ("verifier", Tag.NEGOTIATE, lambda p: p + encode_elements(GF11, [6])),
     "eval-resp-status": ("prover", Tag.EVAL_RESP, lambda p: b"\x07" + p[1:]),
     "eval-resp-junk": ("prover", Tag.EVAL_RESP, lambda p: p + b"junk"),
 }
@@ -842,7 +852,6 @@ def test_ideal_box_left_empty_ends_the_verifier_in_exit_3():
     def script(chan):
         assert chan.recv()[0] == Tag.NEGOTIATE
         chan.send(Tag.SET_AGREE, Writer().blob(set_digest(cfg)).bytes())
-        assert chan.recv()[0] == Tag.S2PC_BEGIN
         chan.send(Tag.ABORT, Writer().u8(EXIT_PROTOCOL).blob(b"stop").bytes())
 
     assert run_against(verifier, script) == (EXIT_TRANSPORT, None)
@@ -876,7 +885,7 @@ def test_peer_abort_is_parsed_like_any_frame(case):
         if role == "verifier":
             assert chan.recv()[0] == Tag.NEGOTIATE
         else:  # the whole commitment, then the closing ABORT
-            serve_commitment(chan, cfg, backend, [(LEFT, 0), (RIGHT, 0)])
+            serve_commitment(chan, cfg, backend, 2)
             chan.send(Tag.COMMIT_DONE, b"")
         chan.send(Tag.ABORT, payload)
         return abort_code(chan)
