@@ -599,17 +599,52 @@ def serve_commitment(chan, cfg, backend, runs):
         backend.box.receive([0] * LANES)
 
 
-STALE_BEGIN = (3, Writer().u8(LEFT).u32(0).bytes())  # tag 3 is unassigned
+def stale_begin(kind, index):
+    """A frame opening run ``index`` of ``kind``, as S2PC_BEGIN once did;
+    tag 3 is unassigned now."""
+    return (3, Writer().u8(kind).u32(index).bytes())
+
+
+# (runs taken from the box first, the frame that follows them): whatever
+# run a stale S2PC_BEGIN names, and however it is framed, the prover keeps
+# to the schedule the config fixes and refuses it
+STALE_BEGINS = {
+    "right-before-left": (0, stale_begin(RIGHT, 0)),
+    "skipped-index": (0, stale_begin(LEFT, 1)),
+    "repeated-index": (1, stale_begin(LEFT, 0)),
+    "unknown-kind": (0, stale_begin(3, 0)),
+    "begin-trailing": (0, (3, stale_begin(LEFT, 0)[1] + b"\x00")),
+}
+
+
+@pytest.mark.parametrize("case", STALE_BEGINS)
+def test_prover_holds_the_commitment_schedule(case):
+    # A verifier that tries to open a run of its own ends the prover in
+    # exit 4 and an ABORT frame.
+    cfg = desk_config(c=2)
+    backend = IdealBackend()
+    prover = ProverSession(cfg, honest_coefficients(cfg, 46), backend, 46)
+    runs, (tag, payload) = STALE_BEGINS[case]
+
+    def script(chan):
+        serve_commitment(chan, cfg, backend, runs)
+        chan.send(tag, payload)
+        return abort_code(chan)
+
+    assert run_against(prover, script) == (EXIT_PROTOCOL, EXIT_PROTOCOL)
+
+
 CLOSE = (Tag.ABORT, Writer().u8(EXIT_OK).blob(b"end of session").bytes())
 
 # (runs taken from the box first, the frames that follow them, the prover's
 # exit code, the code of the ABORT it sends or None)
 AROUND_THE_COMMITMENT = {
-    "stale-begin": (0, [STALE_BEGIN], EXIT_PROTOCOL, EXIT_PROTOCOL),
     # the prover cannot tell how many batches the verifier took
     "done-early": (3, [(Tag.COMMIT_DONE, b""), CLOSE], EXIT_OK, None),
     "done-trailing": (4, [(Tag.COMMIT_DONE, b"\x00")], EXIT_PROTOCOL, EXIT_PROTOCOL),
-    "begin-after-done": (4, [(Tag.COMMIT_DONE, b""), STALE_BEGIN], EXIT_PROTOCOL, EXIT_PROTOCOL),
+    "begin-after-done": (
+        4, [(Tag.COMMIT_DONE, b""), stale_begin(LEFT, 0)], EXIT_PROTOCOL, EXIT_PROTOCOL,
+    ),
     "abort-between-runs": (
         1, [(Tag.ABORT, Writer().u8(EXIT_CONFIG).blob(b"stop").bytes())], EXIT_CONFIG, None,
     ),
