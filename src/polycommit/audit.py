@@ -14,7 +14,16 @@ it.
 
 Privacy.  Every observable the verifier collects - the commitment pair
 (Gamma, Omega) and the per-query vectors (v, u) - is a linear functional
-of the 2d-long vector vec(A) || vec(B).  For uniform (A, B) the
+of the 2d-long vector vec(A) || vec(B), vec row-major.  Each block of
+that view is a Kronecker product with the s x s identity I:
+
+    Gamma = Lambda (A+B)      Lambda x I on the A and the B half
+    Omega = B Theta^T         I x Theta on the B half
+    v = (A+B) lowRow(x)^T     I x lowRow(x) on the A and the B half
+    u = highRow(x) B          highRow(x) x I on the B half
+
+stacked as vec(Gamma), vec(Omega), then (v, u) per query.  The unmasked
+baseline keeps only the A halves of Gamma and v.  For uniform (A, B) the
 conditional entropy of A given linear observations M (vec(A)||vec(B)) is
 exactly
 
@@ -286,60 +295,50 @@ def monte_carlo_detection(
 
 @dataclass
 class ObservationSystem:
-    """Rows of linear functionals of vec(A) || vec(B), with provenance tags."""
+    """Rows of linear functionals of vec(A) || vec(B)."""
 
     field: Field
     d: int
     rows: np.ndarray  # (n, 2d)
-    tags: tuple[str, ...]
 
     def mask_block(self) -> np.ndarray:
         return self.rows[:, self.d :]
 
 
-def _gamma_rows(field, s, lam, rows, tags, masked=True):
+def _identity(field: Field, n: int) -> np.ndarray:
+    """I_n in the field's dtype: np.kron then keeps an object-dtype field's
+    entries Python ints, not int64s that a later product could overflow."""
+    return field.asarray(np.eye(n, dtype=np.int64))
+
+
+def _observation_system(field, s, lam, theta, xs, masked) -> ObservationSystem:
+    """The verifier's view as (A half | B half) rows over row-major
+    vec(A) || vec(B), with I the s x s identity.  Gamma is Lambda x I and
+    v is I x lowRow(x), on both halves (the A half only when unmasked);
+    Omega is I x Theta and u is highRow(x) x I, on the B half (absent when
+    unmasked).  Rows run vec(Gamma), vec(Omega), then (v, u) per query,
+    each vec row-major like what the verifier holds.  Every entry is a
+    canonical element times 0 or 1, so np.kron is exact on every field."""
     d = s * s
-    for k in range(lam.shape[0]):
-        for j in range(s):
-            row = field.zeros(2 * d)
-            for i in range(s):
-                row[i * s + j] = lam[k, i]
-                if masked:
-                    row[d + i * s + j] = lam[k, i]
-            rows.append(row)
-            tags.append("gamma")
+    eye = _identity(field, s)
+    rows = []
 
+    def on_a_and_b(block):  # the B half stays zero when unmasked
+        rows.append(np.hstack([block, block if masked else field.zeros(block.shape)]))
 
-def _omega_rows(field, s, theta, rows, tags):
-    d = s * s
-    for i in range(theta.shape[0]):
-        for j in range(s):
-            row = field.zeros(2 * d)
-            for k in range(s):
-                row[d + j * s + k] = theta[i, k]
-            rows.append(row)
-            tags.append("omega")
+    def on_b(block):
+        rows.append(np.hstack([field.zeros(block.shape), block]))
 
-
-def _query_rows(field, s, x, rows, tags, masked=True):
-    d = s * s
-    low = power_row(field, x, s, "low")
-    for k in range(s):  # v_k = sum_j (A+B)[k,j] low[j]
-        row = field.zeros(2 * d)
-        for j in range(s):
-            row[k * s + j] = low[j]
-            if masked:
-                row[d + k * s + j] = low[j]
-        rows.append(row)
-        tags.append("v")
-    if masked:
-        high = power_row(field, x, s, "high")
-        for j in range(s):  # u_j = sum_k high[k] B[k,j]
-            row = field.zeros(2 * d)
-            for k in range(s):
-                row[d + k * s + j] = high[k]
-            rows.append(row)
-            tags.append("u")
+    if lam is not None:
+        on_a_and_b(np.kron(field.asarray(np.atleast_2d(lam)), eye))
+    if theta is not None:
+        on_b(np.kron(eye, field.asarray(np.atleast_2d(theta))))
+    for x in xs:
+        on_a_and_b(np.kron(eye, power_row(field, x, s, "low")[None, :]))
+        if masked:
+            on_b(np.kron(power_row(field, x, s, "high")[None, :], eye))
+    matrix = np.vstack(rows) if rows else field.zeros((0, 2 * d))
+    return ObservationSystem(field, d, matrix)
 
 
 def masked_observation_system(
@@ -355,32 +354,14 @@ def masked_observation_system(
     adversarial structures can be audited alongside legal Vandermonde ones;
     None drops that commitment from the view.
     """
-    d = s * s
-    rows: list = []
-    tags: list[str] = []
-    if lam is not None:
-        _gamma_rows(field, s, field.asarray(np.atleast_2d(lam)), rows, tags, masked=True)
-    if theta is not None:
-        _omega_rows(field, s, field.asarray(np.atleast_2d(theta)), rows, tags)
-    for x in xs:
-        _query_rows(field, s, x, rows, tags, masked=True)
-    matrix = np.stack(rows) if rows else field.zeros((0, 2 * d))
-    return ObservationSystem(field, d, matrix, tuple(tags))
+    return _observation_system(field, s, lam, theta, xs, masked=True)
 
 
 def basic_observation_system(
     field: Field, s: int, lam: np.ndarray | None, xs: Sequence[int]
 ) -> ObservationSystem:
     """The unmasked baseline: Gamma = Lambda A and per-query A lowRow(x)."""
-    d = s * s
-    rows: list = []
-    tags: list[str] = []
-    if lam is not None:
-        _gamma_rows(field, s, field.asarray(np.atleast_2d(lam)), rows, tags, masked=False)
-    for x in xs:
-        _query_rows(field, s, x, rows, tags, masked=False)
-    matrix = np.stack(rows) if rows else field.zeros((0, 2 * d))
-    return ObservationSystem(field, d, matrix, tuple(tags))
+    return _observation_system(field, s, lam, None, xs, masked=False)
 
 
 def entropy_given_rows(system: ObservationSystem) -> int:
@@ -582,30 +563,10 @@ def conditional_entropy_bound_check(
         raise FieldError("need c <= s and w <= s")
     if rank(field, f_mat) != c or rank(field, g_mat) != min(s2, w):
         raise FieldError("F and G must be full-rank")
-
-    def fe_rows():
-        rows = []
-        for i in range(c):
-            for j in range(s):
-                row = field.zeros(s * s)  # (FE)_{i,j} = sum_k F[i,k] E[k,j]
-                for k in range(s):
-                    row[k * s + j] = f_mat[i, k]
-                rows.append(row)
-        return rows
-
-    def eg_rows():
-        rows = []
-        for i in range(s):
-            for j in range(w):
-                row = field.zeros(s * s)  # (EG)_{i,j} = sum_k E[i,k] G[k,j]
-                for k in range(s):
-                    row[i * s + k] = g_mat[k, j]
-                rows.append(row)
-        return rows
-
-    eg = np.stack(eg_rows())
-    joint = np.vstack([np.stack(fe_rows()), eg])
-    entropy = rank(field, joint) - rank(field, eg)
+    eye = _identity(field, s)
+    fe = np.kron(f_mat, eye)  # (FE)[i, j] = sum_k F[i, k] E[k, j]
+    eg = np.kron(eye, g_mat.T)  # (EG)[i, j] = sum_k E[i, k] G[k, j]
+    entropy = rank(field, np.vstack([fe, eg])) - rank(field, eg)
     bound = c * s - c * w
     return entropy, bound, entropy >= bound
 
@@ -614,8 +575,8 @@ def kronecker_stack_rank_check(
     field: Field, f_mat: np.ndarray, g_mat: np.ndarray
 ) -> tuple[int, int, bool]:
     """rank((I x F) || (G x I)) >= (c+w)s - c*w for full-rank F (c x s) and
-    G (w x s).  The stack is materialized explicitly (selection, no
-    products, so table fields are handled exactly)."""
+    G (w x s).  Every Kronecker entry is an element of F or G times 0 or
+    1, so np.kron is exact on table fields too."""
     f_mat = field.asarray(np.atleast_2d(f_mat))
     g_mat = field.asarray(np.atleast_2d(g_mat))
     c, s = f_mat.shape
@@ -626,15 +587,8 @@ def kronecker_stack_rank_check(
         raise FieldError("need c <= s and w <= s")
     if rank(field, f_mat) != c or rank(field, g_mat) != w:
         raise FieldError("F and G must be full-rank")
-    top = field.zeros((c * s, s * s))  # I_s x F
-    for a in range(s):
-        top[a * c : (a + 1) * c, a * s : (a + 1) * s] = f_mat
-    bottom = field.zeros((w * s, s * s))  # G x I_s
-    for a in range(w):
-        for b in range(s):
-            for i in range(s):
-                bottom[a * s + i, b * s + i] = g_mat[a, b]
-    stacked = np.vstack([top, bottom])
+    eye = _identity(field, s)
+    stacked = np.vstack([np.kron(eye, f_mat), np.kron(g_mat, eye)])
     got = rank(field, stacked)
     bound = (c + w) * s - c * w
     return got, bound, got >= bound

@@ -63,9 +63,11 @@ def _field_for_order(q: int):
     return PrimeField(q)
 
 
-def _load_config(path: str):
-    cfg, seed = config_from_json(Path(path).read_text())
-    return cfg, seed
+def _load_config(args):
+    """The config file's parameters and the run's seed: --seed, else the
+    file's seed, else 0."""
+    cfg, cfg_seed = config_from_json(Path(args.config).read_text())
+    return cfg, args.seed if args.seed is not None else (cfg_seed or 0)
 
 
 def cmd_gen_config(args) -> int:
@@ -83,8 +85,7 @@ def cmd_gen_config(args) -> int:
 
 
 def cmd_commit(args) -> int:
-    cfg, cfg_seed = _load_config(args.config)
-    seed = args.seed if args.seed is not None else (cfg_seed or 0)
+    cfg, seed = _load_config(args)
     state_dir = Path(args.state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
     if args.poly:
@@ -154,8 +155,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_run_demo(args) -> int:
-    cfg, cfg_seed = _load_config(args.config)
-    seed = args.seed if args.seed is not None else (cfg_seed or 0)
+    cfg, seed = _load_config(args)
     coeffs = honest_coefficients(cfg, seed)
     queries = default_queries(cfg, args.m, seed)
     res_p, res_v, outcome = run_pair(
@@ -186,8 +186,7 @@ def cmd_run_demo(args) -> int:
 
 
 def cmd_run_role(args) -> int:
-    cfg, cfg_seed = _load_config(args.config)
-    seed = args.seed if args.seed is not None else (cfg_seed or 0)
+    cfg, seed = _load_config(args)
     host, port = args.address.rsplit(":", 1)
     kwargs = {}
     if args.role == "prover":

@@ -112,20 +112,15 @@ def rank(field: Field, matrix: np.ndarray) -> int:
     rows, cols = m.shape
     r = 0
     for col in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if m[i, col] != 0:
-                pivot = i
-                break
-        if pivot is None:
+        nonzero = np.flatnonzero(m[r:, col] != 0)
+        if not nonzero.size:
             continue
+        pivot = r + int(nonzero[0])
         if pivot != r:
             m[[r, pivot]] = m[[pivot, r]]
-        inv = field.inv(int(m[r, col]))
-        m[r] = field.smul(inv, m[r])
-        for i in range(r + 1, rows):
-            if m[i, col] != 0:
-                m[i] = field.vsub(m[i], field.smul(int(m[i, col]), m[r]))
+        m[r] = field.smul(field.inv(int(m[r, col])), m[r])
+        below = m[r + 1 :]
+        m[r + 1 :] = field.vsub(below, field.vmul(below[:, col][:, None], m[r][None, :]))
         r += 1
         if r == rows:
             break

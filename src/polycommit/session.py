@@ -349,14 +349,6 @@ def make_backend(name: str, bs_params: BsOtParams | None = None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ProverStats:
-    rounds: int = 0
-    refusals: int = 0
-    duplicate_queries: int = 0
-    verdicts: list[bool] = dc_field(default_factory=list)
-
-
 class ProverSession:
     """Serves one verifier: the commitment's sender half, then evaluations."""
 
@@ -372,7 +364,6 @@ class ProverSession:
         self.backend = backend
         self.rng = substream(seed, "prover")
         self.prover_key = keygen_prover(cfg, self.rng)
-        self.stats = ProverStats()
         self._seen_queries: set[int] = set()
 
     def run(self, chan) -> int:
@@ -392,26 +383,22 @@ class ProverSession:
             _expect(chan, f, Tag.COMMIT_DONE)
 
             while True:
+                # a VERDICT is parsed and needs no reply
                 tag, value = _expect(chan, f, Tag.EVAL_REQ, Tag.VERDICT, Tag.ABORT)
                 if tag == Tag.EVAL_REQ:
                     x = value
                     if x in self._seen_queries:
-                        self.stats.duplicate_queries += 1
                         log.warning("duplicate query point %d", x)
                     self._seen_queries.add(x)
                     try:
                         resp = evaluate(x, self.matrix, self.prover_key, cfg)
                     except RefusalError:
-                        self.stats.refusals += 1
                         chan.send(Tag.EVAL_RESP, Writer().u8(1).bytes())
                         continue
-                    self.stats.rounds += 1
                     w = Writer().u8(0)
                     w.vector(f, resp.v).vector(f, resp.u)
                     chan.send(Tag.EVAL_RESP, w.bytes())
-                elif tag == Tag.VERDICT:
-                    self.stats.verdicts.append(value is not None)
-                else:
+                elif tag == Tag.ABORT:
                     return value[0]  # the verifier's closing code
         except (SessionAbort, DecodeError, OtError, TransportError) as exc:
             return _ended_by(chan, exc)

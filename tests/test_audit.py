@@ -25,13 +25,18 @@ from polycommit.audit import (
     soundness_exact,
     unit_vector_attack,
 )
-from polycommit.polymat import rank, structured_matrix
+from polycommit.ot import IdealOt
+from polycommit.polymat import power_row, rank, structured_matrix
 from polycommit.protocol import (
     VerifierKey,
+    commit,
+    evaluate,
+    keygen_prover,
     keygen_verifier,
     lambda_matrix,
     make_config,
     random_matrix,
+    suggest_prime_modulus,
     theta_matrix,
 )
 
@@ -187,6 +192,39 @@ def test_rank_oracle_meets_floor_on_legal_instances():
 def test_masked_commitment_alone_leaks_exactly_c_squared():
     cfg = cfg11(c=1)
     assert privacy_rank_oracle(cfg, VerifierKey((7,), (8,)), []) == cfg.d - 1
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        cfg11(c=2),
+        cfg4(),
+        make_config(PrimeField(suggest_prime_modulus(9, 2, 2**40)), d=9, r=2, c=2, xi=2**40),
+    ],
+    ids=["gf11-c2", "gf4-c1", "prime41-c2"],
+)
+def test_observation_rows_are_the_verifiers_view(cfg):
+    f = cfg.field
+    rng = substream(2024, "audit", "view", f.q)
+    a = random_matrix(f, (cfg.s, cfg.s), rng)
+    pk = keygen_prover(cfg, rng)
+    key = keygen_verifier(cfg, rng)
+    vk = commit(a, key, pk, cfg, IdealOt(), rng)
+    xs = rng.sample(range(cfg.xi + 1), 2)
+    lam, theta = lambda_matrix(cfg, key), theta_matrix(cfg, key)
+    ab = np.concatenate([a.reshape(-1), pk.mask.reshape(-1)])
+
+    want = [vk.gamma.reshape(-1), vk.omega.reshape(-1)]
+    for x in xs:
+        resp = evaluate(x, a, pk, cfg)
+        want += [resp.v, resp.u]
+    masked = masked_observation_system(f, cfg.s, lam, theta, xs)
+    assert f.matmul(masked.rows, ab).tolist() == np.concatenate(want).tolist()
+
+    want = [f.matmul(lam, a).reshape(-1)]
+    want += [f.matmul(a, power_row(f, x, cfg.s, "low")) for x in xs]
+    basic = basic_observation_system(f, cfg.s, lam, xs)
+    assert f.matmul(basic.rows, ab).tolist() == np.concatenate(want).tolist()
 
 
 # -- enumeration oracle --

@@ -158,16 +158,17 @@ def test_vandermonde_full_rank():
 
 def test_rank_invariant_under_row_permutation_and_scaling():
     rng = substream(2024, "polymat", "rank-invariance")
-    for _ in range(100):
-        rows, cols = rng.randrange(2, 6), rng.randrange(2, 6)
-        m = GF11.asarray([[GF11.sample(rng) for _ in range(cols)] for _ in range(rows)])
-        r = rank(GF11, m)
-        perm = list(range(rows))
-        rng.shuffle(perm)
-        scaled = m[perm].copy()
-        for i in range(rows):
-            scaled[i] = GF11.smul(rng.randrange(1, 11), scaled[i])
-        assert rank(GF11, scaled) == r
+    for field in (GF11, PrimeField(2**61 - 1)):  # int64 and object dtype
+        for _ in range(100):
+            rows, cols = rng.randrange(2, 6), rng.randrange(2, 6)
+            m = field.asarray([[field.sample(rng) for _ in range(cols)] for _ in range(rows)])
+            r = rank(field, m)
+            perm = list(range(rows))
+            rng.shuffle(perm)
+            scaled = m[perm].copy()
+            for i in range(rows):
+                scaled[i] = field.smul(rng.randrange(1, field.q), scaled[i])
+            assert rank(field, scaled) == r
 
 
 def test_rank_over_table_field():
