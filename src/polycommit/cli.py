@@ -20,10 +20,16 @@ from .protocol import (
     ConfigError,
     EvalResponse,
     RefusalError,
+    config_from_json,
+    config_to_json,
     evaluate,
     keygen_verifier,
+    load_prover_state,
+    load_verifier_state,
     make_config,
     recover,
+    save_prover_state,
+    save_verifier_state,
     verify,
 )
 from .seeds import substream
@@ -39,18 +45,7 @@ from .session import (
     run_pair,
     run_role,
 )
-from .wire import (
-    DecodeError,
-    Reader,
-    TransportError,
-    Writer,
-    config_from_json,
-    config_to_json,
-    load_prover_state,
-    load_verifier_state,
-    save_prover_state,
-    save_verifier_state,
-)
+from .wire import DecodeError, Reader, TransportError, Writer
 
 _RESPONSE_MAGIC = b"PCR1"
 

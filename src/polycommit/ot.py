@@ -37,13 +37,28 @@ Three layers, each independently testable:
 
    The sender's constraints and extractor seeds never depend on the
    replies, so :class:`IhSender` may draw all t-1 constraints before the
-   first reply.  That lets the wire roles in the session module run a
-   batch of transfers as lanes: each lane's broadcasts, then one IH frame
-   per round carrying one constraint per lane, with each lane still
-   sequential (constraint j+1 only after reply j).  Those wire roles are
-   the only end-to-end transfer; :func:`bs_phase1`, :func:`bs_setpair` and
-   :func:`bs_transfer` drive the same steps one at a time for the
-   acceptance suite.
+   first reply.  That lets :func:`ot2_wire_send` and
+   :func:`ot2_wire_receive` run a batch of L transfers on the wire as
+   lanes, one transfer per lane, each lane still sequential (constraint
+   j+1 only after reply j):
+
+   - broadcasts, lane after lane: TAPE_CHUNK frames, OMEGA_REVEAL, and an
+     IH_ROUND status byte (1 asks for a fresh broadcast, 0 accepts it);
+   - t-1 rounds, each one IH_ROUND constraint frame holding L constraints
+     of ceil(t/8) little-endian bytes, each below 2^t, answered by one
+     IH_ROUND reply frame of L bits;
+   - one IH_ROUND swap frame of L bits, then one ENCODED_PAIR frame
+     holding L (seed, ciphertext, seed, ciphertext) pairs.
+
+   Each lane's tape, positions, constraints, replies, swap, seeds and
+   ciphertexts are those of the same transfer run alone.  Honest storage
+   is n bits per lane, L*n bits per party during a batch.  The lanes check
+   what needs their context: lane counts, constraint widths, tape chunks
+   in order, and the sender's positions; any failure, or MAX_BROADCASTS
+   declined broadcasts, raises, and the receiver checks every constraint
+   before he replies.  The lanes are the only end-to-end transfer;
+   :func:`bs_phase1`, :func:`bs_setpair` and :func:`bs_transfer` drive the
+   same steps one at a time for the acceptance suite.
 
 3. The 1-of-c reduction: the sender masks her c secrets into a 2 x (c-1)
    table so that any single row choice per column reveals exactly one
@@ -70,6 +85,16 @@ from typing import Sequence
 import numpy as np
 
 from .field import DecodeError, Field, decode_elements, elem_size, encode_elements
+from .wire import (
+    IH_CONSTRAINT,
+    IH_REPLY,
+    IH_STATUS,
+    IH_SWAP,
+    TAPE_CHUNK_BITS,
+    Tag,
+    Writer,
+    expect,
+)
 
 __all__ = [
     "OtError",
@@ -81,7 +106,6 @@ __all__ = [
     "SetPair",
     "IhTranscript",
     "IhSender",
-    "EncodedPair",
     "bs_phase1",
     "bs_setpair",
     "pick_encoding",
@@ -89,6 +113,8 @@ __all__ = [
     "encode_pair",
     "decode_pair",
     "bs_transfer",
+    "ot2_wire_send",
+    "ot2_wire_receive",
     "build_reduction_table",
     "row_picks",
     "decode_c_of_1",
@@ -97,7 +123,6 @@ __all__ = [
     "ot_c_of_1",
 ]
 
-TAPE_CHUNK_BITS = 64 * 1024 * 8  # one 64 KiB payload per broadcast chunk
 MAX_BROADCASTS = 64  # broadcasts per transfer before the transfer gives up
 
 
@@ -216,9 +241,6 @@ class StoredSample:
         if i >= len(self.indices) or self.indices[i] != position:
             raise OtError(f"position {position} was not stored")
         return int(self.bits[i])
-
-    def has(self, positions: np.ndarray) -> np.ndarray:
-        return np.isin(positions, self.indices)
 
 
 class TapeSampler:
@@ -439,13 +461,18 @@ def ih_narrow(
 
 
 def pick_encoding(
-    shared: np.ndarray, size: int, t: int, rng: random.Random
+    omega_a: np.ndarray, sample: StoredSample, t: int, rng: random.Random
 ) -> int | None:
     """Receiver's interactive-hashing input: the colex rank of a random
-    ``size``-subset of ``shared`` (positions within the sender's index
-    list) that fits in t bits; None when 256 draws all miss."""
+    ell//2-subset of the positions within the sender's index list
+    ``omega_a`` that his ``sample`` also stored, fitting in t bits.  None
+    when the two share fewer than ell positions, or 256 draws all miss."""
+    params = sample.params
+    shared = np.nonzero(np.isin(omega_a, sample.indices))[0]
+    if len(shared) < params.ell:
+        return None
     for _ in range(256):
-        w = colex_rank(sorted(rng.sample(list(shared), size)))
+        w = colex_rank(sorted(rng.sample(list(shared), params.subset_size)))
         if w < (1 << t):
             return w
     return None
@@ -480,25 +507,22 @@ def bs_setpair(
     """
     if b not in (0, 1):
         raise OtError("choice must be a bit")
-    params = sample_a.params
-    ell_x = params.subset_size
-    inter_mask = sample_b.has(sample_a.indices)
-    inter_positions = np.nonzero(inter_mask)[0]
-    if len(inter_positions) < params.ell:
-        raise IntersectionShortfall(
-            f"stored sets share {len(inter_positions)} positions, "
-            f"need {params.ell}; rerun the broadcast phase"
-        )
-    n = len(sample_a.indices)
-    t = hashing_bits(n, ell_x, k)
+    ell_x = sample_a.params.subset_size
+    t = hashing_bits(len(sample_a.indices), ell_x, k)
     if subset_choice is None:
-        w = pick_encoding(inter_positions, ell_x, t, receiver_rng)
+        w = pick_encoding(sample_a.indices, sample_b, t, receiver_rng)
         if w is None:
-            raise IntersectionShortfall("no encodable subset found; rerun phase 1")
+            raise IntersectionShortfall(
+                "the stored sets share fewer than ell positions, or no encodable "
+                "subset of them; rerun the broadcast phase"
+            )
     else:
         chosen = sorted(int(p) for p in subset_choice)
-        if len(chosen) != ell_x or not all(p in inter_positions for p in chosen):
-            raise OtError("subset_choice must be ell//2 shared positions")
+        shared = np.isin(sample_a.indices, sample_b.indices)
+        if not len(chosen) == len(set(chosen)) == ell_x or not all(
+            0 <= p < len(shared) and shared[p] for p in chosen
+        ):
+            raise OtError("subset_choice must be ell//2 distinct shared positions")
         w = colex_rank(chosen)
         if w >= (1 << t):
             raise OtError("subset_choice is not encodable in t bits")
@@ -513,32 +537,18 @@ def bs_setpair(
 # -- extractor-padded transfer --
 
 
-@dataclass(frozen=True)
-class EncodedPair:
-    seeds: tuple[int, int]
-    ciphertexts: tuple[bytes, bytes]
-
-
-def _pad(seed: int, r_bits: int, width: int, nbits: int) -> int:
-    """nbits random-parity extractor outputs of the width-bit string r_bits."""
-    rng = random.Random(seed)
-    out = 0
-    for j in range(nbits):
-        row = rng.getrandbits(width)
-        out |= ((row & r_bits).bit_count() & 1) << j
-    return out
-
-
-def _bits_int(sample: StoredSample, positions: np.ndarray) -> int:
-    out = 0
+def _mask(seed: int, data: bytes, positions: np.ndarray, sample: StoredSample) -> bytes:
+    """``data`` XOR 8*len(data) random-parity extractor outputs of the tape
+    bits at ``positions``, the parity rows drawn from ``seed``; masking
+    twice gives ``data`` back."""
+    r = 0
     for j, pos in enumerate(positions):
-        out |= sample.bit_at(int(pos)) << j
-    return out
-
-
-def _xor_bytes(data: bytes, pad: int) -> bytes:
-    n = len(data)
-    return (int.from_bytes(data, "little") ^ pad).to_bytes(n, "little")
+        r |= sample.bit_at(int(pos)) << j
+    rows = random.Random(seed)
+    pad = 0
+    for j in range(8 * len(data)):
+        pad |= ((rows.getrandbits(len(positions)) & r).bit_count() & 1) << j
+    return (int.from_bytes(data, "little") ^ pad).to_bytes(len(data), "little")
 
 
 def encode_pair(
@@ -548,29 +558,26 @@ def encode_pair(
     x1: np.ndarray,
     sample_a: StoredSample,
     seeds: tuple[int, int],
-) -> EncodedPair:
-    """Sender side: one-time-pad each message with an extractor output of
-    the tape bits at the corresponding set; the two 64-bit extractor seeds
-    are public.  The sender sees only the two sets, never which one the
-    receiver knows.
+) -> tuple[tuple[int, bytes], tuple[int, bytes]]:
+    """Sender side: ((seed0, ct0), (seed1, ct1)), each message one-time-padded
+    with an extractor output of the tape bits at its set; the two 64-bit
+    extractor seeds are public.  The sender sees only the two sets, never
+    which one the receiver knows.
     """
     if len(m0) != len(m1):
         raise OtError("messages in one OT session must have equal length")
-    cts = []
-    for m, positions, seed in ((m0, x0, seeds[0]), (m1, x1, seeds[1])):
-        r = _bits_int(sample_a, positions)
-        pad = _pad(seed, r, len(positions), 8 * len(m))
-        cts.append(_xor_bytes(m, pad))
-    return EncodedPair(seeds=(seeds[0], seeds[1]), ciphertexts=(cts[0], cts[1]))
+    return (
+        (seeds[0], _mask(seeds[0], m0, x0, sample_a)),
+        (seeds[1], _mask(seeds[1], m1, x1, sample_a)),
+    )
 
 
-def decode_pair(enc: EncodedPair, pair: SetPair, sample_b: StoredSample) -> bytes:
-    """Receiver side: rebuild the pad over the fully known set."""
-    positions = pair.chosen()
-    r = _bits_int(sample_b, positions)
-    ct = enc.ciphertexts[pair.choice]
-    pad = _pad(enc.seeds[pair.choice], r, len(positions), 8 * len(ct))
-    return _xor_bytes(ct, pad)
+def decode_pair(
+    seed: int, ciphertext: bytes, positions: np.ndarray, sample_b: StoredSample
+) -> bytes:
+    """Receiver side: unmask one (seed, ciphertext) pair of
+    :func:`encode_pair` with the pad over its fully known set."""
+    return _mask(seed, ciphertext, positions, sample_b)
 
 
 def bs_transfer(
@@ -583,7 +590,133 @@ def bs_transfer(
 ) -> bytes:
     seeds = (rng.getrandbits(64), rng.getrandbits(64))
     enc = encode_pair(m0, m1, pair.x0, pair.x1, sample_a, seeds)
-    return decode_pair(enc, pair, sample_b)
+    return decode_pair(*enc[pair.choice], pair.chosen(), sample_b)
+
+
+# -- the same steps on the wire, one lane per transfer --
+
+
+def _read_constraints(chan, lanes: int, t: int) -> list[int]:
+    """An IH constraint frame: exactly one ceil(t/8)-byte little-endian
+    constraint per lane, each below 2^t.  A wider constraint would leave the
+    receiver's own encoding out of the solution pair and let the swap bit
+    give away his choice."""
+    data = expect(chan, None, Tag.IH_ROUND, subtype=IH_CONSTRAINT)[1]
+    width = (t + 7) // 8
+    if len(data) != lanes * width:
+        raise DecodeError(f"expected {lanes} constraints of {width} bytes, got {len(data)} bytes")
+    hs = [int.from_bytes(data[j : j + width], "little") for j in range(0, len(data), width)]
+    if any(h >> t for h in hs):
+        raise OtError(f"an IH constraint is wider than t = {t} bits")
+    return hs
+
+
+def _broadcast_send(chan, params: BsOtParams, rng: random.Random):
+    """Broadcast tapes until the receiver accepts one; its stored sample."""
+    for _ in range(MAX_BROADCASTS):
+        sampler = TapeSampler(params, rng)
+        for offset, chunk in iter_tape_chunks(params, rng):
+            sampler.consume(offset, chunk)
+            payload = (
+                Writer()
+                .u64(offset)
+                .u32(len(chunk))
+                .blob(np.packbits(chunk).tobytes())
+                .bytes()
+            )
+            chan.send(Tag.TAPE_CHUNK, payload)
+        sample = sampler.finish()
+        chan.send(Tag.OMEGA_REVEAL, Writer().u32s(sample.indices).bytes())
+        if not expect(chan, None, Tag.IH_ROUND, subtype=IH_STATUS)[1]:
+            return sample
+    raise OtError(f"receiver declined {MAX_BROADCASTS} broadcasts in a row")
+
+
+def _broadcast_receive(chan, params: BsOtParams, t: int, rng: random.Random):
+    """Store broadcasts until one yields an encodable shared subset;
+    returns the sender's positions, the stored sample and the encoding."""
+    for _ in range(MAX_BROADCASTS):
+        sampler = TapeSampler(params, rng)
+        offset = 0
+        while offset < params.K:
+            got, chunk = expect(chan, None, Tag.TAPE_CHUNK)[1]
+            if got != offset or len(chunk) != min(TAPE_CHUNK_BITS, params.K - offset):
+                raise OtError(f"TAPE_CHUNK of {len(chunk)} bits at {got}, wanted one at {offset}")
+            sampler.consume(offset, chunk)
+            offset += len(chunk)
+        sample = sampler.finish()
+        omega_a = expect(chan, None, Tag.OMEGA_REVEAL)[1]
+        if len(omega_a) != params.n or np.any(np.diff(omega_a) <= 0) or omega_a[-1] >= params.K:
+            raise OtError(f"OMEGA_REVEAL must be {params.n} distinct sorted positions on the tape")
+        w = pick_encoding(omega_a, sample, t, rng)
+        chan.send(Tag.IH_ROUND, Writer().u8(IH_STATUS).u8(w is None).bytes())
+        if w is not None:
+            return omega_a, sample, w
+    raise OtError(f"no usable broadcast in {MAX_BROADCASTS} attempts")
+
+
+def ot2_wire_send(chan, params: BsOtParams, m0s, m1s, rng: random.Random) -> None:
+    """Sender side of one batch of bounded-storage transfers, one lane per
+    transfer.  Each lane's broadcasts come first, lane after lane; right
+    after a lane's accepted broadcast she draws its t-1 constraints and its
+    two extractor seeds, so each lane draws what the same transfer run
+    alone would.  Then each IH round is one constraint frame for every
+    lane, answered by one reply frame; one swap frame and one ENCODED_PAIR
+    frame close the batch."""
+    t = hashing_bits(params.n, params.subset_size, params.k)
+    lanes = []
+    for _ in m0s:
+        sample = _broadcast_send(chan, params, rng)
+        ih = IhSender(t, rng)
+        while ih.need_more():
+            ih.next_constraint()
+        lanes.append((sample, ih, (rng.getrandbits(64), rng.getrandbits(64))))
+    width = (t + 7) // 8
+    for j in range(t - 1):
+        hb = b"".join(ih.constraints[j].to_bytes(width, "little") for _, ih, _ in lanes)
+        chan.send(Tag.IH_ROUND, Writer().u8(IH_CONSTRAINT).blob(hb).bytes())
+        replies = expect(chan, None, Tag.IH_ROUND, subtype=IH_REPLY)[1]
+        if len(replies) != len(lanes):
+            raise DecodeError(f"expected {len(lanes)} replies, got {len(replies)}")
+        for (_, ih, _), bit in zip(lanes, replies):
+            ih.push_reply(bit)
+    swaps = expect(chan, None, Tag.IH_ROUND, subtype=IH_SWAP)[1]
+    if len(swaps) != len(lanes):
+        raise DecodeError(f"expected {len(lanes)} swap bits, got {len(swaps)}")
+    w = Writer()
+    for (sample, ih, seeds), swap, m0, m1 in zip(lanes, swaps, m0s, m1s):
+        w0, w1 = ih.solutions()
+        x0, x1 = ih_sets(sample.indices, w0, w1, swap, params.subset_size)
+        for seed, ciphertext in encode_pair(m0, m1, x0, x1, sample, seeds):
+            w.u64(seed).blob(ciphertext)
+    chan.send(Tag.ENCODED_PAIR, w.bytes())
+
+
+def ot2_wire_receive(chan, params: BsOtParams, bits, rng: random.Random) -> list[bytes]:
+    """Receiver side of one batch of bounded-storage transfers: pick
+    bits[j] of lane j.  Each constraint is checked as it arrives and every
+    lane is solved before the swap frame goes out, so a malformed
+    constraint ends the batch before the choice bits touch the wire."""
+    t = hashing_bits(params.n, params.subset_size, params.k)
+    lanes = [_broadcast_receive(chan, params, t, rng) for _ in bits]
+    rounds = [[] for _ in lanes]
+    for _ in range(t - 1):
+        replies = bytearray()
+        for lane_rounds, h, (_, _, w) in zip(rounds, _read_constraints(chan, len(lanes), t), lanes):
+            reply = (h & w).bit_count() & 1
+            lane_rounds.append((h, reply))
+            replies.append(reply)
+        chan.send(Tag.IH_ROUND, Writer().u8(IH_REPLY).blob(bytes(replies)).bytes())
+    sols = [_solve_pair(lane_rounds, t) for lane_rounds in rounds]
+    swaps = bytes((w != w0) ^ b for (w0, _), (_, _, w), b in zip(sols, lanes, bits))
+    chan.send(Tag.IH_ROUND, Writer().u8(IH_SWAP).blob(swaps).bytes())
+    pairs = expect(chan, None, Tag.ENCODED_PAIR)[1]
+    if len(pairs) != len(lanes):
+        raise DecodeError(f"expected {len(lanes)} encoded pairs, got {len(pairs)}")
+    return [
+        decode_pair(*pair[b], ih_sets(omega_a, w0, w1, swap, params.subset_size)[b], sample)
+        for (omega_a, sample, _), (w0, w1), swap, pair, b in zip(lanes, sols, swaps, pairs, bits)
+    ]
 
 
 # ---------------------------------------------------------------------------

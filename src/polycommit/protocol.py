@@ -26,22 +26,41 @@ position in S and stacks Gamma and Omega.  The public parameters fix the
 schedule, so nothing about it travels: both halves walk the same
 ``_schedule``, the session roles run them over a backend, and
 :func:`commit` runs them back to back over an ideal box.
+
+The config travels as versioned JSON (human-edited), and its SHA-256 is
+what the roles compare in NEGOTIATE.  Each role's keys and round count
+persist between CLI calls as a versioned binary state file
+(machine-only), written whole or not at all.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 import math
+import os
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .field import Field, FieldError, compare, is_probable_prime, validate_spec
+from .field import (
+    DecodeError,
+    Field,
+    FieldError,
+    PrimeField,
+    TableField,
+    compare,
+    encode_elements,
+    is_probable_prime,
+    validate_spec,
+)
 from . import s2pc
 from .ot import ot_c_of_1_receive, ot_c_of_1_send
 from .polymat import power_row, structured_matrix
 from .s2pc import LEFT, RIGHT
+from .wire import FORMAT_VERSION, Reader, Writer
 
 __all__ = [
     "ConfigError",
@@ -65,6 +84,14 @@ __all__ = [
     "evaluate",
     "verify",
     "recover",
+    "config_to_json",
+    "config_from_json",
+    "config_digest",
+    "set_digest",
+    "save_verifier_state",
+    "load_verifier_state",
+    "save_prover_state",
+    "load_prover_state",
 ]
 
 
@@ -344,3 +371,164 @@ def recover(x: int, response: EvalResponse, cfg: ProtocolConfig) -> int:
     masked_val = int(f.matmul(high[None, :], np.asarray(response.v))[0])
     mask_val = int(f.matmul(np.asarray(response.u)[None, :], low)[0])
     return f.sub(masked_val, mask_val)
+
+
+# ---------------------------------------------------------------------------
+# Config JSON
+# ---------------------------------------------------------------------------
+
+
+def _field_to_json(field: Field) -> dict:
+    if isinstance(field, PrimeField):
+        return {"kind": "prime", "modulus": field.p}
+    if isinstance(field, TableField):
+        return {
+            "kind": "table",
+            "order": field.q,
+            "add": field.add_table.tolist(),
+            "mul": field.mul_table.tolist(),
+        }
+    raise ConfigError(f"unknown field backend {field!r}")
+
+
+def _field_from_json(obj: dict) -> Field:
+    kind = obj.get("kind")
+    if kind == "prime":
+        return PrimeField(int(obj["modulus"]))
+    if kind == "table":
+        return TableField(obj["add"], obj["mul"])
+    raise ConfigError(f"unknown field kind {kind!r}")
+
+
+def config_to_json(cfg: ProtocolConfig, seed: int | None = None) -> str:
+    doc = {
+        "version": FORMAT_VERSION,
+        "field": _field_to_json(cfg.field),
+        "d": cfg.d,
+        "r": cfg.r,
+        "c": cfg.c,
+        "xi": cfg.xi,
+    }
+    if cfg.query_budget is not None:
+        doc["query_budget"] = cfg.query_budget
+    if seed is not None:
+        doc["seed"] = seed
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def config_from_json(text: str) -> tuple[ProtocolConfig, int | None]:
+    """Parse and fully re-validate; returns (config, seed-or-None)."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
+    if doc.get("version") != FORMAT_VERSION:
+        raise ConfigError(f"unsupported config version {doc.get('version')!r}")
+    try:
+        field = _field_from_json(doc["field"])
+        cfg = make_config(
+            field,
+            d=int(doc["d"]),
+            r=int(doc["r"]),
+            c=int(doc["c"]),
+            xi=int(doc["xi"]),
+            query_budget=(
+                int(doc["query_budget"]) if "query_budget" in doc else None
+            ),
+        )
+    except KeyError as exc:
+        raise ConfigError(f"config is missing {exc}") from exc
+    except FieldError as exc:
+        raise ConfigError(str(exc)) from exc
+    seed = int(doc["seed"]) if "seed" in doc else None
+    return cfg, seed
+
+
+def config_digest(cfg: ProtocolConfig) -> bytes:
+    return hashlib.sha256(config_to_json(cfg).encode()).digest()
+
+
+def set_digest(cfg: ProtocolConfig) -> bytes:
+    return hashlib.sha256(encode_elements(cfg.field, cfg.prohibited)).digest()
+
+
+# ---------------------------------------------------------------------------
+# Persisted role state
+# ---------------------------------------------------------------------------
+
+_VERIFIER_MAGIC = b"PCV1"
+_PROVER_MAGIC = b"PCP1"
+
+
+def _write_state(path, magic: bytes, cfg: ProtocolConfig, body: Writer) -> None:
+    """Write a state file whole or not at all: the bytes go to a temporary
+    file beside ``path``, which then replaces it in one rename, so a crash
+    mid-write leaves the previous state in place."""
+    w = Writer()
+    w.u8(FORMAT_VERSION)
+    w.blob(config_to_json(cfg).encode())
+    payload = magic + w.bytes() + body.bytes()
+    tmp = os.fspath(path) + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(payload)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
+def _read_state(path, magic: bytes) -> tuple[ProtocolConfig, Reader]:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw[:4] != magic:
+        raise DecodeError(f"not a {magic.decode()} state file")
+    r = Reader(raw[4:])
+    version = r.u8()
+    if version != FORMAT_VERSION:
+        raise DecodeError(f"unsupported state version {version}")
+    cfg, _ = config_from_json(r.blob().decode())
+    return cfg, r
+
+
+def save_verifier_state(
+    path, cfg: ProtocolConfig, key: VerifierKey, vk: VerificationKey, rounds: int
+) -> None:
+    f = cfg.field
+    body = Writer()
+    body.vector(f, list(key.lambdas)).vector(f, list(key.thetas))
+    body.matrix(f, vk.gamma).matrix(f, vk.omega)
+    body.u32(rounds)
+    _write_state(path, _VERIFIER_MAGIC, cfg, body)
+
+
+def load_verifier_state(path) -> tuple[ProtocolConfig, VerifierKey, VerificationKey, int]:
+    cfg, r = _read_state(path, _VERIFIER_MAGIC)
+    f = cfg.field
+    lambdas = tuple(int(v) for v in r.vector(f))
+    thetas = tuple(int(v) for v in r.vector(f))
+    gamma = r.matrix(f)
+    omega = r.matrix(f)
+    rounds = r.u32()
+    r.done()
+    return cfg, VerifierKey(lambdas, thetas), VerificationKey(gamma, omega), rounds
+
+
+def save_prover_state(
+    path, cfg: ProtocolConfig, coeffs, prover_key: ProverKey, rounds: int
+) -> None:
+    f = cfg.field
+    body = Writer()
+    body.vector(f, coeffs).matrix(f, prover_key.mask)
+    body.u32(rounds)
+    _write_state(path, _PROVER_MAGIC, cfg, body)
+
+
+def load_prover_state(path) -> tuple[ProtocolConfig, np.ndarray, ProverKey, int]:
+    cfg, r = _read_state(path, _PROVER_MAGIC)
+    f = cfg.field
+    coeffs = r.vector(f)
+    mask = r.matrix(f)
+    rounds = r.u32()
+    r.done()
+    return cfg, coeffs, ProverKey(mask), rounds

@@ -1,9 +1,9 @@
-"""Binary framing, canonical serialization, transports, persistence.
+"""Binary framing, canonical serialization, transports.
 
-Frame layout: 4-byte big-endian payload length, 1 tag byte, payload.
-Unknown tags, 3 included, abort the session.  Configuration travels as
-versioned JSON (human-edited); role state persists as versioned binary
-(machine-only).
+The bottom layer of the package: it imports only the field module, and the
+OT lanes, the protocol's config and state files and the session roles all
+build on it.  Frame layout: 4-byte big-endian payload length, 1 tag byte,
+payload.  Unknown tags, 3 included, abort the session.
 Field elements follow the field module's widths: 8-byte little-endian for
 prime fields, 1 byte for table fields; matrices are row-major with
 explicit dimensions.
@@ -12,44 +12,27 @@ Decoding raises :class:`DecodeError` and nothing else, for a malformed
 frame or a non-canonical element; writers take canonical values unchecked.
 :func:`parse` has one parser per tag and IH_ROUND subtype; each range-checks
 its status, bit and size fields and reads the payload to its last byte.  The
-roles receive every frame through it and check what needs their context.
+roles receive every frame through :func:`expect`, which parses it, and check
+what needs their context.
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
-import json
 import queue
 import socket
 import struct
 
 import numpy as np
 
-from .field import (
-    DecodeError,
-    Field,
-    FieldError,
-    PrimeField,
-    TableField,
-    decode_elements,
-    elem_size,
-    encode_elements,
-)
-from .ot import TAPE_CHUNK_BITS
-from .protocol import (
-    ConfigError,
-    ProtocolConfig,
-    ProverKey,
-    VerificationKey,
-    VerifierKey,
-    make_config,
-)
+from .field import DecodeError, Field, decode_elements, elem_size, encode_elements
 
 __all__ = [
     "FORMAT_VERSION",
     "Tag",
     "parse",
+    "expect",
+    "SessionAbort",
     "DecodeError",
     "TransportError",
     "encode_frame",
@@ -58,14 +41,6 @@ __all__ = [
     "duplex_pair",
     "SocketChannel",
     "TranscriptRecorder",
-    "config_to_json",
-    "config_from_json",
-    "config_digest",
-    "set_digest",
-    "save_verifier_state",
-    "load_verifier_state",
-    "save_prover_state",
-    "load_prover_state",
 ]
 
 FORMAT_VERSION = 1
@@ -105,6 +80,14 @@ IH_SWAP = 3  # blob: one bit per lane
 
 class TransportError(OSError):
     """The byte channel failed mid-session."""
+
+
+class SessionAbort(Exception):
+    """A role ends with exit ``code``."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +265,9 @@ def _ih_round(r: Reader, field) -> tuple[int, object]:
     return subtype, _IH_PARSERS[subtype](r)
 
 
+TAPE_CHUNK_BITS = 64 * 1024 * 8  # one 64 KiB payload per broadcast chunk
+
+
 def _tape_chunk(r: Reader, field) -> tuple[int, np.ndarray]:
     offset, nbits, packed = r.u64(), r.u32(), r.blob()
     if nbits > TAPE_CHUNK_BITS or len(packed) != (nbits + 7) // 8:
@@ -327,6 +313,26 @@ def parse(tag: int, payload: bytes, field: Field | None = None):
     value = _PARSERS[tag](r, field)
     r.done()
     return value
+
+
+def expect(chan, field, *tags, subtype=None) -> tuple[int, object]:
+    """The next frame, one of ``tags`` (an IH_ROUND of ``subtype``), as (tag,
+    value of :func:`parse`); a peer ABORT ends the role."""
+    tag, payload = chan.recv()
+    if tag not in tags and tag != Tag.ABORT:
+        raise SessionAbort(
+            EXIT_PROTOCOL, f"out-of-order frame {Tag(tag).name}, wanted "
+            f"{'/'.join(Tag(t).name for t in tags)}"
+        )
+    value = parse(tag, payload, field)
+    if tag not in tags:
+        code, message = value
+        raise SessionAbort(code or EXIT_PROTOCOL, message)
+    if subtype is not None:
+        got, value = value
+        if got != subtype:
+            raise SessionAbort(EXIT_PROTOCOL, f"IH_ROUND subtype {got}, wanted {subtype}")
+    return tag, value
 
 
 # ---------------------------------------------------------------------------
@@ -437,157 +443,3 @@ class TranscriptRecorder:
                 fb.write(raw)
                 fi.write(f"{offset} {Tag(tag).name} {len(payload)}\n")
                 offset += len(raw)
-
-
-# ---------------------------------------------------------------------------
-# Config JSON
-# ---------------------------------------------------------------------------
-
-
-def _field_to_json(field: Field) -> dict:
-    if isinstance(field, PrimeField):
-        return {"kind": "prime", "modulus": field.p}
-    if isinstance(field, TableField):
-        return {
-            "kind": "table",
-            "order": field.q,
-            "add": field.add_table.tolist(),
-            "mul": field.mul_table.tolist(),
-        }
-    raise ConfigError(f"unknown field backend {field!r}")
-
-
-def _field_from_json(obj: dict) -> Field:
-    kind = obj.get("kind")
-    if kind == "prime":
-        return PrimeField(int(obj["modulus"]))
-    if kind == "table":
-        return TableField(obj["add"], obj["mul"])
-    raise ConfigError(f"unknown field kind {kind!r}")
-
-
-def config_to_json(cfg: ProtocolConfig, seed: int | None = None) -> str:
-    doc = {
-        "version": FORMAT_VERSION,
-        "field": _field_to_json(cfg.field),
-        "d": cfg.d,
-        "r": cfg.r,
-        "c": cfg.c,
-        "xi": cfg.xi,
-    }
-    if cfg.query_budget is not None:
-        doc["query_budget"] = cfg.query_budget
-    if seed is not None:
-        doc["seed"] = seed
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def config_from_json(text: str) -> tuple[ProtocolConfig, int | None]:
-    """Parse and fully re-validate; returns (config, seed-or-None)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ConfigError(f"unsupported config version {doc.get('version')!r}")
-    try:
-        field = _field_from_json(doc["field"])
-        cfg = make_config(
-            field,
-            d=int(doc["d"]),
-            r=int(doc["r"]),
-            c=int(doc["c"]),
-            xi=int(doc["xi"]),
-            query_budget=(
-                int(doc["query_budget"]) if "query_budget" in doc else None
-            ),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"config is missing {exc}") from exc
-    except FieldError as exc:
-        raise ConfigError(str(exc)) from exc
-    seed = int(doc["seed"]) if "seed" in doc else None
-    return cfg, seed
-
-
-def config_digest(cfg: ProtocolConfig) -> bytes:
-    return hashlib.sha256(config_to_json(cfg).encode()).digest()
-
-
-def set_digest(cfg: ProtocolConfig) -> bytes:
-    return hashlib.sha256(encode_elements(cfg.field, cfg.prohibited)).digest()
-
-
-# ---------------------------------------------------------------------------
-# Persisted role state
-# ---------------------------------------------------------------------------
-
-_VERIFIER_MAGIC = b"PCV1"
-_PROVER_MAGIC = b"PCP1"
-
-
-def _write_state(path, magic: bytes, cfg: ProtocolConfig, body: Writer) -> None:
-    w = Writer()
-    w.u8(FORMAT_VERSION)
-    w.blob(config_to_json(cfg).encode())
-    payload = magic + w.bytes() + body.bytes()
-    with open(path, "wb") as fh:
-        fh.write(payload)
-
-
-def _read_state(path, magic: bytes) -> tuple[ProtocolConfig, Reader]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != magic:
-        raise DecodeError(f"not a {magic.decode()} state file")
-    r = Reader(raw[4:])
-    version = r.u8()
-    if version != FORMAT_VERSION:
-        raise DecodeError(f"unsupported state version {version}")
-    cfg, _ = config_from_json(r.blob().decode())
-    return cfg, r
-
-
-def save_verifier_state(
-    path, cfg: ProtocolConfig, key: VerifierKey, vk: VerificationKey, rounds: int
-) -> None:
-    f = cfg.field
-    body = Writer()
-    body.vector(f, list(key.lambdas)).vector(f, list(key.thetas))
-    body.matrix(f, vk.gamma).matrix(f, vk.omega)
-    body.u32(rounds)
-    _write_state(path, _VERIFIER_MAGIC, cfg, body)
-
-
-def load_verifier_state(path) -> tuple[ProtocolConfig, VerifierKey, VerificationKey, int]:
-    cfg, r = _read_state(path, _VERIFIER_MAGIC)
-    f = cfg.field
-    lambdas = tuple(int(v) for v in r.vector(f))
-    thetas = tuple(int(v) for v in r.vector(f))
-    gamma = r.matrix(f)
-    omega = r.matrix(f)
-    rounds = r.u32()
-    r.done()
-    return cfg, VerifierKey(lambdas, thetas), VerificationKey(gamma, omega), rounds
-
-
-def save_prover_state(
-    path, cfg: ProtocolConfig, coeffs, prover_key: ProverKey, rounds: int
-) -> None:
-    f = cfg.field
-    body = Writer()
-    body.vector(f, coeffs).matrix(f, prover_key.mask)
-    body.u32(rounds)
-    _write_state(path, _PROVER_MAGIC, cfg, body)
-
-
-def load_prover_state(path) -> tuple[ProtocolConfig, np.ndarray, ProverKey, int]:
-    cfg, r = _read_state(path, _PROVER_MAGIC)
-    f = cfg.field
-    coeffs = r.vector(f)
-    mask = r.matrix(f)
-    rounds = r.u32()
-    r.done()
-    return cfg, coeffs, ProverKey(mask), rounds

@@ -338,6 +338,20 @@ def test_setpair_transcripts_identical_for_both_choices():
     assert transcript.swap == (0 if colex_rank(pick) == w0 else 1) ^ 1
 
 
+@pytest.mark.parametrize(
+    "choice", [(2, 2), (0, 5), (0, 1, 2)], ids=["repeated", "unshared", "wrong-size"]
+)
+def test_setpair_refuses_a_malformed_subset_choice(choice):
+    # the receiver shares the sender's first four positions; a repeated
+    # position would rank to a set the caller never named
+    params = tiny_params(ell=4)
+    tape = np.zeros(params.K, dtype=np.uint8)
+    sa = make_sample(params, range(0, 16, 2), tape)
+    sb = make_sample(params, [0, 2, 4, 6, 1, 3, 5, 7], tape)
+    with pytest.raises(OtError, match="subset_choice"):
+        bs_setpair(sa, sb, 0, params.k, random.Random(7), None, subset_choice=choice)
+
+
 def gf2_rank(rows):
     pivots = {}
     for row in rows:
@@ -431,8 +445,7 @@ def test_unknown_bits_make_other_decode_a_coinflip():
     m0, m1 = b"\x37", b"\xc4"
     enc = encode_pair(m0, m1, pair.x0, pair.x1, sa, (rng.getrandbits(64), rng.getrandbits(64)))
     truth = (m0, m1)[1 - pair.choice]
-    ct = enc.ciphertexts[1 - pair.choice]
-    seed = enc.seeds[1 - pair.choice]
+    seed, ct = enc[1 - pair.choice]
 
     rows = random.Random(seed)
     row_masks = [rows.getrandbits(len(other)) for _ in range(8 * len(truth))]
@@ -493,8 +506,8 @@ def test_missing_bit_statistics_over_200_runs():
             else:
                 missing_mask |= 1 << j
         truth = (m0, m1)[1 - b]
-        ct = enc.ciphertexts[1 - b]
-        rows = random.Random(enc.seeds[1 - b])
+        seed, ct = enc[1 - b]
+        rows = random.Random(seed)
         affected = correct = 0
         for bit in range(8 * len(truth)):
             row = rows.getrandbits(len(other))

@@ -20,7 +20,7 @@ from polycommit.ot import (
     make_bs_params,
 )
 from polycommit.polymat import horner_eval
-from polycommit.protocol import make_config
+from polycommit.protocol import config_digest, make_config, set_digest
 from polycommit.s2pc import LEFT, RIGHT
 from polycommit.session import (
     BsBackend,
@@ -44,10 +44,8 @@ from polycommit.wire import (
     IH_STATUS,
     Tag,
     Writer,
-    config_digest,
     duplex_pair,
     parse,
-    set_digest,
 )
 
 GF11 = PrimeField(11)

@@ -1,34 +1,40 @@
-"""Framing, serialization, configuration JSON, persisted state."""
+"""Framing, serialization, configuration JSON, persisted state, and the
+package's import layers."""
+
+import ast
+import graphlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polycommit
 from polycommit import PrimeField, gf4, substream
-from polycommit.ot import TAPE_CHUNK_BITS
 from polycommit.protocol import (
     ConfigError,
     VerificationKey,
+    config_digest,
+    config_from_json,
+    config_to_json,
     keygen_prover,
     keygen_verifier,
+    load_prover_state,
+    load_verifier_state,
     make_config,
     random_matrix,
+    save_prover_state,
+    save_verifier_state,
 )
 from polycommit.wire import (
+    TAPE_CHUNK_BITS,
     DecodeError,
     FrameReader,
     Reader,
     Tag,
     Writer,
-    config_digest,
-    config_from_json,
-    config_to_json,
     encode_frame,
-    load_prover_state,
-    load_verifier_state,
     parse,
     read_frame_from,
-    save_prover_state,
-    save_verifier_state,
 )
 
 GF11 = PrimeField(11)
@@ -235,3 +241,73 @@ def test_state_files_reject_wrong_magic(tmp_path):
     path.write_bytes(bytes(corrupted[:-2]))
     with pytest.raises(DecodeError):
         load_prover_state(path)
+
+
+def test_state_file_survives_a_crash_mid_write(tmp_path, monkeypatch):
+    cfg = desk_config()
+    pk = keygen_prover(cfg, substream(2024, "wire", "crash"))
+    path = tmp_path / "prover.state"
+    save_prover_state(path, cfg, [1] * 9, pk, rounds=3)
+    real_open = open
+
+    class HalfWrite:
+        """A file whose write stores half the bytes, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+    def crashing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return HalfWrite(fh) if "w" in mode else fh
+
+    with monkeypatch.context() as m:
+        m.setattr("builtins.open", crashing_open)
+        with pytest.raises(OSError, match="disk full"):
+            save_prover_state(path, cfg, [2] * 9, pk, rounds=4)
+    _, coeffs, _, rounds = load_prover_state(path)
+    assert rounds == 3 and coeffs.tolist() == [1] * 9
+
+
+# -- import layers --
+
+
+def package_imports() -> dict[str, dict[str, set[str]]]:
+    """module -> {module it imports from: names}, over the relative imports
+    of every module of the package, function-level ones included."""
+    graph = {}
+    for path in sorted(Path(polycommit.__file__).parent.glob("*.py")):
+        deps = graph.setdefault(path.stem, {})
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:  # from . import s2pc
+                    for alias in node.names:
+                        deps.setdefault(alias.name, set())
+                else:
+                    deps.setdefault(node.module, set()).update(a.name for a in node.names)
+    return graph
+
+
+def test_modules_import_in_layers():
+    graph = package_imports()
+    assert set(graph["wire"]) == {"field"}
+    assert set(graph["ot"]) == {"field", "wire"}
+    # static_order raises CycleError on a cycle
+    list(graphlib.TopologicalSorter({m: set(deps) for m, deps in graph.items()}).static_order())
+    private = [
+        (module, dep, name)
+        for module, deps in graph.items()
+        for dep, names in deps.items()
+        for name in names
+        if name.startswith("_")
+    ]
+    assert private == []
