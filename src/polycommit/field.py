@@ -3,9 +3,11 @@
 Two interchangeable backends share one interface:
 
 * :class:`PrimeField` -- GF(p) for an odd prime p < 2**62.  The fast path
-  keeps vectors and matrices in int64 numpy arrays; for p >= 2**31 (where
-  int64 products could overflow) arrays fall back to object dtype with
-  exact Python integers.
+  keeps vectors and matrices in int64 numpy arrays, and its matrix product
+  is an exact int64 ``einsum`` kernel, blocked over the inner dimension so
+  no partial sum reaches 2**62 (no float or BLAS path); for p >= 2**31
+  (where int64 products could overflow) arrays fall back to object dtype
+  with exact Python integers.
 * :class:`TableField` -- GF(q) for q <= 256, defined by explicit addition
   and multiplication tables.  This is the enumeration-oracle path and the
   only way to get prime-power orders such as GF(4), which matter because
@@ -201,7 +203,12 @@ class PrimeField:
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Exact matrix product mod p. Blocks the inner dimension so that
-        int64 partial sums never overflow."""
+        int64 partial sums never overflow.
+
+        The int64 product is ``einsum``, which streams b row by row; numpy
+        has no BLAS for int64, and its ``@`` walks b's columns.  Every
+        partial sum of a block stays below 2**62, so the summation order
+        cannot change a result."""
         a = np.atleast_2d(a)
         b_vec = b.ndim == 1
         b2 = b[:, None] if b_vec else b
@@ -213,12 +220,13 @@ class PrimeField:
             block = max(1, int((1 << 62) // ((self.p - 1) ** 2 or 1)))
             n = a.shape[1]
             if n <= block:
-                out = (a @ b2) % self.p
+                out = np.einsum("ik,kj->ij", a, b2) % self.p
             else:
                 out = np.zeros((a.shape[0], b2.shape[1]), dtype=np.int64)
                 for lo in range(0, n, block):
                     hi = min(lo + block, n)
-                    out = (out + a[:, lo:hi] @ b2[lo:hi, :]) % self.p
+                    part = np.einsum("ik,kj->ij", a[:, lo:hi], b2[lo:hi, :])
+                    out = (out + part) % self.p
         return out[:, 0] if b_vec else out
 
 

@@ -773,18 +773,15 @@ def row_picks(i: int, c: int) -> tuple[int, ...]:
 
 def decode_c_of_1(field: Field, received, i: int, c: int) -> np.ndarray:
     """Telescope the masks out of the rows :func:`row_picks` chose (a
-    (c-1) x width array of canonical elements) and return secret i."""
-    if i == 0 or c == 2:
-        # the single pick already is the secret: first row of column 0, or
-        # either row of the mask-free two-secret column
-        return received[0]
-    # columns 0..i-1 carry r0, r0+r1, ...; recover r_{i-1} (or r_{c-3} when
-    # i = c-1) by alternating subtraction, then peel it off the target pick.
-    last = i - 1 if i <= c - 2 else c - 3
-    r = received[0]
-    for row in received[1 : last + 1]:
-        r = field.vsub(row, r)
-    return field.vsub(received[min(i, c - 2)], r)
+    (c-1) x width array of canonical elements) and return secret i.
+
+    With t = min(i, c-2), rows 0..t-1 carry r0, r0+r1, ..., r_{t-2}+r_{t-1}
+    and row t carries the secret plus r_{t-1} (the bare secret when t = 0),
+    so secret i is the alternating sum of rows t, t-1, ..., 0: one product
+    of a +-1 sign row with those rows."""
+    t = min(i, c - 2)
+    signs = np.where(np.arange(t, -1, -1) % 2, field.neg(1), 1).astype(field.dtype)
+    return field.matmul(signs, np.asarray(received)[: t + 1])[0]
 
 
 def ot_c_of_1_send(field: Field, secrets, send, rng) -> None:

@@ -10,7 +10,9 @@ Commitment: the prover masks his coefficient matrix A with a uniform
 matrix B and the parties run 2c secure two-party computations so the
 verifier learns Gamma = Lambda(A+B) and Omega = B Theta^T for his secret
 key points, while the prover learns nothing about the points.  Evaluation
-returns v = (A+B) lowRow(x)^T and u = highRow(x) B; verification checks
+returns v = (A+B) lowRow(x)^T and u = highRow(x) B; the prover computes v
+by linearity as A lowRow(x)^T + B lowRow(x)^T, two products and one
+s-vector sum, so no round forms the s x s sum A+B.  Verification checks
 the two parities
 
     Gamma lowRow(x)^T == Lambda v    and    highRow(x) Omega == u Theta^T
@@ -248,15 +250,20 @@ def keygen_prover(cfg: ProtocolConfig, rng: random.Random) -> ProverKey:
 @functools.lru_cache(maxsize=256)
 def lambda_matrix(cfg: ProtocolConfig, key: VerifierKey) -> np.ndarray:
     """c x s matrix of high power rows over the lambda points.  Cached per
-    session key (commitment-phase work, not per-round); treat as read-only."""
-    return structured_matrix(cfg.field, key.lambdas, cfg.s, "high")
+    session key (commitment-phase work, not per-round) and read-only: every
+    caller shares the one array."""
+    matrix = structured_matrix(cfg.field, key.lambdas, cfg.s, "high")
+    matrix.flags.writeable = False
+    return matrix
 
 
 @functools.lru_cache(maxsize=256)
 def theta_matrix(cfg: ProtocolConfig, key: VerifierKey) -> np.ndarray:
     """c x s matrix of low power rows over the theta points.  Cached per
-    session key; treat as read-only."""
-    return structured_matrix(cfg.field, key.thetas, cfg.s, "low")
+    session key and read-only, like :func:`lambda_matrix`."""
+    matrix = structured_matrix(cfg.field, key.thetas, cfg.s, "low")
+    matrix.flags.writeable = False
+    return matrix
 
 
 def _schedule(cfg: ProtocolConfig) -> list[tuple[int, int]]:
@@ -321,7 +328,10 @@ def evaluate(
     x: int, coeff_matrix: np.ndarray, prover_key: ProverKey, cfg: ProtocolConfig
 ) -> EvalResponse:
     """Prover side of one round over the canonical s x s matrix and mask;
-    refuses any x above xi (hence any x in the reserved set)."""
+    refuses any x above xi (hence any x in the reserved set).
+
+    v = (A+B) lowRow(x)^T is computed as A lowRow(x)^T + B lowRow(x)^T:
+    two matrix-vector products and one s-vector sum, never the s x s A+B."""
     f = cfg.field
     f.check(x)
     if compare(x, cfg.xi) > 0:
@@ -329,8 +339,8 @@ def evaluate(
             f"query {x} exceeds the agreed bound {cfg.xi}; reserved points "
             "are not evaluable"
         )
-    masked = f.vadd(coeff_matrix, prover_key.mask)
-    v = f.matmul(masked, power_row(f, x, cfg.s, "low"))
+    low = power_row(f, x, cfg.s, "low")
+    v = f.vadd(f.matmul(coeff_matrix, low), f.matmul(prover_key.mask, low))
     u = f.matmul(power_row(f, x, cfg.s, "high")[None, :], prover_key.mask)[0]
     return EvalResponse(v=v, u=u)
 
@@ -502,16 +512,28 @@ def save_verifier_state(
     _write_state(path, _VERIFIER_MAGIC, cfg, body)
 
 
+def _expect_shape(name: str, array: np.ndarray, shape: tuple[int, ...]) -> None:
+    if array.shape != shape:
+        raise DecodeError(f"state {name} has shape {array.shape}, expected {shape}")
+
+
 def load_verifier_state(path) -> tuple[ProtocolConfig, VerifierKey, VerificationKey, int]:
+    """Read a verifier state; keys of any shape other than the config's
+    (c points per side, Gamma c x s, Omega s x c) are a ``DecodeError``."""
     cfg, r = _read_state(path, _VERIFIER_MAGIC)
     f = cfg.field
-    lambdas = tuple(int(v) for v in r.vector(f))
-    thetas = tuple(int(v) for v in r.vector(f))
+    lambdas = r.vector(f)
+    thetas = r.vector(f)
     gamma = r.matrix(f)
     omega = r.matrix(f)
     rounds = r.u32()
     r.done()
-    return cfg, VerifierKey(lambdas, thetas), VerificationKey(gamma, omega), rounds
+    _expect_shape("lambda points", lambdas, (cfg.c,))
+    _expect_shape("theta points", thetas, (cfg.c,))
+    _expect_shape("Gamma", gamma, (cfg.c, cfg.s))
+    _expect_shape("Omega", omega, (cfg.s, cfg.c))
+    key = VerifierKey(tuple(int(v) for v in lambdas), tuple(int(v) for v in thetas))
+    return cfg, key, VerificationKey(gamma, omega), rounds
 
 
 def save_prover_state(
@@ -525,10 +547,14 @@ def save_prover_state(
 
 
 def load_prover_state(path) -> tuple[ProtocolConfig, np.ndarray, ProverKey, int]:
+    """Read a prover state; d coefficients and an s x s mask, or a
+    ``DecodeError``."""
     cfg, r = _read_state(path, _PROVER_MAGIC)
     f = cfg.field
     coeffs = r.vector(f)
     mask = r.matrix(f)
     rounds = r.u32()
     r.done()
+    _expect_shape("coefficients", coeffs, (cfg.d,))
+    _expect_shape("mask", mask, (cfg.s, cfg.s))
     return cfg, coeffs, ProverKey(mask), rounds

@@ -2,9 +2,19 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from polycommit.cli import main
+from polycommit.protocol import (
+    ProverKey,
+    VerificationKey,
+    VerifierKey,
+    load_prover_state,
+    load_verifier_state,
+    save_prover_state,
+    save_verifier_state,
+)
 
 
 def run_cli(*argv):
@@ -95,3 +105,49 @@ def test_bench_smoke(capsys):
     assert run_cli("bench", "--d", "2500,10000", "--rounds", 1) == 0
     out = capsys.readouterr().out
     assert "prover ops" in out and "x" in out
+
+
+def _reshape_prover_state(path, case):
+    cfg, coeffs, prover_key, rounds = load_prover_state(path)
+    if case == "mask-1x3":
+        prover_key = ProverKey(prover_key.mask[:1])
+    else:  # coefficients one short of d
+        coeffs = coeffs[:-1]
+    save_prover_state(path, cfg, coeffs, prover_key, rounds)
+
+
+def _reshape_verifier_state(path, case):
+    cfg, key, vk, rounds = load_verifier_state(path)
+    lambdas, thetas, gamma, omega = key.lambdas, key.thetas, vk.gamma, vk.omega
+    if case == "two-lambdas":
+        lambdas = lambdas + thetas
+    elif case == "no-thetas":
+        thetas = ()
+    elif case == "gamma-1x2":
+        gamma = gamma[:, :2]
+    else:  # Omega with one column too many
+        omega = np.hstack([omega, omega])
+    save_verifier_state(
+        path, cfg, VerifierKey(lambdas, thetas), VerificationKey(gamma, omega), rounds
+    )
+
+
+@pytest.mark.parametrize("case", ["mask-1x3", "short-coefficients"])
+def test_eval_refuses_a_misshapen_prover_state(config_path, tmp_path, capsys, case):
+    state = tmp_path / "state"
+    assert run_cli("commit", "--config", config_path, "--state-dir", state) == 0
+    _reshape_prover_state(state / "prover.state", case)
+    assert run_cli("eval", "--state-dir", state, "--x", 3,
+                   "-o", tmp_path / "r.bin") == 4
+    assert "expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["two-lambdas", "no-thetas", "gamma-1x2", "omega-3x2"])
+def test_verify_refuses_a_misshapen_verifier_state(config_path, tmp_path, capsys, case):
+    state = tmp_path / "state"
+    assert run_cli("commit", "--config", config_path, "--state-dir", state) == 0
+    resp = tmp_path / "resp.bin"
+    assert run_cli("eval", "--state-dir", state, "--x", 3, "-o", resp) == 0
+    _reshape_verifier_state(state / "verifier.state", case)
+    assert run_cli("verify", "--state-dir", state, "--x", 3, "--response", resp) == 4
+    assert "expected" in capsys.readouterr().err

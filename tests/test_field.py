@@ -271,6 +271,51 @@ def test_big_prime_array_path_is_exact():
             assert int(got[i, j]) == want
 
 
+def object_product(field, a, b):
+    """Exact reference: the product over Python ints, reduced once."""
+    return np.dot(np.asarray(a).astype(object), np.asarray(b).astype(object)) % field.p
+
+
+def random_array(field, rng, shape):
+    return field.vsample(rng, math.prod(shape)).reshape(shape)
+
+
+@pytest.mark.parametrize(
+    "q, s, c, points",
+    [
+        (1_000_667, 63, 10, 620),  # commit-s63
+        (1_002_017, 999, 10, None),  # eval-d1m; its set-up shapes cost too much here
+    ],
+)
+def test_int64_matmul_matches_object_product_on_workload_shapes(q, s, c, points):
+    f = PrimeField(q)
+    rng = substream(2024, "field", "workload-shapes", q)
+    square = random_array(f, rng, (s, s))
+    shapes = [((s,), (s, s)), ((s, s), (s,))]  # the round: high . B, B . low
+    if points is not None:
+        shapes += [((c, s), (s, s)), ((s, s), (s, c)), ((points, s), (s, s))]
+    for a_shape, b_shape in shapes:
+        a = square if a_shape == (s, s) else random_array(f, rng, a_shape)
+        b = square if b_shape == (s, s) else random_array(f, rng, b_shape)
+        got = f.matmul(a, b)
+        want = object_product(f, np.atleast_2d(a), b)
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist(), (a_shape, b_shape)
+
+
+@pytest.mark.parametrize("p", [536_870_909, (1 << 31) - 1])  # blocks of 16 and of 1
+def test_int64_matmul_exact_at_the_block_bound(p):
+    f = PrimeField(p)
+    block = (1 << 62) // (p - 1) ** 2
+    rng = substream(2024, "field", "block-bound", p)
+    for k in (block, block + 1, 3 * block + 1):
+        top = np.full((2, k), p - 1, dtype=np.int64)  # every partial sum maximal
+        bottom = np.full((k, 3), p - 1, dtype=np.int64)
+        assert f.matmul(top, bottom).tolist() == object_product(f, top, bottom).tolist()
+        a, b = random_array(f, rng, (4, k)), random_array(f, rng, (k, 5))
+        assert f.matmul(a, b).tolist() == object_product(f, a, b).tolist()
+
+
 def test_canonical_range_enforced():
     with pytest.raises(FieldError):
         GF11.check(11)

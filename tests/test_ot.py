@@ -147,6 +147,24 @@ def test_decode_examples():
     assert int(decode_c_of_1(GF11, col(3, 6), 0, 3)[0]) == 3  # direct
 
 
+@pytest.mark.parametrize(
+    "field, c, width",
+    [
+        (PrimeField(1_000_667), 620, 63),  # commit-s63: the int64 product
+        (PrimeField((1 << 31) - 1), 40, 5),  # blocked int64 product
+        (PrimeField((1 << 31) + 11), 40, 5),  # object dtype
+        (gf4(), 40, 5),
+    ],
+)
+def test_decode_every_index_of_a_reduction_table(field, c, width):
+    rng = substream(2024, "ot", "decode-every", field.q)
+    secrets = field.vsample(rng, c * width).reshape(c, width)
+    table = build_reduction_table(field, secrets, rng)
+    for i in range(c):
+        received = table[list(row_picks(i, c)), np.arange(c - 1)]
+        assert decode_c_of_1(field, received, i, c).tolist() == secrets[i].tolist()
+
+
 def test_ot_c_of_1_exhaustive_indices():
     rng = substream(2024, "ot", "exhaustive")
     for c in (2, 3, 5, 8, 16, 32):

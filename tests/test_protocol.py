@@ -10,7 +10,6 @@ from polycommit.ot import IdealOt
 from polycommit.polymat import (
     horner_eval,
     poly_to_matrix,
-    power_row,
     rank,
     structured_matrix,
 )
@@ -202,22 +201,34 @@ def test_evaluate_identity_and_zero_mask():
 
 
 def test_evaluate_matches_matrix_vector_oracle():
-    cfg = desk_config()
-    rng = substream(2024, "protocol", "eval-oracle")
-    a = random_matrix(GF11, (3, 3), rng)
-    pk = keygen_prover(cfg, rng)
-    resp = evaluate(3, a, pk, cfg)
-    masked = GF11.vadd(a, pk.mask)
-    low = power_row(GF11, 3, 3, "low")
-    high = power_row(GF11, 3, 3, "high")
-    v_want = [
-        sum(int(masked[i, j]) * int(low[j]) for j in range(3)) % 11 for i in range(3)
+    # v = (A+B) lowRow(x)^T and u = highRow(x) B from scalar field ops, over
+    # int64 primes, an object-dtype prime and GF(4)
+    int64_prime = PrimeField(suggest_prime_modulus(49, 2, 100))
+    cases = [
+        (desk_config(), (3,)),
+        (make_config(int64_prime, 49, 2, 1, 100), (0, 1, 100)),
+        (make_config(PrimeField(1099511627831), 9, 2, 1, 1000), (0, 1, 1000)),
+        (make_config(gf4(), 4, 2, 1, 1), (0, 1)),
     ]
-    u_want = [
-        sum(int(high[i]) * int(pk.mask[i, j]) for i in range(3)) % 11 for j in range(3)
-    ]
-    assert resp.v.tolist() == v_want
-    assert resp.u.tolist() == u_want
+    for cfg, xs in cases:
+        f, s = cfg.field, cfg.s
+        rng = substream(2024, "protocol", "eval-oracle", f.q)
+        a = random_matrix(f, (s, s), rng)
+        pk = keygen_prover(cfg, rng)
+        for x in xs:
+            low = [f.pow(x, j) for j in range(s)]
+            high = [f.pow(x, s * i) for i in range(s)]
+            v_want, u_want = [], []
+            for i in range(s):
+                v = u = 0
+                for j in range(s):
+                    v = f.add(v, f.mul(f.add(int(a[i, j]), int(pk.mask[i, j])), low[j]))
+                    u = f.add(u, f.mul(high[j], int(pk.mask[j, i])))
+                v_want.append(v)
+                u_want.append(u)
+            resp = evaluate(x, a, pk, cfg)
+            assert [int(e) for e in resp.v] == v_want, (f, x)
+            assert [int(e) for e in resp.u] == u_want, (f, x)
 
 
 def test_evaluate_refuses_above_bound():
@@ -228,6 +239,18 @@ def test_evaluate_refuses_above_bound():
         with pytest.raises(RefusalError):
             evaluate(x, a, pk, cfg)
     evaluate(cfg.xi, a, pk, cfg)  # the bound itself is evaluable
+
+
+def test_cached_key_matrices_are_read_only():
+    cfg = desk_config()
+    key = keygen_verifier(cfg, substream(2024, "protocol", "read-only"))
+    for matrix in (lambda_matrix(cfg, key), theta_matrix(cfg, key)):
+        with pytest.raises(ValueError):
+            matrix[0, 0] += 1
+    a = random_matrix(GF11, (3, 3), substream(1))
+    pk = keygen_prover(cfg, substream(2))
+    vk = commit(a, key, pk, cfg, IdealOt(), substream(3))
+    assert verify(2, evaluate(2, a, pk, cfg), vk, key, cfg)
 
 
 # -- verify / recover --
