@@ -161,11 +161,9 @@ class RandomPerturbation:
         us = list(self.u_support) if self.u_support is not None else []
         while True:
             dv = f.zeros(cfg.s)
-            for i in vs:
-                dv[i] = f.sample(rng)
+            dv[vs] = f.vsample(rng, len(vs))
             du = f.zeros(cfg.s)
-            for i in us:
-                du[i] = f.sample(rng)
+            du[us] = f.vsample(rng, len(us))
             if dv.any() or du.any():
                 break
         return (

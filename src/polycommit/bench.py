@@ -97,6 +97,9 @@ class CountingField:
     def sample(self, rng):
         return self._inner.sample(rng)
 
+    def vsample(self, rng, n):
+        return self._inner.vsample(rng, n)
+
     # array ops
     def asarray(self, values):
         return self._inner.asarray(values)

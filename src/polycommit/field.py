@@ -51,6 +51,9 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 MAX_PRIME_MODULUS = 1 << 62
 MAX_TABLE_ORDER = 256
 
+# Shortfall below which :meth:`PrimeField.vsample` draws element by element.
+BULK_DRAW_MIN = 32
+
 
 class FieldError(ValueError):
     """Invalid field definition or misuse of field arithmetic."""
@@ -155,23 +158,36 @@ class PrimeField:
         until the draw is below q, and ``getrandbits(k)`` takes w = ceil(k/32)
         32-bit words, shifting the last one right by 32w - k.  So one
         ``getrandbits(32 * w * need)`` call yields ``need`` such draws in
-        stream order; the ones below q are kept and the shortfall is drawn
-        again, never past the point n sequential calls would reach.
+        stream order.  While the shortfall ``need`` is at least
+        :data:`BULK_DRAW_MIN`, a bulk round takes exactly ``need`` raw draws
+        (all of which n sequential calls would take too) and keeps the ones
+        below q; the last ``need`` values are ``need`` scalar ``randrange``
+        calls.  Neither step draws past the point n sequential calls would
+        reach, and every value is below q by construction.
+
+        ``BULK_DRAW_MIN`` = 32 is the measured crossover: one bulk round of
+        n draws costs about as much as n scalar calls at n = 24-32, at
+        q = 11, q = 1,000,667 and q = 2**61 - 1 alike (medians on a 2-core
+        VM).  Below it the numpy set-up costs more than the draws.
         """
-        k = self.q.bit_length()
-        words = -(-k // 32)
-        out = [np.zeros(0, dtype=np.uint64)]
+        q = self.q
+        bulk = []
         need = n
-        while need:
+        k = q.bit_length()
+        words = -(-k // 32)
+        while need >= BULK_DRAW_MIN:
             raw = rng.getrandbits(32 * words * need).to_bytes(4 * words * need, "little")
             w = np.frombuffer(raw, dtype="<u4").reshape(need, words).astype(np.uint64)
             vals = w[:, -1] >> np.uint64(32 * words - k)
             for j in range(words - 2, -1, -1):
                 vals = (vals << np.uint64(32)) | w[:, j]
-            vals = vals[vals < self.q]
-            out.append(vals)
+            vals = vals[vals < q]
+            bulk.append(vals)
             need -= len(vals)
-        return np.concatenate(out).astype(self.dtype)
+        tail = np.array([rng.randrange(q) for _ in range(need)], dtype=self.dtype)
+        if not bulk:
+            return tail
+        return np.concatenate(bulk + [tail], dtype=self.dtype, casting="unsafe")
 
     # -- numpy vector/matrix arithmetic --
 

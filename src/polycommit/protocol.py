@@ -228,9 +228,7 @@ def make_config(
 
 def random_matrix(field: Field, shape: tuple[int, int], rng: random.Random) -> np.ndarray:
     rows, cols = shape
-    return field.asarray(
-        [[field.sample(rng) for _ in range(cols)] for _ in range(rows)]
-    )
+    return field.vsample(rng, rows * cols).reshape(rows, cols)
 
 
 def keygen_verifier(cfg: ProtocolConfig, rng: random.Random) -> VerifierKey:

@@ -445,7 +445,7 @@ def run_role(
 
 def honest_coefficients(cfg: ProtocolConfig, seed: int) -> np.ndarray:
     rng = substream(seed, "poly")
-    return cfg.field.asarray([cfg.field.sample(rng) for _ in range(cfg.d)])
+    return cfg.field.vsample(rng, cfg.d)
 
 
 def default_queries(cfg: ProtocolConfig, m: int, seed: int) -> list[int]:

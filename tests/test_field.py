@@ -17,7 +17,7 @@ from polycommit import (
     validate_spec,
     wire,
 )
-from polycommit.field import DecodeError, decode_elements
+from polycommit.field import BULK_DRAW_MIN, DecodeError, decode_elements
 
 GF11 = PrimeField(11)
 GF4 = gf4()
@@ -181,13 +181,26 @@ def test_sampling_uniform_chi_square():
 
 @pytest.mark.parametrize(
     "field",
-    [GF11, GF4, gf2(), PrimeField(1_000_667), PrimeField(2**32 + 15), PrimeField(2**61 - 1)],
+    [
+        GF11,
+        GF4,
+        gf2(),
+        PrimeField(65537),
+        PrimeField(1_000_667),
+        PrimeField(2**32 + 15),
+        PrimeField(2**61 - 1),
+    ],
     ids=lambda f: f"q={f.q}",
 )
-@pytest.mark.parametrize("n", [0, 1, 7, 5000])
+@pytest.mark.parametrize(
+    "n", [0, 1, 7, BULK_DRAW_MIN - 1, BULK_DRAW_MIN, BULK_DRAW_MIN + 1, 5000]
+)
 def test_vector_sampling_is_the_scalar_stream(field, n):
     # same values and same generator state as n calls of sample(), so a
-    # caller may switch between them without changing any RNG stream
+    # caller may switch between them without changing any RNG stream; the
+    # n around BULK_DRAW_MIN cross from the scalar tail to a bulk round,
+    # and q = 65537 (about half of all 17-bit draws kept) runs several
+    # bulk rounds before the tail
     a, b = substream(2024, "field", "vsample", field.q, n), substream(
         2024, "field", "vsample", field.q, n
     )

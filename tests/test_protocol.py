@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from polycommit import PrimeField, gf4, substream
+from polycommit import PrimeField, gf4, session, substream
 from polycommit.ot import IdealOt
 from polycommit.polymat import (
     horner_eval,
@@ -101,6 +101,48 @@ def test_keygen_golden_seeded():
     cfg = desk_config()
     key = keygen_verifier(cfg, substream(2024, "protocol", "golden-key"))
     assert (key.lambdas, key.thetas) == ((8, 9, 7), (8, 7, 9))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        desk_config(),
+        make_config(PrimeField(1_000_667), d=63 * 63, r=10, c=10, xi=10**6),
+        make_config(gf4(), d=4, r=2, c=1, xi=1),
+        make_config(PrimeField(2**61 - 1), d=17 * 17, r=2, c=2, xi=1000),
+    ],
+    ids=lambda cfg: f"q={cfg.field.q}-s={cfg.s}",
+)
+def test_setup_draws_are_the_scalar_stream(cfg, monkeypatch):
+    # the set-up helpers draw in bulk, but give the values, dtype and final
+    # generator state of one field.sample per element in row-major order
+    f = cfg.field
+
+    def scalar(rng, n):
+        return f.asarray([f.sample(rng) for _ in range(n)])
+
+    def same(got, want):
+        assert got.dtype == want.dtype == f.dtype
+        assert got.shape == want.shape
+        assert got.tolist() == want.tolist()
+
+    used = []
+
+    def recording_substream(*labels):
+        used.append(substream(*labels))
+        return used[-1]
+
+    monkeypatch.setattr(session, "substream", recording_substream)
+    coeffs = honest_coefficients(cfg, 7)
+    ref = substream(7, "poly")
+    same(coeffs, scalar(ref, cfg.d))
+    assert used[0].getstate() == ref.getstate()
+
+    a, b = substream(2024, "protocol", "setup"), substream(2024, "protocol", "setup")
+    shape = (cfg.s, cfg.s + 1)
+    same(random_matrix(f, shape, a), scalar(b, cfg.s * (cfg.s + 1)).reshape(shape))
+    same(keygen_prover(cfg, a).mask, scalar(b, cfg.d).reshape(cfg.s, cfg.s))
+    assert a.getstate() == b.getstate()
 
 
 # -- commit --
