@@ -14,7 +14,9 @@ Three layers, each independently testable:
    with K > alpha*N for an expansion factor alpha > 1, where N is the
    public bound on the receiver's storage.  Each party stores the bits at
    n = ceil(sqrt(2*ell*N)) uniformly chosen positions, so the stored sets
-   intersect in about ell positions.  The sender reveals her positions;
+   intersect in about ell positions.  The positions are drawn before the
+   tape, in bulk but in the stream of ``rng.sample(range(K), n)``, and sent
+   as 32-bit words, so K stays below 2^32.  The sender reveals her positions;
    the parties then run an interactive hashing protocol that narrows the
    space of subsets of the sender's positions to exactly two equal-size
    sets X0, X1, of which the receiver fully knows exactly one.  Each
@@ -32,8 +34,11 @@ Three layers, each independently testable:
    the swap bit hides the choice.  The security parameter k is enforced as
    a floor on the round count.  Every constraint must lie below 2^t: one
    on higher bits would leave the receiver's encoding out of the solution
-   pair, and his swap bit would then reveal his choice.  The solve is
-   forward elimination plus back-substitution in increasing pivot order.
+   pair, and his swap bit would then reveal his choice.  The receiver's
+   solve is forward elimination plus back-substitution in increasing pivot
+   order; the sender already eliminates as she draws, to keep her
+   constraints independent, and keeps those reduced rows, so her solve is
+   the back-substitution alone.
 
    The sender's constraints and extractor seeds never depend on the
    replies, so :class:`IhSender` may draw all t-1 constraints before the
@@ -213,6 +218,8 @@ def make_bs_params(
     if ell < 8:
         raise OtError(f"target intersection must be >= 8, got {ell}")
     K = int(alpha * N) + 1
+    if K.bit_length() > 32:
+        raise OtError(f"tape length K={K} must stay below 2^32: positions are 32-bit words")
     n = math.isqrt(2 * ell * N)
     if n * n < 2 * ell * N:
         n += 1
@@ -243,12 +250,43 @@ class StoredSample:
         return int(self.bits[i])
 
 
+def _draw_positions(rng: random.Random, K: int, n: int) -> np.ndarray:
+    """n distinct positions in [0, K), sorted, as int64: exactly the values
+    of ``sorted(rng.sample(range(K), n))`` in its set-selection branch,
+    leaving the generator in the same state.
+
+    That branch draws ``getrandbits(K.bit_length())`` (one 32-bit word
+    shifted right, for K < 2^32) until the value is below K and new.  Each
+    round here takes the shortfall's worth of words from one
+    ``getrandbits`` call, read little-endian as the sequential calls would
+    see them, and marks the values below K in a K-entry boolean scratch
+    array.  A word adds at most one new position, so no round draws past
+    the word that completes the sample.  The scratch array holds positions,
+    never a tape bit, and is freed on return, before the first tape chunk.
+    For K at most about 12n, where ``sample`` shuffles a pool instead, the
+    positions are still a uniform n-subset, from a different stream.
+    """
+    shift = 32 - K.bit_length()
+    marked = np.zeros(K, dtype=bool)
+    got = 0
+    while got < n:
+        need = n - got
+        raw = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        words = np.frombuffer(raw, dtype="<u4") >> shift
+        marked[words[words < K]] = True
+        got = int(np.count_nonzero(marked))
+    return np.flatnonzero(marked)
+
+
 class TapeSampler:
-    """Captures the bits at a pre-chosen position set from a streamed tape."""
+    """Captures the bits at a pre-chosen position set from a streamed tape.
+
+    The n positions are drawn by :func:`_draw_positions` before the first
+    chunk arrives, in the stream of ``rng.sample(range(K), n)``."""
 
     def __init__(self, params: BsOtParams, rng: random.Random):
         self.params = params
-        self.indices = np.array(sorted(rng.sample(range(params.K), params.n)))
+        self.indices = _draw_positions(rng, params.K, params.n)
         self.bits = np.zeros(params.n, dtype=np.uint8)
         self._filled = 0
 
@@ -329,15 +367,6 @@ def colex_unrank(r: int, size: int, universe: int) -> list[int]:
 # -- F2 linear algebra on bitmask ints --
 
 
-def _reduce(h: int, pivots: dict[int, int]) -> int:
-    while h:
-        p = h.bit_length() - 1
-        if p not in pivots:
-            return h
-        h ^= pivots[p]
-    return 0
-
-
 def _solve_pair(rounds: list[tuple[int, int]], t: int) -> tuple[int, int]:
     """Solutions of t-1 independent parity constraints on t bits."""
     # each row carries its reply as bit 0, so one XOR updates both sides
@@ -411,14 +440,20 @@ class IhSender:
     """Sender side of the narrowing rounds: draws constraints independent
     of the received replies, keeping the accepted h-sequence a function of
     her randomness alone.  So she may draw all t-1 of them before the first
-    reply; the wire still sends constraint j+1 only after reply j."""
+    reply; the wire still sends constraint j+1 only after reply j.
+
+    The independence check is the forward elimination, and the sender keeps
+    its reduced rows: each pivot row holds its constraint bits shifted up
+    by t-1, above the mask of the constraints it combines.  A pivot's reply
+    is then that mask's parity against the replies, and :meth:`solutions`
+    is back-substitution alone."""
 
     def __init__(self, t: int, rng: random.Random):
         self.t = t
         self.rng = rng
         self.constraints: list[int] = []
         self.replies: list[int] = []
-        self._pivots: dict[int, int] = {}
+        self._pivots: dict[int, int] = {}  # pivot bit + t-1 -> reduced row
 
     def need_more(self) -> bool:
         return len(self.constraints) < self.t - 1
@@ -430,13 +465,17 @@ class IhSender:
     def next_constraint(self) -> int:
         if not self.need_more():
             raise OtError("all t-1 constraints are drawn")
+        m = self.t - 1
         while True:
             h = self.rng.getrandbits(self.t)
-            residual = _reduce(h, self._pivots)
-            if residual:
-                self._pivots[residual.bit_length() - 1] = residual
-                self.constraints.append(h)
-                return h
+            row = h << m | 1 << len(self.constraints)
+            while (p := row.bit_length() - 1) >= m:  # else h depends on the rest
+                prow = self._pivots.get(p)
+                if prow is None:
+                    self._pivots[p] = row
+                    self.constraints.append(h)
+                    return h
+                row ^= prow
 
     def push_reply(self, bit: int) -> None:
         if len(self.replies) == len(self.constraints):
@@ -444,7 +483,23 @@ class IhSender:
         self.replies.append(bit & 1)
 
     def solutions(self) -> tuple[int, int]:
-        return _solve_pair(self.rounds, self.t)
+        """The two encodings that meet every reply, smaller first; equal to
+        ``_solve_pair(self.rounds, t)``."""
+        m = self.t - 1
+        if len(self.replies) != m:
+            raise OtError("interactive hashing needs all t-1 replies")
+        replies = sum(bit << j for j, bit in enumerate(self.replies))
+        free = next(b for b in range(self.t) if b + m not in self._pivots)
+        order = sorted(self._pivots)
+        sols = []
+        for fval in (0, 1):
+            # as in _solve_pair, a row's parity against w is its reply
+            # (from the low m bits) plus the known bits below its pivot
+            w = fval << (free + m) | replies
+            for p in order:
+                w |= ((self._pivots[p] & w).bit_count() & 1) << p
+            sols.append(w >> m)
+        return (sols[0], sols[1]) if sols[0] < sols[1] else (sols[1], sols[0])
 
 
 def ih_narrow(
@@ -460,6 +515,16 @@ def ih_narrow(
     return sender.rounds, w0, w1
 
 
+def _lookup(indices: np.ndarray, positions) -> tuple[np.ndarray, np.ndarray]:
+    """One binary search of every position in the sorted ``indices``: where
+    each would sit, and whether it is there."""
+    positions = np.asarray(positions)
+    at = np.searchsorted(indices, positions)
+    hit = at < len(indices)
+    hit[hit] = indices[at[hit]] == positions[hit]
+    return at, hit
+
+
 def pick_encoding(
     omega_a: np.ndarray, sample: StoredSample, t: int, rng: random.Random
 ) -> int | None:
@@ -468,7 +533,7 @@ def pick_encoding(
     ``omega_a`` that his ``sample`` also stored, fitting in t bits.  None
     when the two share fewer than ell positions, or 256 draws all miss."""
     params = sample.params
-    shared = np.nonzero(np.isin(omega_a, sample.indices))[0]
+    shared = np.flatnonzero(_lookup(sample.indices, omega_a)[1])
     if len(shared) < params.ell:
         return None
     for _ in range(256):
@@ -518,7 +583,7 @@ def bs_setpair(
             )
     else:
         chosen = sorted(int(p) for p in subset_choice)
-        shared = np.isin(sample_a.indices, sample_b.indices)
+        shared = _lookup(sample_b.indices, sample_a.indices)[1]
         if not len(chosen) == len(set(chosen)) == ell_x or not all(
             0 <= p < len(shared) and shared[p] for p in chosen
         ):
@@ -541,9 +606,10 @@ def _mask(seed: int, data: bytes, positions: np.ndarray, sample: StoredSample) -
     """``data`` XOR 8*len(data) random-parity extractor outputs of the tape
     bits at ``positions``, the parity rows drawn from ``seed``; masking
     twice gives ``data`` back."""
-    r = 0
-    for j, pos in enumerate(positions):
-        r |= sample.bit_at(int(pos)) << j
+    at, hit = _lookup(sample.indices, positions)
+    if not hit.all():
+        raise OtError(f"position {positions[np.argmin(hit)]} was not stored")
+    r = int.from_bytes(np.packbits(sample.bits[at], bitorder="little").tobytes(), "little")
     rows = random.Random(seed)
     pad = 0
     for j in range(8 * len(data)):
@@ -713,9 +779,10 @@ def ot2_wire_receive(chan, params: BsOtParams, bits, rng: random.Random) -> list
     pairs = expect(chan, None, Tag.ENCODED_PAIR)[1]
     if len(pairs) != len(lanes):
         raise DecodeError(f"expected {len(lanes)} encoded pairs, got {len(pairs)}")
+    # X_b is the receiver's own subset: swap puts the solution equal to w there
     return [
-        decode_pair(*pair[b], ih_sets(omega_a, w0, w1, swap, params.subset_size)[b], sample)
-        for (omega_a, sample, _), (w0, w1), swap, pair, b in zip(lanes, sols, swaps, pairs, bits)
+        decode_pair(*pair[b], omega_a[colex_unrank(w, params.subset_size, len(omega_a))], sample)
+        for (omega_a, sample, w), pair, b in zip(lanes, pairs, bits)
     ]
 
 

@@ -160,9 +160,13 @@ class Writer:
         return self
 
     def u32s(self, values) -> "Writer":
-        """Count-prefixed u32 array."""
-        self.u32(len(values))
-        self._parts.append(np.asarray(values).astype(">u4").tobytes())
+        """Count-prefixed u32 array; every value must lie in [0, 2^32),
+        since the cast to ``>u4`` would wrap any other silently."""
+        a = np.asarray(values)
+        if a.size and not 0 <= a.min() <= a.max() <= 0xFFFFFFFF:
+            raise ValueError("u32s values must lie in [0, 2^32)")
+        self.u32(len(a))
+        self._parts.append(a.astype(">u4").tobytes())
         return self
 
     def blob(self, data: bytes):

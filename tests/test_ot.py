@@ -16,9 +16,11 @@ from polycommit.field import decode_elements, encode_elements
 from polycommit.ot import (
     BsOtParams,
     IdealOt,
+    IhSender,
     IntersectionShortfall,
     OtError,
     StoredSample,
+    TapeSampler,
     _solve_pair,
     bs_phase1,
     bs_setpair,
@@ -27,6 +29,7 @@ from polycommit.ot import (
     colex_rank,
     colex_unrank,
     decode_c_of_1,
+    decode_pair,
     encode_pair,
     ih_encoding_bits,
     ih_narrow,
@@ -234,6 +237,14 @@ def test_bs_params_formula():
         make_bs_params(ell=4)
 
 
+def test_bs_params_refuse_tapes_past_u32():
+    # positions travel as u32 words and are drawn as 32-bit words
+    assert make_bs_params(N=(1 << 31) - 1, alpha=2.0, k=1).K == (1 << 32) - 1
+    for N, alpha in (((1 << 31) - 1, 2.0000001), (1 << 31, 2.0), (1 << 32, 1.5)):
+        with pytest.raises(OtError, match="below 2\\^32"):
+            make_bs_params(N=N, alpha=alpha, k=1)
+
+
 def test_phase1_bookkeeping_and_meter():
     params = make_bs_params(N=4096, ell=16)
     rng = substream(2024, "ot", "phase1")
@@ -243,6 +254,30 @@ def test_phase1_bookkeeping_and_meter():
         assert len(sample.indices) == params.n
         assert np.array_equal(sample.bits, tape[sample.indices])
         assert sample.peak_stored_bits == params.n <= params.N
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        make_bs_params(),
+        make_bs_params(N=4096, ell=16, k=8),
+        make_bs_params(N=1024, ell=16),
+        make_bs_params(N=256, ell=8),
+        BsOtParams(N=1 << 15, K=1 << 16, alpha=2.0, ell=64, n=2048, k=1),
+        BsOtParams(N=1 << 15, K=(1 << 16) - 1, alpha=2.0, ell=64, n=2048, k=1),
+    ],
+    ids=["default", "N4096", "N1024", "N256", "K-2^16", "K-2^16-1"],
+)
+def test_tape_positions_are_the_sample_stream(params):
+    # the bulk draw takes the words rng.sample would, no more; K = 2^16
+    # draws 17-bit values and rejects about half of them
+    for seed in range(20):
+        ours, ref = random.Random(seed), random.Random(seed)
+        indices = TapeSampler(params, ours).indices
+        expected = np.array(sorted(ref.sample(range(params.K), params.n)))
+        assert indices.dtype == expected.dtype
+        assert np.array_equal(indices, expected)
+        assert ours.getstate() == ref.getstate()
 
 
 def test_phase1_intersection_mean():
@@ -412,6 +447,27 @@ def test_solve_pair_matches_brute_force(t):
             _solve_pair(list(zip(dependent, parities(dependent, w))), t)
 
 
+@pytest.mark.parametrize("t", [3, 4, 5, 8, 60, 250])
+def test_ih_sender_solutions_match_solve_pair(t):
+    # the sender's back-substitution over her kept rows solves what the
+    # full elimination solves; replies are random bits, not those of one w
+    for seed in range(30):
+        replies = random.Random(-seed)
+        sender = IhSender(t, random.Random(seed))
+        while sender.need_more():
+            sender.next_constraint()
+            sender.push_reply(replies.getrandbits(1))
+        assert sender.solutions() == _solve_pair(sender.rounds, t)
+
+
+def test_ih_sender_solves_only_after_every_reply():
+    sender = IhSender(8, random.Random(1))
+    sender.next_constraint()
+    sender.push_reply(1)
+    with pytest.raises(OtError, match="replies"):
+        sender.solutions()
+
+
 def test_setpair_insufficient_intersection_is_retriable():
     params = tiny_params(ell=6)
     tape = np.zeros(params.K, dtype=np.uint8)
@@ -443,6 +499,19 @@ def test_transfer_recovers_chosen_message():
         _, _, sa, sb, pair, rng = run_tiny_session(b)
         m0, m1 = b"\xaa\x01", b"\x5b\x02"
         assert bs_transfer(m0, m1, pair, sa, sb, rng) == (m0, m1)[b]
+
+
+def test_pad_reads_the_stored_bits():
+    # the pad against a per-position reference; an unstored position raises
+    _, _, sa, sb, pair, _ = run_tiny_session(1)
+    positions = pair.chosen()
+    r = sum(sb.bit_at(int(p)) << j for j, p in enumerate(positions))
+    rows = random.Random(99)
+    pad = sum(((rows.getrandbits(len(positions)) & r).bit_count() & 1) << j for j in range(24))
+    assert decode_pair(99, bytes(3), positions, sb) == pad.to_bytes(3, "little")
+    unstored = next(p for p in range(sb.params.K) if p not in set(sb.indices.tolist()))
+    with pytest.raises(OtError, match=f"position {unstored} was not stored"):
+        decode_pair(99, bytes(3), np.append(positions, unstored), sb)
 
 
 def test_transfer_equal_messages_agree():

@@ -93,6 +93,13 @@ def test_payload_writer_reader_round_trip():
     r.done()
 
 
+@pytest.mark.parametrize("values", [[2**32], [0, -1], np.array([1, 2**32 + 5])])
+def test_u32s_refuses_values_that_would_wrap(values):
+    # the >u4 cast would wrap these to other positions without a word
+    with pytest.raises(ValueError, match="u32s"):
+        Writer().u32s(values)
+
+
 def test_element_width_example():
     assert Writer().elem(GF11, 7).bytes() == b"\x07" + b"\x00" * 7
     assert Writer().elem(gf4(), 3).bytes() == b"\x03"
