@@ -45,7 +45,7 @@ from .session import (
     run_pair,
     run_role,
 )
-from .wire import DecodeError, Reader, TransportError, Writer
+from .wire import FORMAT_VERSION, DecodeError, Reader, TransportError, Writer
 
 _RESPONSE_MAGIC = b"PCR1"
 
@@ -117,7 +117,7 @@ def cmd_eval(args) -> int:
     except RefusalError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
-    w = Writer()
+    w = Writer().u8(FORMAT_VERSION)
     w.vector(cfg.field, resp.v).vector(cfg.field, resp.u)
     out = Path(args.output)
     out.write_bytes(_RESPONSE_MAGIC + w.bytes())
@@ -136,6 +136,9 @@ def cmd_verify(args) -> int:
     if raw[:4] != _RESPONSE_MAGIC:
         raise DecodeError("not a response file")
     r = Reader(raw[4:])
+    version = r.u8()
+    if version != FORMAT_VERSION:
+        raise DecodeError(f"unsupported response version {version}")
     resp = EvalResponse(v=r.vector(cfg.field), u=r.vector(cfg.field))
     r.done()
     if not verify(args.x, resp, vk, key, cfg):

@@ -458,13 +458,17 @@ def compare(a: int, b: int) -> int:
 
 
 def elem_size(field: Field) -> int:
-    """Serialized element width: 8 bytes (little-endian) for prime fields,
-    1 byte for table fields."""
-    return 8 if field.kind == "prime" else 1
+    """Serialized element width: the least of 1, 2, 4 and 8 bytes that
+    holds q - 1, little-endian, for prime and table fields alike."""
+    bits = (field.q - 1).bit_length()
+    return 1 if bits <= 8 else 2 if bits <= 16 else 4 if bits <= 32 else 8
+
+
+_WIRE_DTYPES = {1: "u1", 2: "<u2", 4: "<u4", 8: "<u8"}
 
 
 def _wire_dtype(field: Field) -> str:
-    return "<u8" if elem_size(field) == 8 else "u1"
+    return _WIRE_DTYPES[elem_size(field)]
 
 
 def encode_elements(field: Field, values: Iterable[int]) -> bytes:
@@ -478,7 +482,6 @@ def decode_elements(field: Field, data: bytes) -> np.ndarray:
     if len(data) % width:
         raise DecodeError(f"{len(data)} bytes are not whole {width}-byte elements")
     try:
-        # uint64 words of 2**63 and above turn negative in int64 fields
         return field.asarray(np.frombuffer(data, dtype=_wire_dtype(field)))
     except FieldError as exc:
         raise DecodeError(str(exc)) from exc

@@ -20,6 +20,16 @@ the two parities
 in O(c*s) field operations, and recovery returns
 highRow(x) v - u lowRow(x)^T, which equals f(x) for honest responses.
 
+A forged response passes with probability at most 2/r^c against a prover
+that tabulates one matrix: the value tables hold highRow(z) M with the same
+M for every z in S, and nothing checks that.  A prover that tabulated
+A1+B on one half of S and A2+B on the other answers x = 1 with either
+value; counted exactly over every verifier key, each answer passed at
+0.214 / 0.214 (q, s, r, c = 17, 5, 2, 2; 2/r^c = 0.500), 0.091 / 0.091
+(23, 7, 2, 3; 0.250), 0.227 / 0.318 (23, 5, 3, 2; 0.222), 0.233 / 0.233
+(29, 5, 4, 2; 0.125) and 0.113 / 0.113 (43, 5, 8, 3; 0.004).  So a split
+stays under 2/r^c at r = 2, the default, and not for r >= 3.
+
 The commitment has one implementation, two halves over batch calls:
 :func:`commit_send` builds the left table P_high(S)(A+B) and the right
 table (B P_low(S)^T)^T once each and serves c left runs, then c right

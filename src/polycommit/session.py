@@ -7,7 +7,8 @@ VERDICT -> orderly ABORT(0).  The prover runs
 :func:`~polycommit.protocol.commit_receive`; the config fixes their
 schedule (c left runs, then c right runs), so no frame marks a run.  Any
 frame out of order aborts with a protocol-violation code.  The prover
-refuses queries above the agreed bound without ending the session.
+refuses queries above the agreed bound, and new points past the config's
+query budget, without ending the session.
 
 OT backends supply the 1-of-2 steps of the commitment halves one batch per
 S2PC: ``send(chan, m0s, m1s, rng)`` carries the |S|-1 message pairs of the
@@ -196,19 +197,24 @@ class ProverSession:
             )
             expect(chan, f, Tag.COMMIT_DONE)
 
+            budget = cfg.query_budget
             while True:
                 # a VERDICT is parsed and needs no reply
                 tag, value = expect(chan, f, Tag.EVAL_REQ, Tag.VERDICT, Tag.ABORT)
                 if tag == Tag.EVAL_REQ:
                     x = value
-                    if x in self._seen_queries:
+                    new = x not in self._seen_queries
+                    if not new:
                         log.warning("duplicate query point %d", x)
-                    self._seen_queries.add(x)
                     try:
+                        # a repeated point reveals nothing new and costs nothing
+                        if new and budget is not None and len(self._seen_queries) >= budget:
+                            raise RefusalError(f"query {x} is past the budget {budget}")
                         resp = evaluate(x, self.matrix, self.prover_key, cfg)
                     except RefusalError:
                         chan.send(Tag.EVAL_RESP, Writer().u8(1).bytes())
                         continue
+                    self._seen_queries.add(x)
                     w = Writer().u8(0)
                     w.vector(f, resp.v).vector(f, resp.u)
                     chan.send(Tag.EVAL_RESP, w.bytes())
@@ -259,7 +265,7 @@ class VerifierSession:
             if budget is not None and len(self.queries) > budget:
                 log.warning(
                     "query count %d exceeds the privacy budget %d; "
-                    "entropy floor d-(m+c)^2 keeps degrading",
+                    "the prover refuses new points past it",
                     len(self.queries),
                     budget,
                 )

@@ -4,9 +4,10 @@ The bottom layer of the package: it imports only the field module, and the
 OT lanes, the protocol's config and state files and the session roles all
 build on it.  Frame layout: 4-byte big-endian payload length, 1 tag byte,
 payload.  Unknown tags, 3 included, abort the session.
-Field elements follow the field module's widths: 8-byte little-endian for
-prime fields, 1 byte for table fields; matrices are row-major with
-explicit dimensions.
+Field elements follow the field module's widths: little-endian, in the
+least of 1, 2, 4 and 8 bytes that holds q - 1 (1 byte at GF(11) and
+GF(4), 4 at q = 1,002,017); matrices are row-major with explicit
+dimensions.
 
 Decoding raises :class:`DecodeError` and nothing else, for a malformed
 frame or a non-canonical element; writers take canonical values unchecked.
@@ -43,7 +44,7 @@ __all__ = [
     "TranscriptRecorder",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MAX_FRAME_PAYLOAD = 1 << 24
 
 

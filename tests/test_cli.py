@@ -10,11 +10,13 @@ from polycommit.protocol import (
     ProverKey,
     VerificationKey,
     VerifierKey,
+    config_to_json,
     load_prover_state,
     load_verifier_state,
     save_prover_state,
     save_verifier_state,
 )
+from polycommit.wire import Reader, Writer
 
 
 def run_cli(*argv):
@@ -78,7 +80,7 @@ def test_commit_eval_verify_cycle(config_path, tmp_path, capsys):
     assert "accept" in capsys.readouterr().out
     # tampered response file must be rejected with the dedicated exit code
     raw = bytearray(resp.read_bytes())
-    raw[8] = (raw[8] + 1) % 11  # magic(4) + count(4), then the first element
+    raw[9] = (raw[9] + 1) % 11  # magic(4) + version(1) + count(4), then the first element
     resp.write_bytes(bytes(raw))
     assert run_cli("verify", "--state-dir", state, "--x", 3, "--response", resp) == 5
 
@@ -151,3 +153,53 @@ def test_verify_refuses_a_misshapen_verifier_state(config_path, tmp_path, capsys
     _reshape_verifier_state(state / "verifier.state", case)
     assert run_cli("verify", "--state-dir", state, "--x", 3, "--response", resp) == 4
     assert "expected" in capsys.readouterr().err
+
+
+def _v1_elements(*arrays):
+    """Count-prefixed arrays as version 1 wrote them: every element of a
+    prime field in 8 bytes; a matrix carries rows and columns."""
+    return b"".join(
+        b"".join(n.to_bytes(4, "big") for n in a.shape) + a.astype("<u8").tobytes()
+        for a in map(np.asarray, arrays)
+    )
+
+
+def _v1_state(magic, cfg, body):
+    doc = json.loads(config_to_json(cfg))
+    doc["version"] = 1
+    head = Writer().u8(1).blob(json.dumps(doc, indent=2, sort_keys=True).encode()).bytes()
+    return magic + head + body
+
+
+def test_version_1_files_end_in_exit_4(config_path, tmp_path, capsys):
+    state = tmp_path / "state"
+    assert run_cli("commit", "--config", config_path, "--state-dir", state) == 0
+    resp = tmp_path / "resp.bin"
+    assert run_cli("eval", "--state-dir", state, "--x", 3, "-o", resp) == 0
+    r = Reader(resp.read_bytes()[4:])
+    assert r.u8() == 2
+    cfg, key, vk, rounds = load_verifier_state(state / "verifier.state")
+    v, u = r.vector(cfg.field), r.vector(cfg.field)
+    capsys.readouterr()
+
+    # a response from version 1: no version byte, 8-byte elements
+    old_resp = tmp_path / "old.bin"
+    old_resp.write_bytes(b"PCR1" + _v1_elements(v, u))
+    assert run_cli("verify", "--state-dir", state, "--x", 3, "--response", old_resp) == 4
+    assert "unsupported response version 0" in capsys.readouterr().err
+
+    verifier_v1 = _v1_state(
+        b"PCV1", cfg,
+        _v1_elements(key.lambdas, key.thetas, vk.gamma, vk.omega) + rounds.to_bytes(4, "big"),
+    )
+    (state / "verifier.state").write_bytes(verifier_v1)
+    assert run_cli("verify", "--state-dir", state, "--x", 3, "--response", resp) == 4
+    assert "unsupported state version 1" in capsys.readouterr().err
+
+    _, coeffs, prover_key, rounds = load_prover_state(state / "prover.state")
+    prover_v1 = _v1_state(
+        b"PCP1", cfg, _v1_elements(coeffs, prover_key.mask) + rounds.to_bytes(4, "big")
+    )
+    (state / "prover.state").write_bytes(prover_v1)
+    assert run_cli("eval", "--state-dir", state, "--x", 3, "-o", resp) == 4
+    assert "unsupported state version 1" in capsys.readouterr().err

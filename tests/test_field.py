@@ -17,7 +17,13 @@ from polycommit import (
     validate_spec,
     wire,
 )
-from polycommit.field import BULK_DRAW_MIN, DecodeError, decode_elements
+from polycommit.field import (
+    BULK_DRAW_MIN,
+    DecodeError,
+    decode_elements,
+    elem_size,
+    encode_elements,
+)
 
 GF11 = PrimeField(11)
 GF4 = gf4()
@@ -344,15 +350,41 @@ BIG = PrimeField(2**61 - 1)  # object-dtype arrays
 @pytest.mark.parametrize(
     "field, data",
     [
-        (GF11, (11).to_bytes(8, "little")),  # q itself
-        (GF11, b"\xff" * 8),  # beyond int64
+        (GF11, (11).to_bytes(8, "little")),  # q itself, then seven zeros
+        (GF11, b"\xff" * 8),  # eight all-ones elements
         (BIG, (2**61 - 1).to_bytes(8, "little")),
         (BIG, b"\xff" * 8),
         (GF4, b"\x01\x04"),
-        (GF11, bytes(7)),  # not whole elements
+        (PrimeField(257), bytes(7)),  # not whole 2-byte elements
     ],
 )
 def test_decode_rejects_malformed_bytes(field, data):
     with pytest.raises(DecodeError):
         decode_elements(field, data)
     assert wire.DecodeError is DecodeError
+
+
+@pytest.mark.parametrize(
+    "field, width",
+    [
+        (PrimeField(251), 1),
+        (PrimeField(257), 2),
+        (PrimeField(65_521), 2),
+        (PrimeField(65_537), 4),
+        (PrimeField(4_294_967_291), 4),
+        (PrimeField(4_294_967_311), 8),
+        (GF4, 1),
+    ],
+    ids=lambda v: str(v.q) if hasattr(v, "q") else f"{v}B",
+)
+def test_element_width_edges(field, width):
+    # the least of 1, 2, 4 and 8 bytes that holds q - 1
+    top = field.q - 1
+    assert elem_size(field) == width
+    data = encode_elements(field, [top, 0])
+    assert data == top.to_bytes(width, "little") + bytes(width)
+    assert decode_elements(field, data).tolist() == [top, 0]
+    assert wire.Reader(wire.Writer().elem(field, top).bytes()).elem(field) == top
+    for bad in (field.q.to_bytes(width, "little"), b"\xff" * width):
+        with pytest.raises(DecodeError):
+            decode_elements(field, bad)

@@ -206,7 +206,7 @@ def test_commit_prover_view_invariant_under_verifier_key():
     "field, d, r, c, xi, transfers, digest",
     [
         (GF11, 9, 2, 3, 6, 18,
-         "a04e2e16145f9b01fa6d7f295a8d49a142e94a0e7dfacccbe801985afc39a02b"),
+         "40de4b0d34583f0b45496f89b1ef8298da36047afa390fde1208dd7db62b978c"),
         (PrimeField(1_099_511_627_803), 25, 3, 2, 2**40, 44,  # object dtype
          "f1887a7ddc53acba6e24200dc5df1d8493cd391312257883771a31bb731fea32"),
         (gf4(), 4, 2, 1, 0, 2,

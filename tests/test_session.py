@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from polycommit import PrimeField, s2pc, wire
-from polycommit.field import encode_elements
+from polycommit.field import elem_size, encode_elements
 from polycommit.ot import (
     MAX_BROADCASTS,
     IdealOt,
@@ -101,7 +101,7 @@ def test_bounded_storage_backend_end_to_end():
 
 
 def test_bounded_storage_wire_is_stable():
-    # Golden digest of the prover's whole transcript (239 frames, 22,843
+    # Golden digest of the prover's whole transcript (239 frames, 22,479
     # bytes, 7 broadcasts for 6 transfers in 2 batches of 3 lanes).  A
     # change to an RNG stream or to the wire format must update it on
     # purpose.
@@ -112,9 +112,9 @@ def test_bounded_storage_wire_is_stable():
     )
     assert res_p.exit_code == EXIT_OK and res_v.exit_code == EXIT_OK
     blob = b"".join(wire.encode_frame(t, p) for t, p in res_p.transcript.frames)
-    assert (len(res_p.transcript.frames), len(blob)) == (239, 22_843)
+    assert (len(res_p.transcript.frames), len(blob)) == (239, 22_479)
     assert hashlib.sha256(blob).hexdigest() == (
-        "263003011cd60d90b68e8a0e79b3545c5fffd68d78daaee2adefafc461ce685f"
+        "25650f9000b4ea926230bed001ee9f1309c394b27894141630721b7c414fa52f"
     )
 
 
@@ -164,8 +164,25 @@ def test_bounded_storage_lanes_keep_each_transfer():
     digests = lane_digests(res_p.transcript.frames, t)
     assert len(digests) == 6
     assert hashlib.sha256(b"".join(digests)).hexdigest() == (
-        "88a867963ef7f45b21d8a7f041a51051801101c0594489c8b9769e37ebf8598e"
+        "9db72882f751129a16fcaa7065d4de2cb709e82242dc699093cb413ff2d5d70c"
     )
+
+
+def test_bounded_storage_ciphertexts_are_one_byte_per_element():
+    # At the session-bs-tcp config (GF(11), d = 9, c = 3) each 1-of-2
+    # message is s = 3 one-byte elements, so each ciphertext is 3 bytes.
+    cfg = desk_config()
+    res_p, _, _ = run_pair(
+        cfg, honest_coefficients(cfg, 14), [1], seed=14, backend="bs", bs_params=SMALL_BS
+    )
+    ciphertexts = [
+        ct
+        for tag, payload in res_p.transcript.frames
+        if tag == Tag.ENCODED_PAIR
+        for pair in parse(tag, payload)
+        for _, ct in pair
+    ]
+    assert ciphertexts and {len(ct) for ct in ciphertexts} == {3}
 
 
 def test_tcp_channels_send_without_nagle():
@@ -223,6 +240,9 @@ def test_prover_transcript_independent_of_verifier_key():
 
 
 def test_query_budget_warns_but_never_stops():
+    # the verifier warns; the prover refuses the third distinct point as it
+    # refuses one above xi, answers a repeat of the first, and the session
+    # goes on to its end
     import logging
 
     cfg = make_config(GF11, d=9, r=2, c=3, xi=6, query_budget=2)
@@ -233,10 +253,12 @@ def test_query_budget_warns_but_never_stops():
     handler.emit = records.append
     logger.addHandler(handler)
     try:
-        res_p, res_v, outcome = run_pair(cfg, coeffs, [0, 1, 2], seed=30)
+        res_p, res_v, outcome = run_pair(cfg, coeffs, [0, 1, 2, 0], seed=30)
     finally:
         logger.removeHandler(handler)
-    assert res_v.exit_code == EXIT_OK and len(outcome.recovered) == 3
+    assert res_p.exit_code == res_v.exit_code == EXIT_OK
+    assert outcome.refused == [2]
+    assert outcome.recovered == [(x, horner_eval(GF11, coeffs, x)) for x in (0, 1, 0)]
     assert any("budget" in r.getMessage() for r in records)
 
 
@@ -734,9 +756,12 @@ class Outbox:
         return self._inner.recv()
 
 
+W = elem_size(GF11)  # bytes per element
+
+
 def q_at(data, offset):
     """``data`` with the element at byte ``offset`` replaced by q = 11."""
-    return data[:offset] + GF11.q.to_bytes(8, "little") + data[offset + 8 :]
+    return data[:offset] + GF11.q.to_bytes(W, "little") + data[offset + W :]
 
 
 def mangled(backend_cls, mangle, *args):
@@ -758,10 +783,10 @@ def mangled(backend_cls, mangle, *args):
 OT_MANGLES = {
     "ot-non-canonical": lambda m, n: q_at(m, 0),
     "ot-odd-length": lambda m, n: m[:-1],
-    "ot-one-element": lambda m, n: m[:8],
-    "ot-mixed-length": lambda m, n: m[: 8 * (3 - n % 2)],
+    "ot-one-element": lambda m, n: m[:W],
+    "ot-mixed-length": lambda m, n: m[: W * (3 - n % 2)],
     # 4, 2, 3 elements: wrong one by one, right in total
-    "ot-compensating-lengths": lambda m, n: (m + m[:8], m[:-8], m)[n],
+    "ot-compensating-lengths": lambda m, n: (m + m[:W], m[:-W], m)[n],
 }
 
 # Payloads that decode but do not parse: (sending role, tag, rewrite).

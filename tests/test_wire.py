@@ -101,7 +101,7 @@ def test_u32s_refuses_values_that_would_wrap(values):
 
 
 def test_element_width_example():
-    assert Writer().elem(GF11, 7).bytes() == b"\x07" + b"\x00" * 7
+    assert Writer().elem(GF11, 7).bytes() == b"\x07"
     assert Writer().elem(gf4(), 3).bytes() == b"\x03"
 
 
@@ -179,7 +179,7 @@ def test_config_json_table_field_round_trip():
         {"r": 1},
         {"c": 0},
         {"c": 5},  # c > |S|
-        {"version": 2},
+        {"version": 1},  # from before elements took their least width
         {"field": {"kind": "prime", "modulus": 12}},
         {"field": {"kind": "weird"}},
     ],
