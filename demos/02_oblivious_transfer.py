@@ -29,13 +29,14 @@ rng = random.Random(11)
 f = PrimeField(11)
 
 # --- layer 1: the ideal box ---------------------------------------------
-# One batch of two transfers: the sender deposits both pairs at once, the
+# One batch of two transfers: the sender deposits both pairs at once as a
+# (2, 2, 4) byte array, first messages then second messages, and the
 # receiver takes one message of each.
 box = IdealOt()
-box.send([b"left", b"left"], [b"rite", b"rite"])
+box.send(np.frombuffer(b"leftleftriterite", dtype=np.uint8).reshape(2, 2, 4))
 picked = box.receive((0, 1))
-print("ideal OT:", *picked)
-print("sender trace holds the pairs only:", box.sender_trace)
+print("ideal OT:", *(m.tobytes() for m in picked))
+print("sender trace holds the batches only:", [pairs.tobytes() for pairs in box.sender_trace])
 
 # --- layer 2: 1-of-c reduction ------------------------------------------
 # Three scalar secrets; one mask r0 builds a 2 x 2 table whose columns are
@@ -45,7 +46,7 @@ secrets = [f.asarray([3]), f.asarray([7]), f.asarray([2])]
 table = build_reduction_table(f, secrets, None, masks=[f.asarray([4])])
 print("reduction table columns:", table[:, :, 0].T.tolist())
 for i in range(3):
-    print(f"  picks to learn secret {i}: rows {row_picks(i, 3)}")
+    print(f"  picks to learn secret {i}: rows {row_picks(i, 3).tolist()}")
 for i in range(3):
     got = ot_c_of_1(f, secrets, i, IdealOt(), rng)
     print(f"  1-of-3 transfer for index {i} ->", int(got[0]))

@@ -69,14 +69,14 @@ Three layers, each independently testable:
    table so that any single row choice per column reveals exactly one
    secret; one batch of c-1 1-of-2 transfers carries the receiver's picks
    and a telescoping sum recovers the target secret.  Its two halves take
-   the batched 1-of-2 steps as callables, ``send(m0s, m1s)`` and
+   the batched 1-of-2 steps as callables, ``send(pairs)`` and
    ``receive(bits) -> picks``; :func:`ot_c_of_1` runs them back to back
    over an :class:`IdealOt`.
 
-Messages at the 1-of-2 layer are opaque equal-length byte strings; the
-reduction layer works on arrays of field elements, one row per message,
-and serializes the whole table, or all the picks, in one codec call at
-the backend boundary.
+A batch of L 1-of-2 transfers is one (2, L, w) uint8 array, ``pairs[0, j]``
+and ``pairs[1, j]`` the two messages of transfer j, and the picks are one
+(L, w) array.  The reduction encodes its table, and decodes the picks, in
+one codec call each; the bounded-storage lanes pad each message as bytes.
 """
 
 from __future__ import annotations
@@ -151,32 +151,35 @@ class IdealOt:
     ``send``/``receive`` rendezvous through a thread-safe queue holding one
     item per batch, so the two roles may live on different threads, or one
     thread may deposit every batch before taking any.  ``sender_trace``
-    records everything the sender ever observes: the deposited pairs, one
-    record per pair, byte-identical regardless of any choice bit.
+    records everything the sender ever observes: each deposited batch,
+    read-only, byte-identical regardless of any choice bit.
     """
 
     def __init__(self):
-        self.sender_trace: list[tuple[bytes, bytes]] = []
-        self._batches: queue.Queue[list[tuple[bytes, bytes]]] = queue.Queue()
+        self.sender_trace: list[np.ndarray] = []
+        self._batches: queue.Queue[np.ndarray] = queue.Queue()
 
-    def send(self, m0s: Sequence[bytes], m1s: Sequence[bytes]) -> None:
-        """Deposit the pairs (m0s[j], m1s[j]) as one batch."""
-        if len(m0s) != len(m1s):
-            raise OtError("a batch needs as many first as second messages")
-        pairs = [(bytes(m0), bytes(m1)) for m0, m1 in zip(m0s, m1s)]
-        if any(len(m0) != len(m1) for m0, m1 in pairs):
-            raise OtError("messages in one OT session must have equal length")
-        self.sender_trace.extend(pairs)
+    def send(self, pairs: np.ndarray) -> None:
+        """Deposit the (2, L, w) uint8 array ``pairs`` as one batch of L
+        transfers, (pairs[0, j], pairs[1, j]) the pair of transfer j."""
+        if pairs.dtype != np.uint8 or pairs.ndim != 3 or len(pairs) != 2:
+            raise OtError(f"a batch is a (2, L, w) uint8 array, not {pairs.dtype} {pairs.shape}")
+        if pairs.flags.writeable:  # the trace keeps what was sent
+            pairs = pairs.copy()
+            pairs.flags.writeable = False
+        self.sender_trace.append(pairs)
         self._batches.put(pairs)
 
-    def receive(self, bits: Sequence[int], timeout: float | None = 30.0) -> list[bytes]:
-        """Take the next batch: message bits[j] of its pair j."""
-        if any(b not in (0, 1) for b in bits):
+    def receive(self, bits, timeout: float | None = 30.0) -> np.ndarray:
+        """Take the next batch: message bits[j] of its transfer j, as one
+        (L, w) array."""
+        bits = np.asarray(bits)
+        if not np.all((bits == 0) | (bits == 1)):
             raise OtError("choice must be a bit")
         pairs = self._batches.get(timeout=timeout)
-        if len(pairs) != len(bits):
-            raise OtError(f"batch holds {len(pairs)} transfers, receiver chose {len(bits)}")
-        return [pair[b] for pair, b in zip(pairs, bits)]
+        if bits.shape != pairs.shape[1:2]:
+            raise OtError(f"batch holds {pairs.shape[1]} transfers, receiver chose {bits.shape}")
+        return pairs[bits, np.arange(len(bits))]
 
 
 # ---------------------------------------------------------------------------
@@ -721,9 +724,9 @@ def _broadcast_receive(chan, params: BsOtParams, t: int, rng: random.Random):
     raise OtError(f"no usable broadcast in {MAX_BROADCASTS} attempts")
 
 
-def ot2_wire_send(chan, params: BsOtParams, m0s, m1s, rng: random.Random) -> None:
-    """Sender side of one batch of bounded-storage transfers, one lane per
-    transfer.  Each lane's broadcasts come first, lane after lane; right
+def ot2_wire_send(chan, params: BsOtParams, pairs: np.ndarray, rng: random.Random) -> None:
+    """Sender side of one (2, L, w) batch of bounded-storage transfers, one
+    lane per transfer.  Each lane's broadcasts come first, lane after lane; right
     after a lane's accepted broadcast she draws its t-1 constraints and its
     two extractor seeds, so each lane draws what the same transfer run
     alone would.  Then each IH round is one constraint frame for every
@@ -731,7 +734,7 @@ def ot2_wire_send(chan, params: BsOtParams, m0s, m1s, rng: random.Random) -> Non
     frame close the batch."""
     t = hashing_bits(params.n, params.subset_size, params.k)
     lanes = []
-    for _ in m0s:
+    for _ in range(pairs.shape[1]):
         sample = _broadcast_send(chan, params, rng)
         ih = IhSender(t, rng)
         while ih.need_more():
@@ -750,19 +753,20 @@ def ot2_wire_send(chan, params: BsOtParams, m0s, m1s, rng: random.Random) -> Non
     if len(swaps) != len(lanes):
         raise DecodeError(f"expected {len(lanes)} swap bits, got {len(swaps)}")
     w = Writer()
-    for (sample, ih, seeds), swap, m0, m1 in zip(lanes, swaps, m0s, m1s):
+    for (sample, ih, seeds), swap, m0, m1 in zip(lanes, swaps, *pairs):
         w0, w1 = ih.solutions()
         x0, x1 = ih_sets(sample.indices, w0, w1, swap, params.subset_size)
-        for seed, ciphertext in encode_pair(m0, m1, x0, x1, sample, seeds):
+        for seed, ciphertext in encode_pair(m0.tobytes(), m1.tobytes(), x0, x1, sample, seeds):
             w.u64(seed).blob(ciphertext)
     chan.send(Tag.ENCODED_PAIR, w.bytes())
 
 
-def ot2_wire_receive(chan, params: BsOtParams, bits, rng: random.Random) -> list[bytes]:
+def ot2_wire_receive(chan, params: BsOtParams, bits, rng: random.Random) -> np.ndarray:
     """Receiver side of one batch of bounded-storage transfers: pick
-    bits[j] of lane j.  Each constraint is checked as it arrives and every
-    lane is solved before the swap frame goes out, so a malformed
-    constraint ends the batch before the choice bits touch the wire."""
+    bits[j] of lane j, as one (L, w) array.  Each constraint is checked as
+    it arrives and every lane is solved before the swap frame goes out, so
+    a malformed constraint ends the batch before the choice bits touch the
+    wire.  Lanes whose ciphertexts differ in length are refused."""
     t = hashing_bits(params.n, params.subset_size, params.k)
     lanes = [_broadcast_receive(chan, params, t, rng) for _ in bits]
     rounds = [[] for _ in lanes]
@@ -779,11 +783,14 @@ def ot2_wire_receive(chan, params: BsOtParams, bits, rng: random.Random) -> list
     pairs = expect(chan, None, Tag.ENCODED_PAIR)[1]
     if len(pairs) != len(lanes):
         raise DecodeError(f"expected {len(lanes)} encoded pairs, got {len(pairs)}")
+    if len({len(ct) for pair in pairs for _, ct in pair}) > 1:
+        raise DecodeError("the lanes' ciphertexts differ in length")
     # X_b is the receiver's own subset: swap puts the solution equal to w there
-    return [
+    picks = b"".join(
         decode_pair(*pair[b], omega_a[colex_unrank(w, params.subset_size, len(omega_a))], sample)
         for (omega_a, sample, w), pair, b in zip(lanes, pairs, bits)
-    ]
+    )
+    return np.frombuffer(picks, dtype=np.uint8).reshape(len(lanes), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -791,12 +798,7 @@ def ot2_wire_receive(chan, params: BsOtParams, bits, rng: random.Random) -> list
 # ---------------------------------------------------------------------------
 
 
-def build_reduction_table(
-    field: Field,
-    secrets,
-    rng: random.Random,
-    masks=None,
-) -> np.ndarray:
+def build_reduction_table(field: Field, secrets, rng: random.Random, masks=None) -> np.ndarray:
     """Mask c secrets (a c x width array, or c equal-length vectors) into
     a 2 x (c-1) x width table T, T[row, column].
 
@@ -810,22 +812,26 @@ def build_reduction_table(
     c = len(secrets)
     if c < 2:
         raise OtError(f"need at least two secrets, got {c}")
+    table = np.empty((2, c - 1, *secrets.shape[1:]), dtype=secrets.dtype)
     if c == 2:
-        return np.stack([secrets[:1], secrets[1:]])
+        table[:, 0] = secrets
+        return table
     if masks is None:
         masks = field.vsample(rng, secrets[1:-1].size).reshape(secrets[1:-1].shape)
     elif len(masks) != c - 2:
         raise OtError(f"need exactly {c - 2} masks, got {len(masks)}")
     masks = np.asarray(masks)
-    top = np.concatenate([secrets[:1], field.vadd(secrets[1:-1], masks)])
-    bottom = np.concatenate(
-        [masks[:1], field.vadd(masks[:-1], masks[1:]), field.vadd(secrets[-1:], masks[-1:])]
-    )
-    return np.stack([top, bottom])
+    table[0, 0] = secrets[0]
+    table[0, 1:] = field.vadd(secrets[1:-1], masks)
+    table[1, 0] = masks[0]
+    table[1, 1:-1] = field.vadd(masks[:-1], masks[1:])
+    table[1, -1] = field.vadd(secrets[-1], masks[-1])
+    return table
 
 
-def row_picks(i: int, c: int) -> tuple[int, ...]:
-    """Row choice per column (0 = first row, 1 = second) to learn secret i.
+def row_picks(i: int, c: int) -> np.ndarray:
+    """Row choice per column (0 = first row, 1 = second) to learn secret i,
+    as an array of c-1 bits.
 
     Second row below column i, first row at column i; columns past i do
     not affect the outcome and are fixed to the second row so receiver
@@ -833,9 +839,7 @@ def row_picks(i: int, c: int) -> tuple[int, ...]:
     """
     if not 0 <= i < c:
         raise OtError(f"target index {i} out of range for c={c}")
-    if c == 2:
-        return (i,)
-    return tuple(0 if j == i else 1 for j in range(c - 1))
+    return (np.arange(c - 1) != i).astype(np.intp)
 
 
 def decode_c_of_1(field: Field, received, i: int, c: int) -> np.ndarray:
@@ -852,34 +856,25 @@ def decode_c_of_1(field: Field, received, i: int, c: int) -> np.ndarray:
 
 
 def ot_c_of_1_send(field: Field, secrets, send, rng) -> None:
-    """Sender half: the reduction table, encoded at once, as one
-    ``send(m0s, m1s)`` batch of c-1 transfers, one per column."""
+    """Sender half: the reduction table, encoded at once, viewed as the
+    (2, c-1, w) batch of one ``send(pairs)`` call, a transfer per column."""
     table = build_reduction_table(field, secrets, rng)
-    columns = table.shape[1]
-    data = encode_elements(field, table)
-    size = elem_size(field) * table[0, 0].size
-    msgs = [data[j * size : (j + 1) * size] for j in range(2 * columns)]
-    send(msgs[:columns], msgs[columns:])
+    data = np.frombuffer(encode_elements(field, table), dtype=np.uint8)
+    send(data.reshape(2, table.shape[1], -1))
 
 
 def ot_c_of_1_receive(field: Field, i: int, c: int, receive, width: int) -> np.ndarray:
-    """Receiver half: one ``receive(bits)`` batch, each pick ``width``
-    elements long, decoded at once; then secret i."""
+    """Receiver half: one ``receive(bits)`` batch of c-1 picks, each
+    ``width`` elements long, decoded at once; then secret i."""
     picks = receive(row_picks(i, c))
-    size = elem_size(field)
-    if any(len(m) != width * size for m in picks):
-        raise DecodeError(f"a 1-of-2 message is not {width} {size}-byte elements")
-    received = decode_elements(field, b"".join(picks)).reshape(len(picks), width)
+    size = width * elem_size(field)
+    if picks.shape != (c - 1, size):
+        raise DecodeError(f"1-of-2 picks of shape {picks.shape}, not ({c - 1}, {size}) bytes")
+    received = decode_elements(field, picks.reshape(-1)).reshape(c - 1, width)
     return decode_c_of_1(field, received, i, c)
 
 
-def ot_c_of_1(
-    field: Field,
-    secrets,
-    i: int,
-    box,
-    rng: random.Random,
-) -> np.ndarray:
+def ot_c_of_1(field: Field, secrets, i: int, box, rng: random.Random) -> np.ndarray:
     """1-of-c transfer run locally: both halves in turn over an ideal box."""
     ot_c_of_1_send(field, secrets, box.send, rng)
     return ot_c_of_1_receive(field, i, len(secrets), box.receive, len(secrets[0]))

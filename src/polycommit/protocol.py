@@ -283,7 +283,7 @@ def _schedule(cfg: ProtocolConfig) -> list[tuple[int, int]]:
 def commit_send(cfg: ProtocolConfig, coeff_matrix, prover_key: ProverKey, send, rng) -> None:
     """Prover half: one value table per kind, then for each run of the
     schedule a 1-of-|S| sender half over the kind's table, one
-    ``send(m0s, m1s)`` batch."""
+    ``send(pairs)`` batch."""
     f = cfg.field
     tables = {
         LEFT: s2pc.build_value_table(

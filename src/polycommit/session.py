@@ -11,13 +11,13 @@ refuses queries above the agreed bound, and new points past the config's
 query budget, without ending the session.
 
 OT backends supply the 1-of-2 steps of the commitment halves one batch per
-S2PC: ``send(chan, m0s, m1s, rng)`` carries the |S|-1 message pairs of the
-sender's reduction table and ``receive(chan, bits, rng)`` returns one pick
-per bit.  "ideal" shares a trusted in-process box between co-hosted roles
-(one queue item per S2PC, so the sender may run ahead of the receiver and
-no OT frame touches the wire); "bs" runs the batch on the wire as
-L = |S|-1 lanes of :func:`~polycommit.ot.ot2_wire_send` and
-:func:`~polycommit.ot.ot2_wire_receive`, so a bounded-storage run works
+S2PC: ``send(chan, pairs, rng)`` carries the sender's reduction table as
+one (2, |S|-1, w) uint8 array and ``receive(chan, bits, rng)`` returns the
+picks as one (|S|-1, w) array.  "ideal" shares a trusted in-process box
+between co-hosted roles (one queue item per S2PC, so the sender may run
+ahead of the receiver and no OT frame touches the wire); "bs" runs the
+batch on the wire as L = |S|-1 lanes of :func:`~polycommit.ot.ot2_wire_send`
+and :func:`~polycommit.ot.ot2_wire_receive`, so a bounded-storage run works
 across real sockets.
 
 Each frame a role receives, ABORT included, is parsed to its last byte by
@@ -126,8 +126,8 @@ class IdealBackend:
     box: IdealOt = dc_field(default_factory=IdealOt)
     name: str = "ideal"
 
-    def send(self, chan, m0s, m1s, rng):
-        self.box.send(m0s, m1s)
+    def send(self, chan, pairs, rng):
+        self.box.send(pairs)
 
     def receive(self, chan, bits, rng):
         try:
@@ -144,8 +144,8 @@ class BsBackend:
     params: BsOtParams = dc_field(default_factory=make_bs_params)
     name: str = "bs"
 
-    def send(self, chan, m0s, m1s, rng):
-        ot2_wire_send(chan, self.params, m0s, m1s, rng)
+    def send(self, chan, pairs, rng):
+        ot2_wire_send(chan, self.params, pairs, rng)
 
     def receive(self, chan, bits, rng):
         return ot2_wire_receive(chan, self.params, bits, rng)
@@ -192,7 +192,7 @@ class ProverSession:
                 cfg,
                 self.matrix,
                 self.prover_key,
-                lambda m0s, m1s: self.backend.send(chan, m0s, m1s, self.rng),
+                lambda pairs: self.backend.send(chan, pairs, self.rng),
                 self.rng,
             )
             expect(chan, f, Tag.COMMIT_DONE)

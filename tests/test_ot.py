@@ -35,10 +35,11 @@ from polycommit.ot import (
     ih_narrow,
     make_bs_params,
     ot_c_of_1,
+    ot_c_of_1_send,
     row_picks,
 )
-from polycommit.session import BsBackend
-from polycommit.wire import duplex_pair
+from polycommit.session import BsBackend, IdealBackend
+from polycommit.wire import DecodeError, Tag, Writer, duplex_pair, parse
 
 GF11 = PrimeField(11)
 
@@ -46,38 +47,54 @@ GF11 = PrimeField(11)
 # -- ideal 1-of-2 --
 
 
+def batch(m0s, m1s):
+    """The (2, L, w) uint8 batch of the pairs (m0s[j], m1s[j])."""
+    return np.array([[list(m) for m in m0s], [list(m) for m in m1s]], dtype=np.uint8)
+
+
 def test_ideal_ot_selects():
     ot = IdealOt()
-    ot.send([b"\x05", b"\x06"], [b"\x09", b"\x0a"])
-    assert ot.receive((1, 0)) == [b"\x09", b"\x06"]
-    ot.send([b"\x05"], [b"\x09"])
-    assert ot.receive((0,)) == [b"\x05"]
+    ot.send(batch([b"\x05", b"\x06"], [b"\x09", b"\x0a"]))
+    picks = ot.receive((1, 0))
+    assert picks.dtype == np.uint8 and picks.tolist() == [[9], [6]]
+    ot.send(batch([b"\x05\x07"], [b"\x09\x0b"]))
+    assert ot.receive(np.array([0])).tolist() == [[5, 7]]
 
 
 def test_ideal_ot_identical_messages():
     ot = IdealOt()
     for b in (0, 1):
-        ot.send([b"same"], [b"same"])
-        assert ot.receive((b,)) == [b"same"]
+        ot.send(batch([b"same"], [b"same"]))
+        assert ot.receive((b,)).tobytes() == b"same"
 
 
 def test_ideal_ot_sender_trace_is_choice_free():
+    # one read-only record per batch, the same whatever the receiver picks
+    # and whatever the sender or the receiver later does to its own array
     traces = []
     for bits in ((0, 1), (1, 0)):
         ot = IdealOt()
-        ot.send([b"\x01\x02", b"\x05"], [b"\x03\x04", b"\x06"])
-        ot.receive(bits)
-        traces.append(list(ot.sender_trace))
-    assert traces[0] == traces[1] == [(b"\x01\x02", b"\x03\x04"), (b"\x05", b"\x06")]
+        sent = batch([b"\x01\x02", b"\x05\x00"], [b"\x03\x04", b"\x06\x00"])
+        ot.send(sent)
+        sent[:] = 0
+        ot.receive(bits)[:] = 0
+        assert len(ot.sender_trace) == 1 and not ot.sender_trace[0].flags.writeable
+        traces.append(ot.sender_trace[0].tobytes())
+    assert traces[0] == traces[1] == b"\x01\x02\x05\x00\x03\x04\x06\x00"
 
 
 def test_ideal_ot_rejects_length_mismatch():
-    with pytest.raises(OtError):
-        IdealOt().send([b"x"], [b"xy"])
-    with pytest.raises(OtError):
-        IdealOt().send([b"x", b"y"], [b"x"])
+    with pytest.raises(ValueError):  # a ragged batch is not even an array
+        batch([b"x"], [b"xy"])
+    for bad in (
+        np.zeros((2, 1), np.uint8),  # no message axis
+        np.zeros((3, 1, 1), np.uint8),  # not pairs
+        np.zeros((2, 1, 1), np.int64),  # not bytes
+    ):
+        with pytest.raises(OtError):
+            IdealOt().send(bad)
     ot = IdealOt()
-    ot.send([b"x", b"y"], [b"z", b"w"])
+    ot.send(batch([b"x", b"y"], [b"z", b"w"]))
     with pytest.raises(OtError):
         ot.receive((0,))  # one choice for a batch of two
     with pytest.raises(OtError):
@@ -133,11 +150,11 @@ def test_reduction_table_mask_uniformity():
 
 
 def test_row_picks_patterns():
-    assert row_picks(0, 3) == (0, 1)
-    assert row_picks(2, 3) == (1, 1)
-    assert row_picks(1, 3) == (1, 0)
-    assert row_picks(0, 2) == (0,)
-    assert row_picks(1, 2) == (1,)
+    assert row_picks(0, 3).tolist() == [0, 1]
+    assert row_picks(2, 3).tolist() == [1, 1]
+    assert row_picks(1, 3).tolist() == [1, 0]
+    assert row_picks(0, 2).tolist() == [0]
+    assert row_picks(1, 2).tolist() == [1]
     with pytest.raises(OtError):
         row_picks(3, 3)
 
@@ -197,7 +214,7 @@ def test_ot_c_of_1_sender_trace_independent_of_target():
         backend = IdealOt()
         secrets = [GF11.asarray([j + 1]) for j in range(3)]
         ot_c_of_1(GF11, secrets, i, backend, rng)
-        traces.append(backend.sender_trace)
+        traces.append([pairs.tobytes() for pairs in backend.sender_trace])
     assert traces[0] == traces[1] == traces[2]
 
 
@@ -617,24 +634,73 @@ def test_missing_bit_statistics_over_200_runs():
     assert abs(mean - 0.5) <= 4 * max(stderr, 1e-6)
 
 
+def over_duplex(backend, pairs, bits, seed):
+    """One batch through ``backend``: the sender on its own thread, the
+    receiver here, over a duplex pair; the receiver's picks."""
+    chan_s, chan_r = duplex_pair(timeout=10)
+    sender = threading.Thread(target=backend.send, args=(chan_s, pairs, random.Random(seed)))
+    sender.start()
+    try:
+        return backend.receive(chan_r, bits, random.Random(1000 + seed))
+    finally:
+        sender.join(timeout=10)
+        assert not sender.is_alive()
+
+
 def test_bs_backend_end_to_end():
     # the shipped transfer: both wire roles over a duplex pair, the sender
     # on its own thread; 20 random transfers in batches of 1 to 5
     backend = BsBackend(make_bs_params(N=4096, ell=16))
     rng = substream(2024, "ot", "bs-wire")
-    chan_s, chan_r = duplex_pair(timeout=10)
     for run, size in enumerate((1, 5, 4, 3, 2, 5)):
-        m0s = [rng.randbytes(6) for _ in range(size)]
-        m1s = [rng.randbytes(6) for _ in range(size)]
+        pairs = np.frombuffer(rng.randbytes(2 * size * 6), np.uint8).reshape(2, size, 6)
         bits = [rng.randrange(2) for _ in range(size)]
-        sender = threading.Thread(
-            target=backend.send, args=(chan_s, m0s, m1s, random.Random(run))
-        )
-        sender.start()
-        got = backend.receive(chan_r, bits, random.Random(1000 + run))
-        sender.join(timeout=10)
-        assert not sender.is_alive()
-        assert got == [(m0, m1)[b] for m0, m1, b in zip(m0s, m1s, bits)]
+        got = over_duplex(backend, pairs, bits, run)
+        assert got.tolist() == [pairs[b, j].tolist() for j, b in enumerate(bits)]
+
+
+@pytest.mark.parametrize("c, width", [(2, 1), (2, 3), (5, 1), (4, 2)])
+def test_ideal_and_bs_backends_return_the_same_picks(c, width):
+    # the reduction's own batch of 1-byte GF(11) elements through both
+    # backends; c = 2 is one column and no masks
+    rng = substream(2024, "ot", "backends", c, width)
+    secrets = GF11.vsample(rng, c * width).reshape(c, width)
+    batches = []
+    ot_c_of_1_send(GF11, secrets, batches.append, rng)
+    (pairs,) = batches
+    i = rng.randrange(c)
+    bits = row_picks(i, c)
+    ideal = over_duplex(IdealBackend(), pairs, bits, 0)
+    bs = over_duplex(BsBackend(make_bs_params(N=4096, ell=16)), pairs, bits, 0)
+    assert ideal.dtype == bs.dtype == np.uint8 and ideal.shape == bs.shape == (c - 1, width)
+    assert np.array_equal(ideal, bs)
+    assert np.array_equal(ideal, pairs[bits, np.arange(c - 1)])
+    received = decode_elements(GF11, bs.reshape(-1)).reshape(c - 1, width)
+    assert decode_c_of_1(GF11, received, i, c).tolist() == secrets[i].tolist()
+
+
+def test_bs_backend_refuses_ragged_lane_messages():
+    # a sender whose ENCODED_PAIR cuts j bytes off both ciphertexts of lane j
+    class Ragged:
+        def __init__(self, inner):
+            self.inner, self.recv = inner, inner.recv
+
+        def send(self, tag, payload):
+            if tag == Tag.ENCODED_PAIR:
+                w = Writer()
+                for j, pair in enumerate(parse(tag, payload)):
+                    for seed, ciphertext in pair:
+                        w.u64(seed).blob(ciphertext[: len(ciphertext) - j])
+                payload = w.bytes()
+            self.inner.send(tag, payload)
+
+    class RaggedBs(BsBackend):
+        def send(self, chan, pairs, rng):
+            super().send(Ragged(chan), pairs, rng)
+
+    backend = RaggedBs(make_bs_params(N=4096, ell=16))
+    with pytest.raises(DecodeError):
+        over_duplex(backend, np.zeros((2, 2, 3), np.uint8), [0, 1], 0)
 
 
 def test_element_codec_round_trip():

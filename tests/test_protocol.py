@@ -198,7 +198,7 @@ def test_commit_prover_view_invariant_under_verifier_key():
         key = keygen_verifier(cfg, substream(2024, "protocol", "secrecy", tag))
         backend = IdealOt()
         commit(a, key, pk, cfg, backend, substream(2024, "protocol", "secrecy-rng"))
-        traces.append(backend.sender_trace)
+        traces.append([pairs.tobytes() for pairs in backend.sender_trace])
     assert traces[0] == traces[1]
 
 
@@ -224,10 +224,10 @@ def test_commit_sender_trace_is_stable(field, d, r, c, xi, transfers, digest):
     key = keygen_verifier(cfg, substream(5, "verifier"))
     box = IdealOt()
     commit(matrix, key, pk, cfg, box, substream(5, "commit"))
-    assert len(box.sender_trace) == transfers
+    assert sum(pairs.shape[1] for pairs in box.sender_trace) == transfers
     h = hashlib.sha256()
-    for m0, m1 in box.sender_trace:
-        h.update(m0 + m1)
+    for pairs in box.sender_trace:  # each transfer's m0 then m1
+        h.update(pairs.swapaxes(0, 1).tobytes())
     assert h.hexdigest() == digest
 
 

@@ -2,6 +2,7 @@
 and what one S2PC of each kind delivers through ``protocol.commit``."""
 
 import itertools
+import queue
 
 import numpy as np
 import pytest
@@ -105,7 +106,9 @@ def test_out_of_domain_aborts_before_any_message():
         box = IdealOt()
         with pytest.raises(ConfigError):
             commit(zero, key, ProverKey(zero), CFG, box, substream(0))
-        assert box.sender_trace == []
+        assert box.sender_trace == []  # no batch, so nothing to take either
+        with pytest.raises(queue.Empty):
+            box.receive(np.ones(len(CFG.prohibited) - 1, dtype=int), timeout=0)
 
 
 def test_sender_trace_invariant_across_receiver_inputs():
@@ -115,8 +118,9 @@ def test_sender_trace_invariant_across_receiver_inputs():
         rng = substream(2024, "s2pc", "trace")  # matched sender randomness
         box = IdealOt()
         commit(y, VerifierKey((x,), (x,)), ProverKey(y), CFG, box, rng)
-        traces.append(box.sender_trace)
-    assert all(t == traces[0] for t in traces)
+        assert all(not pairs.flags.writeable for pairs in box.sender_trace)
+        traces.append([pairs.tobytes() for pairs in box.sender_trace])
+    assert len(traces[0]) == 2 * CFG.c and all(t == traces[0] for t in traces)
 
 
 def test_receiver_posterior_uniform_on_fiber():

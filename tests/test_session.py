@@ -764,26 +764,53 @@ def q_at(data, offset):
     return data[:offset] + GF11.q.to_bytes(W, "little") + data[offset + W :]
 
 
+def q_first(pairs):
+    """A (2, L, w) batch ``pairs`` with the first element of every message
+    replaced by q = 11."""
+    out = pairs.copy()
+    out[..., :W] = np.frombuffer(GF11.q.to_bytes(W, "little"), np.uint8)
+    return out
+
+
 def mangled(backend_cls, mangle, *args):
-    """A ``backend_cls`` whose sender passes both messages of the n-th
-    1-of-2 of each batch through ``mangle(message, n)``."""
+    """A ``backend_cls`` whose sender passes each (2, L, w) batch through
+    ``mangle``."""
 
     class Mangled(backend_cls):
-        def send(self, chan, m0s, m1s, rng):
-            super().send(
-                chan,
-                [mangle(m, n) for n, m in enumerate(m0s)],
-                [mangle(m, n) for n, m in enumerate(m1s)],
-                rng,
-            )
+        def send(self, chan, pairs, rng):
+            super().send(chan, mangle(pairs), rng)
 
     return Mangled(*args)
 
 
+WIDE = make_config(PrimeField(257), d=9, r=2, c=1, xi=6)  # 2-byte elements
+
+# Batches the ideal box can carry, rewritten as a whole.
 OT_MANGLES = {
-    "ot-non-canonical": lambda m, n: q_at(m, 0),
-    "ot-odd-length": lambda m, n: m[:-1],
-    "ot-one-element": lambda m, n: m[:W],
+    "ot-non-canonical": q_first,
+    # run at WIDE, so the cut leaves half an element
+    "ot-odd-length": lambda pairs: pairs[..., :-1],
+    "ot-one-element": lambda pairs: pairs[..., :W],
+}
+
+
+def lane_ciphertexts(edit):
+    """An ENCODED_PAIR rewrite passing both ciphertexts of lane n through
+    ``edit(ciphertext, n)``."""
+
+    def rewrite(payload):
+        w = Writer()
+        for n, pair in enumerate(parse(Tag.ENCODED_PAIR, payload)):
+            for seed, ciphertext in pair:
+                w.u64(seed).blob(edit(ciphertext, n))
+        return w.bytes()
+
+    return rewrite
+
+
+# Lanes of unequal length, which an ideal box cannot hold and the
+# bounded-storage wire can carry.
+RAGGED_LANES = {
     "ot-mixed-length": lambda m, n: m[: W * (3 - n % 2)],
     # 4, 2, 3 elements: wrong one by one, right in total
     "ot-compensating-lengths": lambda m, n: (m + m[:W], m[:-W], m)[n],
@@ -837,10 +864,13 @@ LANE_FRAMES = {
 
 @pytest.mark.parametrize(
     "case",
-    ["eval-resp", "eval-req", *OT_MANGLES, "bs-non-canonical", *MALFORMED, *LANE_FRAMES],
+    [
+        "eval-resp", "eval-req", *OT_MANGLES, *RAGGED_LANES, "bs-non-canonical",
+        *MALFORMED, *LANE_FRAMES,
+    ],
 )
 def test_hostile_element_ends_both_roles_in_exit_4(case):
-    cfg = desk_config(c=1)
+    cfg = WIDE if case == "ot-odd-length" else desk_config(c=1)
     backend, prover_out, verifier_out = IdealBackend(), (), ()
     if case == "eval-resp":  # first v element is q
         prover_out = (Tag.EVAL_RESP, lambda p: q_at(p, 5))
@@ -856,6 +886,9 @@ def test_hostile_element_ends_both_roles_in_exit_4(case):
             verifier_out = (tag, rewrite)
     elif case == "bs-non-canonical":
         backend = mangled(BsBackend, OT_MANGLES["ot-non-canonical"], SMALL_BS)
+    elif case in RAGGED_LANES:
+        backend = BsBackend(SMALL_BS)
+        prover_out = (Tag.ENCODED_PAIR, lane_ciphertexts(RAGGED_LANES[case]))
     else:
         backend = mangled(IdealBackend, OT_MANGLES[case])
     chan_p, chan_v = duplex_pair(timeout=3)
