@@ -25,6 +25,7 @@ import numpy as np
 
 from .field import PrimeField
 from .protocol import (
+    ConfigError,
     EvalResponse,
     ProtocolConfig,
     ProverKey,
@@ -62,7 +63,6 @@ class CountingField:
     def __init__(self, inner):
         self._inner = inner
         self.counter = OpCounter()
-        self.kind = inner.kind
         self.q = inner.q
         self.dtype = inner.dtype
 
@@ -91,7 +91,7 @@ class CountingField:
         return self._inner.inv(a)
 
     def pow(self, a, e):
-        self.counter.mul += 2 * max(int(e).bit_length(), 1) if e >= 0 else 1
+        self.counter.mul += 2 * max(int(e).bit_length(), 1)
         return self._inner.pow(a, e)
 
     def sample(self, rng):
@@ -118,17 +118,9 @@ class CountingField:
         self.counter.add += max(self._size(a), self._size(b))
         return self._inner.vsub(a, b)
 
-    def vneg(self, a):
-        self.counter.add += self._size(a)
-        return self._inner.vneg(a)
-
     def vmul(self, a, b):
         self.counter.mul += max(self._size(a), self._size(b))
         return self._inner.vmul(a, b)
-
-    def smul(self, c, a):
-        self.counter.mul += self._size(a)
-        return self._inner.smul(c, a)
 
     def matmul(self, a, b):
         a2 = np.atleast_2d(a)
@@ -151,7 +143,8 @@ class BenchReport:
 
 def _raw_config(field, d: int, c: int) -> ProtocolConfig:
     s = math.isqrt(d)
-    assert s * s == d
+    if s * s != d:
+        raise ConfigError(f"degree bound {d} is not a perfect square")
     # no validation: see module docstring; the reserved set only needs
     # distinct points for the key matrices here
     prohibited = tuple(range(2, 2 + max(c, 2)))

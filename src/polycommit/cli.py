@@ -192,7 +192,7 @@ def cmd_run_role(args) -> int:
     else:
         kwargs["queries"] = default_queries(cfg, args.m, seed)
     code, transcript, outcome = run_role(
-        args.role, cfg, seed, (host, int(port)), backend="bs", **kwargs
+        args.role, cfg, seed, (host, int(port)), **kwargs
     )
     if args.transcript_dir:
         tdir = Path(args.transcript_dir)

@@ -235,16 +235,11 @@ def make_bs_params(
 
 @dataclass
 class StoredSample:
-    """One party's retained view of the broadcast: positions and bits.
-
-    ``peak_stored_bits`` is the instrumented storage meter; it counts tape
-    bits retained at any point and must stay within the declared bound.
-    """
+    """One party's retained view of the broadcast: positions and bits."""
 
     params: BsOtParams
     indices: np.ndarray  # sorted positions in [0, K)
     bits: np.ndarray  # uint8 bits at those positions
-    peak_stored_bits: int = 0
 
     def bit_at(self, position: int) -> int:
         i = int(np.searchsorted(self.indices, position))
@@ -303,9 +298,7 @@ class TapeSampler:
     def finish(self) -> StoredSample:
         if self._filled != self.params.n:
             raise OtError("tape stream ended before all stored positions were seen")
-        return StoredSample(
-            self.params, self.indices, self.bits, peak_stored_bits=self.params.n
-        )
+        return StoredSample(self.params, self.indices, self.bits)
 
 
 def iter_tape_chunks(params: BsOtParams, rng: random.Random):

@@ -118,7 +118,7 @@ def rank(field: Field, matrix: np.ndarray) -> int:
         pivot = r + int(nonzero[0])
         if pivot != r:
             m[[r, pivot]] = m[[pivot, r]]
-        m[r] = field.smul(field.inv(int(m[r, col])), m[r])
+        m[r] = field.vmul(field.inv(int(m[r, col])), m[r])
         below = m[r + 1 :]
         m[r + 1 :] = field.vsub(below, field.vmul(below[:, col][:, None], m[r][None, :]))
         r += 1

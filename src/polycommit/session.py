@@ -350,14 +350,9 @@ def _run_threaded(role_fns) -> list[RoleResult]:
 def _tcp_pair() -> tuple[SocketChannel, SocketChannel]:
     import socket as socket_mod
 
-    listener = socket_mod.socket()
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
-    addr = listener.getsockname()
-    client = socket_mod.socket()
-    client.connect(addr)
-    server_side, _ = listener.accept()
-    listener.close()
+    with socket_mod.create_server(("127.0.0.1", 0), backlog=1) as listener:
+        client = socket_mod.create_connection(listener.getsockname())
+        server_side, _ = listener.accept()
     return SocketChannel(server_side), SocketChannel(client)
 
 
@@ -411,22 +406,16 @@ def run_role(
     address: tuple[str, int],
     coeffs=None,
     queries=(),
-    backend: str = "bs",
     bs_params: BsOtParams | None = None,
 ):
     """Run a single role over TCP.  The prover listens, the verifier
     connects.  The ideal backend cannot span processes, so standalone roles
-    default to the bounded-storage backend.  The arguments are checked
-    before any socket opens.  Returns (exit_code, TranscriptRecorder,
+    use the bounded-storage backend.  The arguments are checked before any
+    socket opens.  Returns (exit_code, TranscriptRecorder,
     outcome-or-None)."""
     import socket as socket_mod
 
-    if backend == "ideal":
-        raise ValueError(
-            "the ideal backend is an in-process trusted box; standalone "
-            "roles must use the bounded-storage backend"
-        )
-    shared = make_backend(backend, bs_params)
+    shared = BsBackend(params=bs_params or make_bs_params())
     if role == "prover":
         if coeffs is None:
             raise ValueError("the prover role needs polynomial coefficients")

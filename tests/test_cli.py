@@ -109,6 +109,11 @@ def test_bench_smoke(capsys):
     assert "prover ops" in out and "x" in out
 
 
+def test_bench_refuses_a_degree_that_is_not_a_square(capsys):
+    assert run_cli("bench", "--d", "10001", "--rounds", 1) == 2
+    assert "not a perfect square" in capsys.readouterr().err
+
+
 def _reshape_prover_state(path, case):
     cfg, coeffs, prover_key, rounds = load_prover_state(path)
     if case == "mask-1x3":

@@ -17,6 +17,7 @@ from polycommit import (
     validate_spec,
     wire,
 )
+from polycommit.bench import CountingField
 from polycommit.field import (
     BULK_DRAW_MIN,
     DecodeError,
@@ -37,7 +38,23 @@ def repeated_mul(field, a, e):
     return acc
 
 
+def public_methods(cls):
+    return {
+        name
+        for name, value in vars(cls).items()
+        if not name.startswith("_") and callable(value)
+    }
+
+
 # -- construction and primality --
+
+
+def test_backends_share_one_interface():
+    # the op-counting proxy stands in for either backend, so all three
+    # expose the same methods; only a table field has tables to show
+    prime = public_methods(PrimeField)
+    table = public_methods(TableField) - {"check_axioms", "add_table", "mul_table"}
+    assert prime == table == public_methods(CountingField)
 
 
 def test_prime_field_rejects_composites_and_evens():
@@ -141,7 +158,7 @@ def test_arith_examples_gf11():
 def test_pow_examples():
     assert GF11.pow(2, 10) == 1  # Fermat
     assert GF11.pow(7, 3) == repeated_mul(GF11, 7, 3) == 2
-    assert GF11.pow(3, -1) == 4
+    assert GF11.inv(3) == 4
     assert GF11.pow(0, 0) == 1
     assert GF4.pow(0, 0) == 1
     assert GF4.pow(2, 3) == repeated_mul(GF4, 2, 3) == 1
@@ -327,7 +344,7 @@ def test_int64_matmul_exact_at_the_block_bound(p):
     f = PrimeField(p)
     block = (1 << 62) // (p - 1) ** 2
     rng = substream(2024, "field", "block-bound", p)
-    for k in (block, block + 1, 3 * block + 1):
+    for k in (0, 1, block, block + 1, 3 * block + 1):
         top = np.full((2, k), p - 1, dtype=np.int64)  # every partial sum maximal
         bottom = np.full((k, 3), p - 1, dtype=np.int64)
         assert f.matmul(top, bottom).tolist() == object_product(f, top, bottom).tolist()

@@ -268,9 +268,8 @@ def test_phase1_bookkeeping_and_meter():
     tape, sa, sb = bs_phase1(params, rng)
     assert len(tape) == params.K
     for sample in (sa, sb):
-        assert len(sample.indices) == params.n
+        assert len(sample.indices) == len(sample.bits) == params.n <= params.N
         assert np.array_equal(sample.bits, tape[sample.indices])
-        assert sample.peak_stored_bits == params.n <= params.N
 
 
 @pytest.mark.parametrize(
@@ -335,7 +334,7 @@ def tiny_params(K=16, n=8, ell=2, k=1):
 
 def make_sample(params, indices, tape):
     idx = np.array(sorted(indices))
-    return StoredSample(params, idx, tape[idx], peak_stored_bits=len(idx))
+    return StoredSample(params, idx, tape[idx])
 
 
 def test_setpair_contract_holds():

@@ -167,7 +167,7 @@ def test_rank_invariant_under_row_permutation_and_scaling():
             rng.shuffle(perm)
             scaled = m[perm].copy()
             for i in range(rows):
-                scaled[i] = field.smul(rng.randrange(1, field.q), scaled[i])
+                scaled[i] = field.vmul(rng.randrange(1, field.q), scaled[i])
             assert rank(field, scaled) == r
 
 

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from polycommit import PrimeField, gf4, session, substream
+from polycommit import PrimeField, TableField, gf4, session, substream
 from polycommit.ot import IdealOt
 from polycommit.polymat import (
     horner_eval,
@@ -19,6 +19,8 @@ from polycommit.protocol import (
     ProverKey,
     RefusalError,
     commit,
+    config_from_json,
+    config_to_json,
     derive_prohibited_set,
     evaluate,
     keygen_prover,
@@ -64,6 +66,21 @@ def test_make_config_validations():
         make_config(GF11, d=9, r=2, c=5, xi=6)  # c > |S|
     with pytest.raises(ConfigError):
         make_config(GF11, d=9, r=2, c=1, xi=8)  # set does not fit
+
+
+def test_table_field_axioms_are_checked_once_in_the_constructor(monkeypatch):
+    calls = []
+    check = TableField.check_axioms
+
+    def counted(field):
+        calls.append(field.q)
+        return check(field)
+
+    monkeypatch.setattr(TableField, "check_axioms", counted)
+    cfg = make_config(gf4(), d=4, r=2, c=1, xi=1)
+    assert calls == [4]
+    config_from_json(config_to_json(cfg))
+    assert calls == [4, 4]
 
 
 def test_suggest_prime_modulus():

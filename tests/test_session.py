@@ -328,7 +328,7 @@ def test_run_role_over_tcp():
 
     def prover():
         code, _, _ = run_role(
-            "prover", cfg, 20, addr, coeffs=coeffs, backend="bs", bs_params=SMALL_BS
+            "prover", cfg, 20, addr, coeffs=coeffs, bs_params=SMALL_BS
         )
         results["p"] = code
 
@@ -342,7 +342,6 @@ def test_run_role_over_tcp():
             20,
             addr,
             queries=queries,
-            backend="bs",
             bs_params=SMALL_BS,
         )
         results["v"] = code
@@ -355,12 +354,6 @@ def test_run_role_over_tcp():
     assert results["p"] == EXIT_OK and results["v"] == EXIT_OK
     for x, value in results["outcome"].recovered:
         assert value == horner_eval(GF11, coeffs, x)
-
-
-def test_run_role_rejects_ideal_backend():
-    cfg = desk_config()
-    with pytest.raises(ValueError):
-        run_role("verifier", cfg, 0, ("127.0.0.1", 1), backend="ideal")
 
 
 def test_run_role_rejects_a_prover_without_coefficients_before_it_listens():
