@@ -1,10 +1,10 @@
 """Walkthrough: full two-party sessions over a byte transport.
 
-Both roles run as threads exchanging length-prefixed frames, in-process or
-over loopback TCP.  With the bounded-storage backend every OT travels the
-wire (tape chunks, interactive-hashing rounds, encoded pairs); transcripts
-are recorded per role and are byte-identical across transports under
-matched seeds.
+The prover runs on a worker thread and the verifier on the caller's; they
+exchange length-prefixed frames, in-process or over loopback TCP.  With
+the bounded-storage backend every OT travels the wire (tape chunks,
+interactive-hashing rounds, encoded pairs); transcripts are recorded per
+role and are byte-identical across transports under matched seeds.
 
 Run:  python3 demos/05_wire_sessions.py
 """

@@ -17,7 +17,6 @@ configurations (``suggest_prime_modulus`` finds one).
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -25,7 +24,6 @@ import numpy as np
 
 from .field import PrimeField
 from .protocol import (
-    ConfigError,
     EvalResponse,
     ProtocolConfig,
     ProverKey,
@@ -33,6 +31,7 @@ from .protocol import (
     VerifierKey,
     evaluate,
     lambda_matrix,
+    matrix_side,
     random_matrix,
     recover,
     theta_matrix,
@@ -142,9 +141,7 @@ class BenchReport:
 
 
 def _raw_config(field, d: int, c: int) -> ProtocolConfig:
-    s = math.isqrt(d)
-    if s * s != d:
-        raise ConfigError(f"degree bound {d} is not a perfect square")
+    s = matrix_side(d)
     # no validation: see module docstring; the reserved set only needs
     # distinct points for the key matrices here
     prohibited = tuple(range(2, 2 + max(c, 2)))

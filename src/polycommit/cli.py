@@ -23,7 +23,6 @@ from .protocol import (
     config_from_json,
     config_to_json,
     evaluate,
-    keygen_verifier,
     load_prover_state,
     load_verifier_state,
     make_config,
@@ -39,7 +38,6 @@ from .session import (
     EXIT_PROTOCOL,
     EXIT_REJECT,
     EXIT_TRANSPORT,
-    ProverSession,
     default_queries,
     honest_coefficients,
     run_pair,
@@ -96,12 +94,9 @@ def cmd_commit(args) -> int:
     if code != EXIT_OK:
         print(f"commitment failed (exit {code})", file=sys.stderr)
         return code
-    # key material re-derives deterministically from the role substreams
-    prover = ProverSession(cfg, coeffs, None, seed)
-    save_prover_state(state_dir / "prover.state", cfg, coeffs, prover.prover_key, 0)
-    key = keygen_verifier(cfg, substream(seed, "verifier"))
+    save_prover_state(state_dir / "prover.state", cfg, coeffs, res_p.session.prover_key, 0)
     save_verifier_state(
-        state_dir / "verifier.state", cfg, key, outcome.verification_key, 0
+        state_dir / "verifier.state", cfg, res_v.session.key, outcome.verification_key, 0
     )
     print(f"commitment done; state persisted under {state_dir}")
     return EXIT_OK

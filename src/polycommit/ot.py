@@ -381,16 +381,23 @@ def _solve_pair(rounds: list[tuple[int, int]], t: int) -> tuple[int, int]:
                 raise OtError("inconsistent interactive-hashing replies")
     if len(pivots) != t - 1:
         raise OtError("constraints are not independent")
-    # back-substitution: a pivot row holds no bit above its pivot, so in
-    # increasing pivot order every other bit it touches is already known
-    free = next(b for b in range(t) if b + 1 not in pivots)
+    return _back_substitute(pivots, t, 1, 1)
+
+
+def _back_substitute(pivots: dict[int, int], t: int, shift: int, low: int) -> tuple[int, int]:
+    """The two t-bit solutions of t-1 reduced rows, smaller first.  Each row
+    holds its constraint bits shifted up by ``shift``, above bits whose
+    parity against ``low`` is the row's reply.  A pivot row holds no bit
+    above its pivot, so in increasing pivot order every other bit it
+    touches is already known."""
+    free = next(b for b in range(t) if b + shift not in pivots)
     order = sorted(pivots)
     sols = []
     for fval in (0, 1):
-        w = fval << (free + 1) | 1  # the solution shifted up, with 1 at bit 0 for the reply
+        w = fval << (free + shift) | low
         for p in order:
             w |= ((pivots[p] & w).bit_count() & 1) << p
-        sols.append(w >> 1)
+        sols.append(w >> shift)
     return (sols[0], sols[1]) if sols[0] < sols[1] else (sols[1], sols[0])
 
 
@@ -485,17 +492,7 @@ class IhSender:
         if len(self.replies) != m:
             raise OtError("interactive hashing needs all t-1 replies")
         replies = sum(bit << j for j, bit in enumerate(self.replies))
-        free = next(b for b in range(self.t) if b + m not in self._pivots)
-        order = sorted(self._pivots)
-        sols = []
-        for fval in (0, 1):
-            # as in _solve_pair, a row's parity against w is its reply
-            # (from the low m bits) plus the known bits below its pivot
-            w = fval << (free + m) | replies
-            for p in order:
-                w |= ((self._pivots[p] & w).bit_count() & 1) << p
-            sols.append(w >> m)
-        return (sols[0], sols[1]) if sols[0] < sols[1] else (sols[1], sols[0])
+        return _back_substitute(self._pivots, self.t, m, replies)
 
 
 def ih_narrow(

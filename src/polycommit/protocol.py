@@ -83,6 +83,7 @@ __all__ = [
     "VerificationKey",
     "EvalResponse",
     "derive_prohibited_set",
+    "matrix_side",
     "suggest_prime_modulus",
     "make_config",
     "random_matrix",
@@ -178,12 +179,17 @@ def derive_prohibited_set(field: Field, s: int, r: int, xi: int) -> tuple[int, .
     return tuple(range(xi + 1, xi + 1 + size))
 
 
+def matrix_side(d: int) -> int:
+    """The side s of the s x s coefficient matrix of a degree bound d."""
+    if d < 1 or math.isqrt(d) ** 2 != d:
+        raise ConfigError(f"degree bound {d} is not a perfect square s*s with s >= 1")
+    return math.isqrt(d)
+
+
 def suggest_prime_modulus(d: int, r: int, xi: int) -> int:
     """Smallest odd prime q with gcd(s, q-1) = 1 and room for the reserved
     set above xi.  Only odd s can succeed: q-1 is even for every odd prime."""
-    s = math.isqrt(d)
-    if s * s != d:
-        raise ConfigError(f"degree bound {d} is not a perfect square")
+    s = matrix_side(d)
     if s % 2 == 0:
         raise ConfigError(
             f"s = {s} is even, so gcd(s, q-1) >= 2 for every odd prime q; "
@@ -207,9 +213,7 @@ def make_config(
     query_budget: int | None = None,
 ) -> ProtocolConfig:
     """Validate every parameter invariant and derive the reserved set."""
-    s = math.isqrt(d)
-    if s * s != d:
-        raise ConfigError(f"degree bound {d} is not a perfect square")
+    s = matrix_side(d)
     if r < 2:
         raise ConfigError(f"reserved-set multiplier r must be >= 2, got {r}")
     if c < 1:

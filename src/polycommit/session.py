@@ -124,7 +124,6 @@ class IdealBackend:
     """Shared trusted box; usable only when both roles live in one process."""
 
     box: IdealOt = dc_field(default_factory=IdealOt)
-    name: str = "ideal"
 
     def send(self, chan, pairs, rng):
         self.box.send(pairs)
@@ -142,7 +141,6 @@ class BsBackend:
     per transfer."""
 
     params: BsOtParams = dc_field(default_factory=make_bs_params)
-    name: str = "bs"
 
     def send(self, chan, pairs, rng):
         ot2_wire_send(chan, self.params, pairs, rng)
@@ -324,27 +322,10 @@ class TamperingChannel:
 
 @dataclass
 class RoleResult:
+    session: ProverSession | VerifierSession
+    transcript: TranscriptRecorder
     exit_code: int | None = None
     error: BaseException | None = None
-    transcript: TranscriptRecorder | None = None
-
-
-def _run_threaded(role_fns) -> list[RoleResult]:
-    results = [RoleResult() for _ in role_fns]
-    threads = []
-    for i, fn in enumerate(role_fns):
-        def runner(i=i, fn=fn):
-            try:
-                results[i].exit_code = fn()
-            except BaseException as exc:  # surfaced to the caller
-                results[i].error = exc
-                results[i].exit_code = EXIT_TRANSPORT
-        t = threading.Thread(target=runner, daemon=True)
-        threads.append(t)
-        t.start()
-    for t in threads:
-        t.join(timeout=600)
-    return results
 
 
 def _tcp_pair() -> tuple[SocketChannel, SocketChannel]:
@@ -367,35 +348,43 @@ def run_pair(
     bs_params: BsOtParams | None = None,
     verifier_seed: int | None = None,
 ):
-    """Host both roles (prover on one thread, verifier on another) over the
-    chosen transport.  Returns (prover RoleResult, verifier RoleResult,
-    VerifierOutcome); transcripts are recorded per role.  ``verifier_seed``
-    varies the verifier's key while the prover's randomness stays matched."""
+    """Host both roles over the chosen transport: the prover on a worker
+    thread, the verifier on the caller's thread.  Returns (prover
+    RoleResult, verifier RoleResult, VerifierOutcome) and re-raises the
+    prover's exception.  ``verifier_seed`` varies the verifier's key while
+    the prover's randomness stays matched."""
     shared = make_backend(backend, bs_params)
+    prover = ProverSession(cfg, coeffs, shared, seed)
+    verifier = VerifierSession(
+        cfg, queries, shared, seed if verifier_seed is None else verifier_seed
+    )
     if transport == "inproc":
         chan_p, chan_v = duplex_pair()
     elif transport == "tcp":
         chan_p, chan_v = _tcp_pair()
     else:
         raise ValueError(f"unknown transport {transport!r}")
-    rec_p = TranscriptRecorder(chan_p)
+    res_p = RoleResult(prover, TranscriptRecorder(chan_p))
     base_v = TamperingChannel(chan_v, cfg) if tamper else chan_v
-    rec_v = TranscriptRecorder(base_v)
+    res_v = RoleResult(verifier, TranscriptRecorder(base_v))
 
-    prover = ProverSession(cfg, coeffs, shared, seed)
-    verifier = VerifierSession(
-        cfg, queries, shared, seed if verifier_seed is None else verifier_seed
-    )
-    res_p, res_v = _run_threaded(
-        [lambda: prover.run(rec_p), lambda: verifier.run(rec_v)]
-    )
-    rec_p.close()
-    rec_v.close()
-    res_p.transcript = rec_p
-    res_v.transcript = rec_v
-    for res in (res_p, res_v):
-        if res.error is not None:
-            raise res.error
+    def serve():
+        try:
+            res_p.exit_code = prover.run(res_p.transcript)
+        except BaseException as exc:  # re-raised on the caller's thread
+            res_p.error = exc
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        res_v.exit_code = verifier.run(res_v.transcript)
+    finally:
+        # verifier's end first: a prover waiting on TCP reads EOF, not its timeout
+        res_v.transcript.close()
+        thread.join(timeout=600)
+        res_p.transcript.close()
+    if res_p.error is not None:
+        raise res_p.error
     return res_p, res_v, verifier.outcome
 
 
@@ -433,8 +422,10 @@ def run_role(
     except OSError as exc:
         raise TransportError(str(exc)) from exc
     chan = TranscriptRecorder(SocketChannel(sock))
-    code = session.run(chan)
-    chan.close()
+    try:
+        code = session.run(chan)
+    finally:
+        chan.close()
     return code, chan, session.outcome if role == "verifier" else None
 
 

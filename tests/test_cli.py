@@ -114,6 +114,17 @@ def test_bench_refuses_a_degree_that_is_not_a_square(capsys):
     assert "not a perfect square" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d", [-4, 0])
+@pytest.mark.parametrize(
+    "command",
+    [("gen-config", "--q", 11, "--r", 2, "--c", 1, "--xi", 6), ("bench", "--rounds", 1)],
+    ids=["gen-config", "bench"],
+)
+def test_a_degree_bound_below_1_is_a_config_error(command, d, capsys):
+    assert run_cli(*command, "--d", d) == 2
+    assert "not a perfect square" in capsys.readouterr().err
+
+
 def _reshape_prover_state(path, case):
     cfg, coeffs, prover_key, rounds = load_prover_state(path)
     if case == "mask-1x3":

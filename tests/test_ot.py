@@ -39,7 +39,7 @@ from polycommit.ot import (
     row_picks,
 )
 from polycommit.session import BsBackend, IdealBackend
-from polycommit.wire import DecodeError, Tag, Writer, duplex_pair, parse
+from polycommit.wire import TAPE_CHUNK_BITS, DecodeError, Tag, Writer, duplex_pair, parse
 
 GF11 = PrimeField(11)
 
@@ -243,6 +243,9 @@ def test_reduction_sender_privacy_posterior_uniform():
 # -- bounded-storage phase 1 --
 
 
+TWO_CHUNKS = make_bs_params(N=2**18, ell=8, k=8)  # K = TAPE_CHUNK_BITS + 1
+
+
 def test_bs_params_formula():
     p = make_bs_params(N=4096, alpha=2.0, ell=16)
     assert p.n == 363  # ceil(sqrt(2*16*4096)) = ceil(362.04)
@@ -263,13 +266,16 @@ def test_bs_params_refuse_tapes_past_u32():
 
 
 def test_phase1_bookkeeping_and_meter():
-    params = make_bs_params(N=4096, ell=16)
-    rng = substream(2024, "ot", "phase1")
-    tape, sa, sb = bs_phase1(params, rng)
-    assert len(tape) == params.K
-    for sample in (sa, sb):
-        assert len(sample.indices) == len(sample.bits) == params.n <= params.N
-        assert np.array_equal(sample.bits, tape[sample.indices])
+    # a tape of one chunk; one whose second chunk is a single bit; and one
+    # whose second chunk is full, so about half the stored bits come from it
+    three_chunks = make_bs_params(N=2**19, ell=8, k=8)
+    for params in (make_bs_params(N=4096, ell=16), TWO_CHUNKS, three_chunks):
+        rng = substream(2024, "ot", "phase1")
+        tape, sa, sb = bs_phase1(params, rng)
+        assert len(tape) == params.K
+        for sample in (sa, sb):
+            assert len(sample.indices) == len(sample.bits) == params.n <= params.N
+            assert np.array_equal(sample.bits, tape[sample.indices])
 
 
 @pytest.mark.parametrize(
@@ -656,6 +662,17 @@ def test_bs_backend_end_to_end():
         bits = [rng.randrange(2) for _ in range(size)]
         got = over_duplex(backend, pairs, bits, run)
         assert got.tolist() == [pairs[b, j].tolist() for j, b in enumerate(bits)]
+
+
+def test_bs_backend_streams_each_tape_in_two_chunks():
+    # every broadcast is one full chunk and then one bit at offset
+    # TAPE_CHUNK_BITS, which the receiver checks before storing it
+    assert TWO_CHUNKS.K == TAPE_CHUNK_BITS + 1
+    rng = substream(2024, "ot", "two-chunks")
+    pairs = np.frombuffer(rng.randbytes(2 * 3 * 4), np.uint8).reshape(2, 3, 4)
+    bits = [1, 0, 1]
+    got = over_duplex(BsBackend(TWO_CHUNKS), pairs, bits, 0)
+    assert got.tolist() == [pairs[b, j].tolist() for j, b in enumerate(bits)]
 
 
 @pytest.mark.parametrize("c, width", [(2, 1), (2, 3), (5, 1), (4, 2)])

@@ -42,6 +42,7 @@ from polycommit.session import (
 from polycommit.wire import (
     IH_CONSTRAINT,
     IH_STATUS,
+    TAPE_CHUNK_BITS,
     Tag,
     Writer,
     duplex_pair,
@@ -56,6 +57,7 @@ def desk_config(c=3):
 
 
 SMALL_BS = make_bs_params(N=4096, ell=16, k=8)
+TWO_CHUNKS = make_bs_params(N=2**18, ell=8, k=8)  # K = TAPE_CHUNK_BITS + 1
 
 
 def test_honest_session_recovers_all():
@@ -356,6 +358,53 @@ def test_run_role_over_tcp():
         assert value == horner_eval(GF11, coeffs, x)
 
 
+@pytest.mark.parametrize("transport", ["inproc", "tcp"])
+@pytest.mark.parametrize("backend", ["ideal", "bs"])
+def test_run_pair_runs_the_verifier_on_the_calling_thread(monkeypatch, backend, transport):
+    # the prover runs on the one thread run_pair starts, and that thread
+    # has ended when run_pair returns
+    ran_on = {}
+    for cls in (ProverSession, VerifierSession):
+        def spy(session, chan, run=cls.run, role=cls):
+            ran_on[role] = threading.current_thread()
+            return run(session, chan)
+
+        monkeypatch.setattr(cls, "run", spy)
+    started = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    cfg = desk_config(c=1)
+    res_p, res_v, _ = run_pair(
+        cfg, honest_coefficients(cfg, 21), [1, 2], seed=21, backend=backend,
+        transport=transport, bs_params=SMALL_BS,
+    )
+    assert res_p.exit_code == res_v.exit_code == EXIT_OK
+    assert ran_on[VerifierSession] is threading.current_thread()
+    assert started == [ran_on[ProverSession]]
+    assert not started[0].is_alive()
+
+
+def test_run_role_closes_its_socket_when_the_role_raises(monkeypatch):
+    # an exception the role does not turn into an exit code still closes
+    # the role's socket, so the peer reads EOF
+    def crash(session, chan):
+        raise RuntimeError("role crashed")
+
+    monkeypatch.setattr(VerifierSession, "run", crash)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        with pytest.raises(RuntimeError, match="role crashed"):
+            run_role("verifier", desk_config(c=1), 0, listener.getsockname(), bs_params=SMALL_BS)
+        peer, _ = listener.accept()
+        with peer:
+            peer.settimeout(5)
+            assert peer.recv(1) == b""
+
+
 def test_run_role_rejects_a_prover_without_coefficients_before_it_listens():
     result = {}
 
@@ -446,10 +495,10 @@ def reveal(positions):
     return w.bytes()
 
 
-def hostile_prover(cfg, attack):
+def hostile_prover(cfg, attack, params=SMALL_BS):
     """Answer NEGOTIATE honestly, then run ``attack(chan, rng)`` as the
     first commitment run against a bs verifier."""
-    verifier = VerifierSession(cfg, [1], BsBackend(SMALL_BS), 40)
+    verifier = VerifierSession(cfg, [1], BsBackend(params), 40)
 
     def script(chan):
         assert chan.recv()[0] == Tag.NEGOTIATE
@@ -564,6 +613,19 @@ def test_malformed_tape_stream_aborts(case):
         chan.send(Tag.OMEGA_REVEAL, reveal(sampler.finish().indices))
 
     assert hostile_prover(desk_config(c=1), bad_tape) == (EXIT_PROTOCOL, EXIT_PROTOCOL)
+
+
+def test_second_tape_chunk_at_the_wrong_offset_aborts():
+    assert TWO_CHUNKS.K == TAPE_CHUNK_BITS + 1
+
+    def skewed_tape(chan, rng):
+        (_, first), (offset, second) = iter_tape_chunks(TWO_CHUNKS, rng)
+        chan.send(Tag.TAPE_CHUNK, tape_chunk(0, first))
+        chan.send(Tag.TAPE_CHUNK, tape_chunk(offset - 1, second))
+
+    assert hostile_prover(desk_config(c=1), skewed_tape, TWO_CHUNKS) == (
+        EXIT_PROTOCOL, EXIT_PROTOCOL,
+    )
 
 
 def hostile_verifier(cfg, on_frame):
