@@ -56,8 +56,12 @@ Three layers, each independently testable:
      holding L (seed, ciphertext, seed, ciphertext) pairs.
 
    Each lane's tape, positions, constraints, replies, swap, seeds and
-   ciphertexts are those of the same transfer run alone.  Honest storage
-   is n bits per lane, L*n bits per party during a batch.  The lanes check
+   ciphertexts are those of the same transfer run alone.  Right after a
+   lane's accepted broadcast the receiver keeps only the bits at the
+   positions he shares with the sender's, about ell of them, so he holds
+   at most n + (L-1)*max|shared| bits during a batch.  The sender keeps n bits
+   per lane, L*n in all; the model bounds the receiver's storage, not
+   hers.  The lanes check
    what needs their context: lane counts, constraint widths, tape chunks
    in order, and the sender's positions; any failure, or MAX_BROADCASTS
    declined broadcasts, raises, and the receiver checks every constraint
@@ -67,15 +71,20 @@ Three layers, each independently testable:
 
 3. The 1-of-c reduction: the sender masks her c secrets into a 2 x (c-1)
    table so that any single row choice per column reveals exactly one
-   secret; one batch of c-1 1-of-2 transfers carries the receiver's picks
-   and a telescoping sum recovers the target secret.  Its two halves take
-   the batched 1-of-2 steps as callables, ``send(pairs)`` and
-   ``receive(bits) -> picks``; :func:`ot_c_of_1` runs them back to back
-   over an :class:`IdealOt`.
+   secret; c-1 1-of-2 transfers carry the receiver's picks and a
+   telescoping sum recovers the target secret.  Its halves move no
+   message: :func:`ot_c_of_1_send` returns the table as a batch and
+   :func:`ot_c_of_1_receive` decodes the picks of :func:`row_picks`, so a
+   caller may send the batches of many reductions as one, as the
+   commitment does with its 2c; :func:`ot_c_of_1` runs one reduction over
+   an :class:`IdealOt`.
 
 A batch of L 1-of-2 transfers is one (2, L, w) uint8 array, ``pairs[0, j]``
 and ``pairs[1, j]`` the two messages of transfer j, and the picks are one
-(L, w) array.  The reduction encodes its table, and decodes the picks, in
+(L, w) array.  A sender that sends many batches as one hands over an
+iterable of them, pulled in order: :func:`ot2_wire_send` pulls each right
+before its first lane's broadcast, and :func:`join_batches` joins them for
+an ideal box.  The reduction encodes its table, and decodes the picks, in
 one codec call each; the bounded-storage lanes pad each message as bytes.
 """
 
@@ -105,6 +114,7 @@ __all__ = [
     "OtError",
     "IntersectionShortfall",
     "IdealOt",
+    "join_batches",
     "BsOtParams",
     "make_bs_params",
     "StoredSample",
@@ -180,6 +190,15 @@ class IdealOt:
         if bits.shape != pairs.shape[1:2]:
             raise OtError(f"batch holds {pairs.shape[1]} transfers, receiver chose {bits.shape}")
         return pairs[bits, np.arange(len(bits))]
+
+
+def join_batches(batches) -> np.ndarray:
+    """The (2, L_k, w) arrays ``batches`` yields, joined along L into one
+    read-only (2, L, w) batch: one copy, which :meth:`IdealOt.send` keeps
+    as it is."""
+    joined = np.concatenate(list(batches), axis=1)
+    joined.flags.writeable = False
+    return joined
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +712,8 @@ def _broadcast_send(chan, params: BsOtParams, rng: random.Random):
 
 def _broadcast_receive(chan, params: BsOtParams, t: int, rng: random.Random):
     """Store broadcasts until one yields an encodable shared subset;
-    returns the sender's positions, the stored sample and the encoding."""
+    returns the sender's positions, the stored sample trimmed to the
+    positions it shares with them, and the encoding."""
     for _ in range(MAX_BROADCASTS):
         sampler = TapeSampler(params, rng)
         offset = 0
@@ -710,40 +730,45 @@ def _broadcast_receive(chan, params: BsOtParams, t: int, rng: random.Random):
         w = pick_encoding(omega_a, sample, t, rng)
         chan.send(Tag.IH_ROUND, Writer().u8(IH_STATUS).u8(w is None).bytes())
         if w is not None:
-            return omega_a, sample, w
+            # only X_b's bits are ever read, and X_b lies in the shared positions
+            shared = _lookup(omega_a, sample.indices)[1]
+            return omega_a, StoredSample(params, sample.indices[shared], sample.bits[shared]), w
     raise OtError(f"no usable broadcast in {MAX_BROADCASTS} attempts")
 
 
-def ot2_wire_send(chan, params: BsOtParams, pairs: np.ndarray, rng: random.Random) -> None:
-    """Sender side of one (2, L, w) batch of bounded-storage transfers, one
-    lane per transfer.  Each lane's broadcasts come first, lane after lane; right
-    after a lane's accepted broadcast she draws its t-1 constraints and its
-    two extractor seeds, so each lane draws what the same transfer run
-    alone would.  Then each IH round is one constraint frame for every
+def ot2_wire_send(chan, params: BsOtParams, batches, rng: random.Random) -> None:
+    """Sender side of bounded-storage transfers, one lane per transfer:
+    ``batches`` yields (2, L_k, w) uint8 arrays, and their transfers in
+    order are the lanes.  Each lane's broadcasts come first, lane after
+    lane; she pulls batch k right before its first lane's broadcast, and
+    right after a lane's accepted broadcast she draws its t-1 constraints
+    and its two extractor seeds, so each lane draws what the same transfer
+    run alone would.  Then each IH round is one constraint frame for every
     lane, answered by one reply frame; one swap frame and one ENCODED_PAIR
     frame close the batch."""
     t = hashing_bits(params.n, params.subset_size, params.k)
     lanes = []
-    for _ in range(pairs.shape[1]):
-        sample = _broadcast_send(chan, params, rng)
-        ih = IhSender(t, rng)
-        while ih.need_more():
-            ih.next_constraint()
-        lanes.append((sample, ih, (rng.getrandbits(64), rng.getrandbits(64))))
+    for pairs in batches:
+        for m0, m1 in zip(*pairs):
+            sample = _broadcast_send(chan, params, rng)
+            ih = IhSender(t, rng)
+            while ih.need_more():
+                ih.next_constraint()
+            lanes.append((sample, ih, (rng.getrandbits(64), rng.getrandbits(64)), m0, m1))
     width = (t + 7) // 8
     for j in range(t - 1):
-        hb = b"".join(ih.constraints[j].to_bytes(width, "little") for _, ih, _ in lanes)
+        hb = b"".join(ih.constraints[j].to_bytes(width, "little") for _, ih, *_ in lanes)
         chan.send(Tag.IH_ROUND, Writer().u8(IH_CONSTRAINT).blob(hb).bytes())
         replies = expect(chan, None, Tag.IH_ROUND, subtype=IH_REPLY)[1]
         if len(replies) != len(lanes):
             raise DecodeError(f"expected {len(lanes)} replies, got {len(replies)}")
-        for (_, ih, _), bit in zip(lanes, replies):
+        for (_, ih, *_), bit in zip(lanes, replies):
             ih.push_reply(bit)
     swaps = expect(chan, None, Tag.IH_ROUND, subtype=IH_SWAP)[1]
     if len(swaps) != len(lanes):
         raise DecodeError(f"expected {len(lanes)} swap bits, got {len(swaps)}")
     w = Writer()
-    for (sample, ih, seeds), swap, m0, m1 in zip(lanes, swaps, *pairs):
+    for (sample, ih, seeds, m0, m1), swap in zip(lanes, swaps):
         w0, w1 = ih.solutions()
         x0, x1 = ih_sets(sample.indices, w0, w1, swap, params.subset_size)
         for seed, ciphertext in encode_pair(m0.tobytes(), m1.tobytes(), x0, x1, sample, seeds):
@@ -845,18 +870,17 @@ def decode_c_of_1(field: Field, received, i: int, c: int) -> np.ndarray:
     return field.matmul(signs, np.asarray(received)[: t + 1])[0]
 
 
-def ot_c_of_1_send(field: Field, secrets, send, rng) -> None:
-    """Sender half: the reduction table, encoded at once, viewed as the
-    (2, c-1, w) batch of one ``send(pairs)`` call, a transfer per column."""
+def ot_c_of_1_send(field: Field, secrets, rng) -> np.ndarray:
+    """Sender half: the reduction table, encoded at once, as the (2, c-1, w)
+    batch of c-1 1-of-2 transfers, a transfer per column."""
     table = build_reduction_table(field, secrets, rng)
     data = np.frombuffer(encode_elements(field, table), dtype=np.uint8)
-    send(data.reshape(2, table.shape[1], -1))
+    return data.reshape(2, table.shape[1], -1)
 
 
-def ot_c_of_1_receive(field: Field, i: int, c: int, receive, width: int) -> np.ndarray:
-    """Receiver half: one ``receive(bits)`` batch of c-1 picks, each
+def ot_c_of_1_receive(field: Field, picks, i: int, c: int, width: int) -> np.ndarray:
+    """Receiver half: the (c-1, w) picks of the :func:`row_picks` of i, each
     ``width`` elements long, decoded at once; then secret i."""
-    picks = receive(row_picks(i, c))
     size = width * elem_size(field)
     if picks.shape != (c - 1, size):
         raise DecodeError(f"1-of-2 picks of shape {picks.shape}, not ({c - 1}, {size}) bytes")
@@ -866,5 +890,6 @@ def ot_c_of_1_receive(field: Field, i: int, c: int, receive, width: int) -> np.n
 
 def ot_c_of_1(field: Field, secrets, i: int, box, rng: random.Random) -> np.ndarray:
     """1-of-c transfer run locally: both halves in turn over an ideal box."""
-    ot_c_of_1_send(field, secrets, box.send, rng)
-    return ot_c_of_1_receive(field, i, len(secrets), box.receive, len(secrets[0]))
+    c = len(secrets)
+    box.send(ot_c_of_1_send(field, secrets, rng))
+    return ot_c_of_1_receive(field, box.receive(row_picks(i, c)), i, c, len(secrets[0]))

@@ -30,11 +30,12 @@ value; counted exactly over every verifier key, each answer passed at
 (29, 5, 4, 2; 0.125) and 0.113 / 0.113 (43, 5, 8, 3; 0.004).  So a split
 stays under 2/r^c at r = 2, the default, and not for r >= 3.
 
-The commitment has one implementation, two halves over batch calls:
-:func:`commit_send` builds the left table P_high(S)(A+B) and the right
-table (B P_low(S)^T)^T once each and serves c left runs, then c right
-runs, from them; :func:`commit_receive` takes the pick at each key point's
-position in S and stacks Gamma and Omega.  The public parameters fix the
+The commitment has one implementation, two halves over one batch call
+each: :func:`commit_send` builds the left table P_high(S)(A+B) and the
+right table (B P_low(S)^T)^T once each and serves c left runs, then c
+right runs, from them, all 2c(|S|-1) 1-of-2 transfers in one ``send``;
+:func:`commit_receive` picks at each key point's position in S in one
+``receive`` and stacks Gamma and Omega.  The public parameters fix the
 schedule, so nothing about it travels: both halves walk the same
 ``_schedule``, the session roles run them over a backend, and
 :func:`commit` runs them back to back over an ideal box.
@@ -69,7 +70,7 @@ from .field import (
     validate_spec,
 )
 from . import s2pc
-from .ot import ot_c_of_1_receive, ot_c_of_1_send
+from .ot import join_batches, ot_c_of_1_receive, ot_c_of_1_send, row_picks
 from .polymat import power_row, structured_matrix
 from .s2pc import LEFT, RIGHT
 from .wire import FORMAT_VERSION, Reader, Writer
@@ -285,9 +286,10 @@ def _schedule(cfg: ProtocolConfig) -> list[tuple[int, int]]:
 
 
 def commit_send(cfg: ProtocolConfig, coeff_matrix, prover_key: ProverKey, send, rng) -> None:
-    """Prover half: one value table per kind, then for each run of the
-    schedule a 1-of-|S| sender half over the kind's table, one
-    ``send(pairs)`` batch."""
+    """Prover half: one value table per kind, then one ``send(batches)``
+    call for the whole schedule.  ``batches`` yields each run's 1-of-|S|
+    sender half over its kind's table, a (2, |S|-1, w) batch, and draws
+    that run's reduction masks only when pulled."""
     f = cfg.field
     tables = {
         LEFT: s2pc.build_value_table(
@@ -295,24 +297,25 @@ def commit_send(cfg: ProtocolConfig, coeff_matrix, prover_key: ProverKey, send, 
         ),
         RIGHT: s2pc.build_value_table(f, cfg.prohibited, cfg.s, RIGHT, prover_key.mask),
     }
-    for kind, _ in _schedule(cfg):
-        ot_c_of_1_send(f, tables[kind], send, rng)
+    send(ot_c_of_1_send(f, tables[kind], rng) for kind, _ in _schedule(cfg))
 
 
 def commit_receive(cfg: ProtocolConfig, verifier_key: VerifierKey, receive) -> VerificationKey:
-    """Verifier half: for each run of the schedule one ``receive(bits)``
-    batch that picks the row at the key point's position in S, s elements
-    long; the c left picks are the rows of Gamma, the c right picks the
-    columns of Omega."""
+    """Verifier half: one ``receive(bits)`` call for the whole schedule,
+    bits the row picks of each run in turn, each run's at its key point's
+    position in S.  The picks split back into runs of |S|-1, each decoded
+    to s elements; the c left runs give the rows of Gamma, the c right
+    runs the columns of Omega."""
     points = {LEFT: verifier_key.lambdas, RIGHT: verifier_key.thetas}
-    picks = []
-    for kind, index in _schedule(cfg):
-        position = cfg.prohibited.index(points[kind][index])
-        picks.append(
-            ot_c_of_1_receive(cfg.field, position, len(cfg.prohibited), receive, cfg.s)
-        )
+    size = len(cfg.prohibited)
+    positions = [cfg.prohibited.index(points[kind][index]) for kind, index in _schedule(cfg)]
+    picks = receive(np.concatenate([row_picks(i, size) for i in positions]))
+    rows = [
+        ot_c_of_1_receive(cfg.field, run, i, size, cfg.s)
+        for i, run in zip(positions, np.split(picks, len(positions)))
+    ]
     return VerificationKey(
-        gamma=np.stack(picks[: cfg.c]), omega=np.stack(picks[cfg.c :], axis=1)
+        gamma=np.stack(rows[: cfg.c]), omega=np.stack(rows[cfg.c :], axis=1)
     )
 
 
@@ -332,7 +335,7 @@ def commit(
     outside = set(verifier_key.lambdas + verifier_key.thetas) - set(cfg.prohibited)
     if outside:
         raise ConfigError(f"key points {sorted(outside)} lie outside the reserved set")
-    commit_send(cfg, coeff_matrix, prover_key, box.send, rng)
+    commit_send(cfg, coeff_matrix, prover_key, lambda batches: box.send(join_batches(batches)), rng)
     return commit_receive(cfg, verifier_key, box.receive)
 
 
@@ -422,6 +425,13 @@ def _field_from_json(obj: dict) -> Field:
     raise ConfigError(f"unknown field kind {kind!r}")
 
 
+# Config versions that load: every one so far has the same fields with the
+# same meaning, since each bump changed how elements travel, not what a
+# config says.  A config is written with the wire's version, so the
+# NEGOTIATE digest still tells wire versions apart.
+_CONFIG_VERSIONS = range(1, FORMAT_VERSION + 1)
+
+
 def config_to_json(cfg: ProtocolConfig, seed: int | None = None) -> str:
     doc = {
         "version": FORMAT_VERSION,
@@ -446,7 +456,7 @@ def config_from_json(text: str) -> tuple[ProtocolConfig, int | None]:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    if doc.get("version") != FORMAT_VERSION:
+    if doc.get("version") not in _CONFIG_VERSIONS:
         raise ConfigError(f"unsupported config version {doc.get('version')!r}")
     try:
         field = _field_from_json(doc["field"])

@@ -5,7 +5,9 @@ a matrix M; the receiver must learn f(x, M) and nothing else about M,
 while the sender learns nothing at all.  The sender tabulates f(z, M) for
 every z in S, and the receiver fetches the row at x's position through one
 1-of-|S| OT (:func:`polycommit.protocol.commit_send` and
-:func:`~polycommit.protocol.commit_receive` are the two halves).  A table
+:func:`~polycommit.protocol.commit_receive` are the two halves).  The
+2c computations of a commitment share one OT batch: each 1-of-|S| OT is
+|S|-1 1-of-2 transfers of it, and no run waits for another.  A table
 depends only on the kind and M, never on x, so each kind's table is built
 once per commitment and serves all c runs of that kind.
 """

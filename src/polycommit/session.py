@@ -10,15 +10,21 @@ frame out of order aborts with a protocol-violation code.  The prover
 refuses queries above the agreed bound, and new points past the config's
 query budget, without ending the session.
 
-OT backends supply the 1-of-2 steps of the commitment halves one batch per
-S2PC: ``send(chan, pairs, rng)`` carries the sender's reduction table as
-one (2, |S|-1, w) uint8 array and ``receive(chan, bits, rng)`` returns the
-picks as one (|S|-1, w) array.  "ideal" shares a trusted in-process box
-between co-hosted roles (one queue item per S2PC, so the sender may run
-ahead of the receiver and no OT frame touches the wire); "bs" runs the
-batch on the wire as L = |S|-1 lanes of :func:`~polycommit.ot.ot2_wire_send`
-and :func:`~polycommit.ot.ot2_wire_receive`, so a bounded-storage run works
-across real sockets.
+OT backends supply the 1-of-2 steps of the commitment halves in one batch
+per commitment: ``send(chan, batches, rng)`` takes the sender's 2c
+reduction tables as an iterable of (2, |S|-1, w) uint8 arrays, which draws
+each table's masks when it is pulled, and ``receive(chan, bits, rng)``
+returns the picks of all 2c(|S|-1) transfers as one (L, w) array.
+"ideal" shares a trusted in-process box between co-hosted roles (the
+batch joined into one queue item, so the sender may run ahead of the
+receiver and no OT frame touches the wire); "bs" runs the batch on the
+wire as L = 2c(|S|-1) lanes of :func:`~polycommit.ot.ot2_wire_send` and
+:func:`~polycommit.ot.ot2_wire_receive`, so a bounded-storage run works
+across real sockets, with one interactive-hashing run of t-1 rounds for
+the whole commitment.  No frame marks the batch, so a peer still on the
+older schedule of one batch per S2PC ends in exit 4 where the two
+schedules part: after |S|-1 lanes' broadcasts, one side sends its first
+IH constraint frame while the other waits for the next lane's TAPE_CHUNK.
 
 Each frame a role receives, ABORT included, is parsed to its last byte by
 :func:`~polycommit.wire.expect`; the role checks what needs its context,
@@ -43,6 +49,7 @@ from .ot import (
     BsOtParams,
     IdealOt,
     OtError,
+    join_batches,
     make_bs_params,
     ot2_wire_receive,
     ot2_wire_send,
@@ -125,8 +132,8 @@ class IdealBackend:
 
     box: IdealOt = dc_field(default_factory=IdealOt)
 
-    def send(self, chan, pairs, rng):
-        self.box.send(pairs)
+    def send(self, chan, batches, rng):
+        self.box.send(join_batches(batches))
 
     def receive(self, chan, bits, rng):
         try:
@@ -142,8 +149,8 @@ class BsBackend:
 
     params: BsOtParams = dc_field(default_factory=make_bs_params)
 
-    def send(self, chan, pairs, rng):
-        ot2_wire_send(chan, self.params, pairs, rng)
+    def send(self, chan, batches, rng):
+        ot2_wire_send(chan, self.params, batches, rng)
 
     def receive(self, chan, bits, rng):
         return ot2_wire_receive(chan, self.params, bits, rng)
@@ -190,7 +197,7 @@ class ProverSession:
                 cfg,
                 self.matrix,
                 self.prover_key,
-                lambda pairs: self.backend.send(chan, pairs, self.rng),
+                lambda batches: self.backend.send(chan, batches, self.rng),
                 self.rng,
             )
             expect(chan, f, Tag.COMMIT_DONE)
@@ -379,7 +386,7 @@ def run_pair(
     try:
         res_v.exit_code = verifier.run(res_v.transcript)
     finally:
-        # verifier's end first: a prover waiting on TCP reads EOF, not its timeout
+        # verifier's end first: a waiting prover's recv ends at once, not at its timeout
         res_v.transcript.close()
         thread.join(timeout=600)
         res_p.transcript.close()

@@ -346,7 +346,9 @@ def expect(chan, field, *tags, subtype=None) -> tuple[int, object]:
 
 
 class DuplexChannel:
-    """One endpoint of an in-process duplex pair."""
+    """One endpoint of an in-process duplex pair.  Closing it wakes the
+    peer: the peer's pending and later ``recv`` calls raise
+    :class:`TransportError`, as a socket's peer reads EOF."""
 
     def __init__(self, inbox: queue.Queue, outbox: queue.Queue, timeout: float = 30.0):
         self._inbox = inbox
@@ -362,13 +364,16 @@ class DuplexChannel:
             raw = self._inbox.get(timeout=self._timeout)
         except queue.Empty as exc:
             raise TransportError("peer went silent") from exc
+        if raw is None:
+            self._inbox.put(None)  # every later recv ends the same way
+            raise TransportError("peer closed the channel")
         (tag, payload), end = read_frame_from(raw, 0)
         if end != len(raw):
             raise DecodeError("trailing bytes after frame")
         return tag, payload
 
     def close(self) -> None:
-        pass
+        self._outbox.put(None)
 
 
 def duplex_pair(timeout: float = 30.0) -> tuple[DuplexChannel, DuplexChannel]:

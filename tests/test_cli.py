@@ -10,6 +10,7 @@ from polycommit.protocol import (
     ProverKey,
     VerificationKey,
     VerifierKey,
+    config_from_json,
     config_to_json,
     load_prover_state,
     load_verifier_state,
@@ -185,6 +186,21 @@ def _v1_state(magic, cfg, body):
     doc["version"] = 1
     head = Writer().u8(1).blob(json.dumps(doc, indent=2, sort_keys=True).encode()).bytes()
     return magic + head + body
+
+
+@pytest.mark.parametrize("version, code", [(1, 0), (3, 2)])
+def test_a_config_file_loads_by_its_version(config_path, tmp_path, capsys, version, code):
+    # version 1 configs have the same fields as version 2: one saved before
+    # the wire bump loads to the same config and commits; an unknown version
+    # is a configuration error
+    doc = json.loads(config_path.read_text())
+    doc["version"] = version
+    old = tmp_path / f"v{version}.json"
+    old.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    if version == 1:
+        assert config_from_json(old.read_text()) == config_from_json(config_path.read_text())
+    assert run_cli("commit", "--config", old, "--state-dir", tmp_path / "state") == code
+    assert ("unsupported config version" in capsys.readouterr().err) == (code != 0)
 
 
 def test_version_1_files_end_in_exit_4(config_path, tmp_path, capsys):

@@ -35,6 +35,7 @@ from polycommit.ot import (
     ih_narrow,
     make_bs_params,
     ot_c_of_1,
+    ot_c_of_1_receive,
     ot_c_of_1_send,
     row_picks,
 )
@@ -639,11 +640,12 @@ def test_missing_bit_statistics_over_200_runs():
     assert abs(mean - 0.5) <= 4 * max(stderr, 1e-6)
 
 
-def over_duplex(backend, pairs, bits, seed):
-    """One batch through ``backend``: the sender on its own thread, the
-    receiver here, over a duplex pair; the receiver's picks."""
+def over_duplex(backend, batches, bits, seed):
+    """A list of (2, L_k, w) batches, sent as one, through ``backend``: the
+    sender on its own thread, the receiver here, over a duplex pair; the
+    receiver's picks."""
     chan_s, chan_r = duplex_pair(timeout=10)
-    sender = threading.Thread(target=backend.send, args=(chan_s, pairs, random.Random(seed)))
+    sender = threading.Thread(target=backend.send, args=(chan_s, batches, random.Random(seed)))
     sender.start()
     try:
         return backend.receive(chan_r, bits, random.Random(1000 + seed))
@@ -660,7 +662,7 @@ def test_bs_backend_end_to_end():
     for run, size in enumerate((1, 5, 4, 3, 2, 5)):
         pairs = np.frombuffer(rng.randbytes(2 * size * 6), np.uint8).reshape(2, size, 6)
         bits = [rng.randrange(2) for _ in range(size)]
-        got = over_duplex(backend, pairs, bits, run)
+        got = over_duplex(backend, [pairs], bits, run)
         assert got.tolist() == [pairs[b, j].tolist() for j, b in enumerate(bits)]
 
 
@@ -671,28 +673,28 @@ def test_bs_backend_streams_each_tape_in_two_chunks():
     rng = substream(2024, "ot", "two-chunks")
     pairs = np.frombuffer(rng.randbytes(2 * 3 * 4), np.uint8).reshape(2, 3, 4)
     bits = [1, 0, 1]
-    got = over_duplex(BsBackend(TWO_CHUNKS), pairs, bits, 0)
+    got = over_duplex(BsBackend(TWO_CHUNKS), [pairs], bits, 0)
     assert got.tolist() == [pairs[b, j].tolist() for j, b in enumerate(bits)]
 
 
 @pytest.mark.parametrize("c, width", [(2, 1), (2, 3), (5, 1), (4, 2)])
 def test_ideal_and_bs_backends_return_the_same_picks(c, width):
-    # the reduction's own batch of 1-byte GF(11) elements through both
-    # backends; c = 2 is one column and no masks
+    # two reductions' batches of 1-byte GF(11) elements, sent as one the
+    # way a commitment sends its runs, through both backends; c = 2 is one
+    # column and no masks
     rng = substream(2024, "ot", "backends", c, width)
-    secrets = GF11.vsample(rng, c * width).reshape(c, width)
-    batches = []
-    ot_c_of_1_send(GF11, secrets, batches.append, rng)
-    (pairs,) = batches
-    i = rng.randrange(c)
-    bits = row_picks(i, c)
-    ideal = over_duplex(IdealBackend(), pairs, bits, 0)
-    bs = over_duplex(BsBackend(make_bs_params(N=4096, ell=16)), pairs, bits, 0)
-    assert ideal.dtype == bs.dtype == np.uint8 and ideal.shape == bs.shape == (c - 1, width)
+    secrets = [GF11.vsample(rng, c * width).reshape(c, width) for _ in range(2)]
+    batches = [ot_c_of_1_send(GF11, run, rng) for run in secrets]
+    targets = [rng.randrange(c) for _ in secrets]
+    bits = np.concatenate([row_picks(i, c) for i in targets])
+    ideal = over_duplex(IdealBackend(), batches, bits, 0)
+    bs = over_duplex(BsBackend(make_bs_params(N=4096, ell=16)), batches, bits, 0)
+    lanes = 2 * (c - 1)
+    assert ideal.dtype == bs.dtype == np.uint8 and ideal.shape == bs.shape == (lanes, width)
     assert np.array_equal(ideal, bs)
-    assert np.array_equal(ideal, pairs[bits, np.arange(c - 1)])
-    received = decode_elements(GF11, bs.reshape(-1)).reshape(c - 1, width)
-    assert decode_c_of_1(GF11, received, i, c).tolist() == secrets[i].tolist()
+    assert np.array_equal(ideal, np.concatenate(batches, axis=1)[bits, np.arange(lanes)])
+    for run, i, picks in zip(secrets, targets, np.split(bs, 2)):
+        assert ot_c_of_1_receive(GF11, picks, i, c, width).tolist() == run[i].tolist()
 
 
 def test_bs_backend_refuses_ragged_lane_messages():
@@ -711,12 +713,12 @@ def test_bs_backend_refuses_ragged_lane_messages():
             self.inner.send(tag, payload)
 
     class RaggedBs(BsBackend):
-        def send(self, chan, pairs, rng):
-            super().send(Ragged(chan), pairs, rng)
+        def send(self, chan, batches, rng):
+            super().send(Ragged(chan), batches, rng)
 
     backend = RaggedBs(make_bs_params(N=4096, ell=16))
     with pytest.raises(DecodeError):
-        over_duplex(backend, np.zeros((2, 2, 3), np.uint8), [0, 1], 0)
+        over_duplex(backend, [np.zeros((2, 2, 3), np.uint8)], [0, 1], 0)
 
 
 def test_element_codec_round_trip():

@@ -233,18 +233,19 @@ def test_commit_prover_view_invariant_under_verifier_key():
 )
 def test_commit_sender_trace_is_stable(field, d, r, c, xi, transfers, digest):
     # Golden digest of every 1-of-2 pair the sender deposits in one
-    # commitment.  A change to the value tables, the mask stream, the
-    # reduction table or the element codec must update it on purpose.
+    # commitment, hashed transfer by transfer, so it reads the same whether
+    # the 2c runs are deposited one by one or as one batch.  A change to the
+    # value tables, the mask stream, the reduction table or the element
+    # codec must update it on purpose.
     cfg = make_config(field, d=d, r=r, c=c, xi=xi)
     matrix = poly_to_matrix(field, honest_coefficients(cfg, 5), cfg.s)
     pk = keygen_prover(cfg, substream(5, "prover"))
     key = keygen_verifier(cfg, substream(5, "verifier"))
     box = IdealOt()
     commit(matrix, key, pk, cfg, box, substream(5, "commit"))
-    assert sum(pairs.shape[1] for pairs in box.sender_trace) == transfers
-    h = hashlib.sha256()
-    for pairs in box.sender_trace:  # each transfer's m0 then m1
-        h.update(pairs.swapaxes(0, 1).tobytes())
+    (pairs,) = box.sender_trace  # one read-only record per commitment
+    assert not pairs.flags.writeable and pairs.shape[1] == transfers
+    h = hashlib.sha256(pairs.swapaxes(0, 1).tobytes())  # each transfer's m0 then m1
     assert h.hexdigest() == digest
 
 

@@ -118,9 +118,11 @@ def test_sender_trace_invariant_across_receiver_inputs():
         rng = substream(2024, "s2pc", "trace")  # matched sender randomness
         box = IdealOt()
         commit(y, VerifierKey((x,), (x,)), ProverKey(y), CFG, box, rng)
-        assert all(not pairs.flags.writeable for pairs in box.sender_trace)
-        traces.append([pairs.tobytes() for pairs in box.sender_trace])
-    assert len(traces[0]) == 2 * CFG.c and all(t == traces[0] for t in traces)
+        (pairs,) = box.sender_trace  # one batch per commitment
+        assert not pairs.flags.writeable
+        assert pairs.shape[1] == 2 * CFG.c * (len(CFG.prohibited) - 1)
+        traces.append(pairs.tobytes())
+    assert all(t == traces[0] for t in traces)
 
 
 def test_receiver_posterior_uniform_on_fiber():

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from polycommit import PrimeField, s2pc, wire
+from polycommit import PrimeField, ot, s2pc, wire
 from polycommit.field import elem_size, encode_elements
 from polycommit.ot import (
     MAX_BROADCASTS,
@@ -42,6 +42,7 @@ from polycommit.session import (
 from polycommit.wire import (
     IH_CONSTRAINT,
     IH_STATUS,
+    IH_SWAP,
     TAPE_CHUNK_BITS,
     Tag,
     Writer,
@@ -103,8 +104,8 @@ def test_bounded_storage_backend_end_to_end():
 
 
 def test_bounded_storage_wire_is_stable():
-    # Golden digest of the prover's whole transcript (239 frames, 22,479
-    # bytes, 7 broadcasts for 6 transfers in 2 batches of 3 lanes).  A
+    # Golden digest of the prover's whole transcript (135 frames, 21,444
+    # bytes, 7 broadcasts for 6 transfers in one batch of 6 lanes).  A
     # change to an RNG stream or to the wire format must update it on
     # purpose.
     cfg = desk_config(c=1)
@@ -114,9 +115,9 @@ def test_bounded_storage_wire_is_stable():
     )
     assert res_p.exit_code == EXIT_OK and res_v.exit_code == EXIT_OK
     blob = b"".join(wire.encode_frame(t, p) for t, p in res_p.transcript.frames)
-    assert (len(res_p.transcript.frames), len(blob)) == (239, 22_479)
+    assert (len(res_p.transcript.frames), len(blob)) == (135, 21_444)
     assert hashlib.sha256(blob).hexdigest() == (
-        "25650f9000b4ea926230bed001ee9f1309c394b27894141630721b7c414fa52f"
+        "6f80abfa55d8daa5257e4ebb1b5035f2dbc13641bba4d04c27bbe0e15bbfd99f"
     )
 
 
@@ -185,6 +186,95 @@ def test_bounded_storage_ciphertexts_are_one_byte_per_element():
         for _, ct in pair
     ]
     assert ciphertexts and {len(ct) for ct in ciphertexts} == {3}
+
+
+def test_bounded_storage_commitment_is_one_batch():
+    # the 2c S2PCs share one interactive-hashing run: t-1 constraint frames
+    # for the whole commitment, each holding 2c(|S|-1) constraints, then one
+    # swap frame and one ENCODED_PAIR frame
+    cfg = desk_config()
+    params = make_bs_params()
+    res_p, res_v, _ = run_pair(
+        cfg, honest_coefficients(cfg, 14), [1], seed=14, backend="bs", bs_params=params
+    )
+    assert res_p.exit_code == res_v.exit_code == EXIT_OK
+    t = ih_encoding_bits(params.n, params.subset_size)
+    lanes = 2 * cfg.c * (len(cfg.prohibited) - 1)
+    rounds = [
+        parse(tag, payload)
+        for tag, payload in res_p.transcript.frames
+        if tag == Tag.IH_ROUND
+    ]
+    constraints = [value for sub, value in rounds if sub == IH_CONSTRAINT]
+    assert len(constraints) == t - 1
+    assert {len(value) for value in constraints} == {lanes * ((t + 7) // 8)}
+    assert [len(value) for sub, value in rounds if sub == IH_SWAP] == [lanes]
+    (pairs,) = [
+        parse(tag, payload) for tag, payload in res_p.transcript.frames if tag == Tag.ENCODED_PAIR
+    ]
+    assert len(pairs) == lanes
+
+
+def test_receiver_lanes_keep_only_the_shared_positions(monkeypatch):
+    # Right after its accepted broadcast a receiver lane keeps the bits at
+    # the positions it shares with the sender's OMEGA_REVEAL and drops the
+    # rest, so while the last lane's tape streams in the receiver holds at
+    # most n + (L-1)max|shared| bits: not L*n, and at c = 3 fewer than the
+    # (|S|-1)*n of one S2PC's lanes kept whole.
+    finished, lanes = [], []
+    finish, broadcast_receive = ot.TapeSampler.finish, ot._broadcast_receive
+
+    def spy_finish(sampler):
+        sample = finish(sampler)
+        finished.append((threading.current_thread(), sample))
+        return sample
+
+    def spy_broadcast_receive(*args):
+        omega_a, kept, w = broadcast_receive(*args)
+        full = [sample for th, sample in finished if th is threading.current_thread()][-1]
+        lanes.append((full, omega_a, kept))
+        return omega_a, kept, w
+
+    monkeypatch.setattr(ot.TapeSampler, "finish", spy_finish)
+    monkeypatch.setattr(ot, "_broadcast_receive", spy_broadcast_receive)
+    cfg = desk_config()
+    params = make_bs_params()
+    res_p, res_v, outcome = run_pair(
+        cfg, honest_coefficients(cfg, 14), [1], seed=14, backend="bs", bs_params=params
+    )
+    assert res_p.exit_code == res_v.exit_code == EXIT_OK and outcome.recovered
+    assert len(lanes) == 2 * cfg.c * (len(cfg.prohibited) - 1)
+    for full, omega_a, kept in lanes:
+        shared = np.isin(full.indices, omega_a)
+        assert np.array_equal(kept.indices, full.indices[shared])
+        assert np.array_equal(kept.bits, full.bits[shared])
+    held = params.n + sum(len(kept.bits) for _, _, kept in lanes[:-1])
+    assert held <= params.n + (len(lanes) - 1) * max(len(kept.bits) for _, _, kept in lanes)
+    assert held < (len(cfg.prohibited) - 1) * params.n
+
+
+def test_inproc_run_pair_returns_at_once_when_the_verifier_raises(monkeypatch):
+    # closing the verifier's in-process channel wakes the prover's recv, so
+    # the prover ends in exit 3 instead of waiting out its receive timeout
+    codes = []
+    prover_run = ProverSession.run
+
+    def recorded(session, chan):
+        codes.append(prover_run(session, chan))
+        return codes[-1]
+
+    def crash(verifier, chan):
+        chan.send(Tag.NEGOTIATE, Writer().blob(config_digest(verifier.cfg)).bytes())
+        raise RuntimeError("verifier crashed")
+
+    monkeypatch.setattr(ProverSession, "run", recorded)
+    monkeypatch.setattr(VerifierSession, "run", crash)
+    cfg = desk_config(c=1)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="verifier crashed"):
+        run_pair(cfg, honest_coefficients(cfg, 23), [1], seed=23)
+    assert time.monotonic() - start < 1
+    assert codes == [EXIT_TRANSPORT]
 
 
 def test_tcp_channels_send_without_nagle():
@@ -522,7 +612,8 @@ def send_tape(chan, rng):
     return sampler.finish()
 
 
-LANES = len(desk_config(c=1).prohibited) - 1  # 1-of-2 transfers per S2PC
+# 1-of-2 transfers per commitment at c = 1: 2c runs of |S|-1, one batch
+LANES = 2 * (len(desk_config(c=1).prohibited) - 1)
 T = ih_encoding_bits(SMALL_BS.n, SMALL_BS.subset_size)
 WIDTH = (T + 7) // 8  # bytes per constraint
 
@@ -665,13 +756,13 @@ def test_set_agree_with_a_trailing_byte_aborts():
 # no frame opens a run; COMMIT_DONE closes it --
 
 
-def serve_commitment(chan, cfg, backend, runs):
-    """Open a session with an ideal-backend prover and take the batches of
-    its first ``runs`` runs from the box."""
+def serve_commitment(chan, cfg, backend, batches):
+    """Open a session with an ideal-backend prover and take ``batches`` (0
+    or 1) batches from the box: the commitment's 2c runs are one batch."""
     chan.send(Tag.NEGOTIATE, Writer().blob(config_digest(cfg)).bytes())
     assert chan.recv()[0] == Tag.SET_AGREE
-    for _ in range(runs):
-        backend.box.receive([0] * LANES)
+    for _ in range(batches):
+        backend.box.receive([0] * (2 * cfg.c * (len(cfg.prohibited) - 1)))
 
 
 def stale_begin(kind, index):
@@ -680,9 +771,10 @@ def stale_begin(kind, index):
     return (3, Writer().u8(kind).u32(index).bytes())
 
 
-# (runs taken from the box first, the frame that follows them): whatever
+# (batches taken from the box first, the frame that follows them): whatever
 # run a stale S2PC_BEGIN names, and however it is framed, the prover keeps
-# to the schedule the config fixes and refuses it
+# to the schedule the config fixes and refuses it; "repeated-index" names a
+# run the batch already carried
 STALE_BEGINS = {
     "right-before-left": (0, stale_begin(RIGHT, 0)),
     "skipped-index": (0, stale_begin(LEFT, 1)),
@@ -699,10 +791,10 @@ def test_prover_holds_the_commitment_schedule(case):
     cfg = desk_config(c=2)
     backend = IdealBackend()
     prover = ProverSession(cfg, honest_coefficients(cfg, 46), backend, 46)
-    runs, (tag, payload) = STALE_BEGINS[case]
+    batches, (tag, payload) = STALE_BEGINS[case]
 
     def script(chan):
-        serve_commitment(chan, cfg, backend, runs)
+        serve_commitment(chan, cfg, backend, batches)
         chan.send(tag, payload)
         return abort_code(chan)
 
@@ -711,33 +803,34 @@ def test_prover_holds_the_commitment_schedule(case):
 
 CLOSE = (Tag.ABORT, Writer().u8(EXIT_OK).blob(b"end of session").bytes())
 
-# (runs taken from the box first, the frames that follow them, the prover's
-# exit code, the code of the ABORT it sends or None)
+# (batches taken from the box first, the frames that follow them, the
+# prover's exit code, the code of the ABORT it sends or None)
 AROUND_THE_COMMITMENT = {
-    # the prover cannot tell how many batches the verifier took
-    "done-early": (3, [(Tag.COMMIT_DONE, b""), CLOSE], EXIT_OK, None),
-    "done-trailing": (4, [(Tag.COMMIT_DONE, b"\x00")], EXIT_PROTOCOL, EXIT_PROTOCOL),
+    # the prover cannot tell whether the verifier took the batch
+    "done-early": (0, [(Tag.COMMIT_DONE, b""), CLOSE], EXIT_OK, None),
+    "done-trailing": (1, [(Tag.COMMIT_DONE, b"\x00")], EXIT_PROTOCOL, EXIT_PROTOCOL),
     "begin-after-done": (
-        4, [(Tag.COMMIT_DONE, b""), stale_begin(LEFT, 0)], EXIT_PROTOCOL, EXIT_PROTOCOL,
+        1, [(Tag.COMMIT_DONE, b""), stale_begin(LEFT, 0)], EXIT_PROTOCOL, EXIT_PROTOCOL,
     ),
-    "abort-between-runs": (
-        1, [(Tag.ABORT, Writer().u8(EXIT_CONFIG).blob(b"stop").bytes())], EXIT_CONFIG, None,
+    # the batch is deposited but still in the box
+    "abort-mid-batch": (
+        0, [(Tag.ABORT, Writer().u8(EXIT_CONFIG).blob(b"stop").bytes())], EXIT_CONFIG, None,
     ),
 }
 
 
 @pytest.mark.parametrize("case", AROUND_THE_COMMITMENT)
 def test_prover_ends_the_commitment_on_commit_done_alone(case):
-    # After its last batch the prover takes COMMIT_DONE and nothing else: a
+    # After its batch the prover takes COMMIT_DONE and nothing else: a
     # tag-3 frame or a malformed COMMIT_DONE ends it in exit 4 and an ABORT
     # frame, and a verifier's ABORT ends it with the verifier's code.
     cfg = desk_config(c=2)
     backend = IdealBackend()
     prover = ProverSession(cfg, honest_coefficients(cfg, 46), backend, 46)
-    runs, frames, code, aborted = AROUND_THE_COMMITMENT[case]
+    batches, frames, code, aborted = AROUND_THE_COMMITMENT[case]
 
     def script(chan):
-        serve_commitment(chan, cfg, backend, runs)
+        serve_commitment(chan, cfg, backend, batches)
         for tag, payload in frames:
             chan.send(tag, payload)
         return None if tag == Tag.ABORT else abort_code(chan)
@@ -829,11 +922,11 @@ def q_first(pairs):
 
 def mangled(backend_cls, mangle, *args):
     """A ``backend_cls`` whose sender passes each (2, L, w) batch through
-    ``mangle``."""
+    ``mangle`` as it is pulled."""
 
     class Mangled(backend_cls):
-        def send(self, chan, pairs, rng):
-            super().send(chan, mangle(pairs), rng)
+        def send(self, chan, batches, rng):
+            super().send(chan, map(mangle, batches), rng)
 
     return Mangled(*args)
 
@@ -867,8 +960,8 @@ def lane_ciphertexts(edit):
 # bounded-storage wire can carry.
 RAGGED_LANES = {
     "ot-mixed-length": lambda m, n: m[: W * (3 - n % 2)],
-    # 4, 2, 3 elements: wrong one by one, right in total
-    "ot-compensating-lengths": lambda m, n: (m + m[:W], m[:-W], m)[n],
+    # 4, 2, 3 elements in each three lanes: wrong one by one, right in total
+    "ot-compensating-lengths": lambda m, n: (m + m[:W], m[:-W], m)[n % 3],
 }
 
 # Payloads that decode but do not parse: (sending role, tag, rewrite).
@@ -894,7 +987,7 @@ def lane_data(subtype, edit):
 
 
 # Bounded-storage lane frames that do not parse, in the same shape.  The
-# first such frame of the first S2PC ends the session.
+# first such frame of the commitment's batch ends the session.
 LANE_FRAMES = {
     "constraints-missing": ("prover", Tag.IH_ROUND, lane_data(1, lambda d: d[:-WIDTH])),
     "constraints-extra": ("prover", Tag.IH_ROUND, lane_data(1, lambda d: d + d[:WIDTH])),
@@ -1031,7 +1124,7 @@ def test_peer_abort_is_parsed_like_any_frame(case):
         if role == "verifier":
             assert chan.recv()[0] == Tag.NEGOTIATE
         else:  # the whole commitment, then the closing ABORT
-            serve_commitment(chan, cfg, backend, 2)
+            serve_commitment(chan, cfg, backend, 1)
             chan.send(Tag.COMMIT_DONE, b"")
         chan.send(Tag.ABORT, payload)
         return abort_code(chan)

@@ -179,7 +179,7 @@ def test_config_json_table_field_round_trip():
         {"r": 1},
         {"c": 0},
         {"c": 5},  # c > |S|
-        {"version": 1},  # from before elements took their least width
+        {"version": 3},  # unknown: newer than the wire (exit 2 in the CLI)
         {"field": {"kind": "prime", "modulus": 12}},
         {"field": {"kind": "weird"}},
     ],
