@@ -42,8 +42,7 @@ Three layers, each independently testable:
 
    The sender's constraints and extractor seeds never depend on the
    replies, so :class:`IhSender` may draw all t-1 constraints before the
-   first reply.  That lets :func:`ot2_wire_send` and
-   :func:`ot2_wire_receive` run a batch of L transfers on the wire as
+   first reply.  That lets a batch of L transfers run on the wire as
    lanes, one transfer per lane, each lane still sequential (constraint
    j+1 only after reply j):
 
@@ -65,9 +64,14 @@ Three layers, each independently testable:
    what needs their context: lane counts, constraint widths, tape chunks
    in order, and the sender's positions; any failure, or MAX_BROADCASTS
    declined broadcasts, raises, and the receiver checks every constraint
-   before he replies.  The lanes are the only end-to-end transfer;
-   :func:`bs_phase1`, :func:`bs_setpair` and :func:`bs_transfer` drive the
-   same steps one at a time for the acceptance suite.
+   before he replies.
+
+   Each phase is one sans-IO step per side over the lanes (see
+   :mod:`polycommit.wire`): tape, reveal/accept, IH rounds plus swap, and
+   pad.  :func:`bs_send` and :func:`bs_receive` chain them into a batch,
+   which a backend drives over a channel; :func:`bs_phase1`,
+   :func:`bs_setpair`, :func:`ih_narrow` and :func:`bs_transfer` pump the
+   same steps for one lane, so the acceptance suite runs the wire's code.
 
 3. The 1-of-c reduction: the sender masks her c secrets into a 2 x (c-1)
    table so that any single row choice per column reveals exactly one
@@ -82,7 +86,7 @@ Three layers, each independently testable:
 A batch of L 1-of-2 transfers is one (2, L, w) uint8 array, ``pairs[0, j]``
 and ``pairs[1, j]`` the two messages of transfer j, and the picks are one
 (L, w) array.  A sender that sends many batches as one hands over an
-iterable of them, pulled in order: :func:`ot2_wire_send` pulls each right
+iterable of them, pulled in order: :func:`bs_send` pulls each right
 before its first lane's broadcast, and :func:`join_batches` joins them for
 an ideal box.  The reduction encodes its table, and decodes the picks, in
 one codec call each; the bounded-storage lanes pad each message as bytes.
@@ -90,6 +94,7 @@ one codec call each; the bounded-storage lanes pad each message as bytes.
 
 from __future__ import annotations
 
+import functools
 import math
 import queue
 import random
@@ -108,6 +113,8 @@ from .wire import (
     Tag,
     Writer,
     expect,
+    parse,
+    pump,
 )
 
 __all__ = [
@@ -128,8 +135,8 @@ __all__ = [
     "encode_pair",
     "decode_pair",
     "bs_transfer",
-    "ot2_wire_send",
-    "ot2_wire_receive",
+    "bs_send",
+    "bs_receive",
     "build_reduction_table",
     "row_picks",
     "decode_c_of_1",
@@ -260,12 +267,6 @@ class StoredSample:
     indices: np.ndarray  # sorted positions in [0, K)
     bits: np.ndarray  # uint8 bits at those positions
 
-    def bit_at(self, position: int) -> int:
-        i = int(np.searchsorted(self.indices, position))
-        if i >= len(self.indices) or self.indices[i] != position:
-            raise OtError(f"position {position} was not stored")
-        return int(self.bits[i])
-
 
 def _draw_positions(rng: random.Random, K: int, n: int) -> np.ndarray:
     """n distinct positions in [0, K), sorted, as int64: exactly the values
@@ -334,24 +335,41 @@ def iter_tape_chunks(params: BsOtParams, rng: random.Random):
         remaining -= nbits
 
 
+def _tape_send(params: BsOtParams, sampler: TapeSampler, rng: random.Random):
+    """Sender step: stream a fresh tape in TAPE_CHUNK frames; her sample."""
+    for offset, chunk in iter_tape_chunks(params, rng):
+        sampler.consume(offset, chunk)
+        payload = Writer().u64(offset).u32(len(chunk)).blob(np.packbits(chunk).tobytes())
+        yield Tag.TAPE_CHUNK, payload.bytes()
+    return sampler.finish()
+
+
+def _tape_receive(params: BsOtParams, sampler: TapeSampler):
+    """Receiver step: a tape's TAPE_CHUNK frames, in order from offset 0 and
+    each min(TAPE_CHUNK_BITS, K - offset) bits long; his sample."""
+    offset = 0
+    while offset < params.K:
+        got, chunk = expect((yield), None, Tag.TAPE_CHUNK)[1]
+        if got != offset or len(chunk) != min(TAPE_CHUNK_BITS, params.K - offset):
+            raise OtError(f"TAPE_CHUNK of {len(chunk)} bits at {got}, wanted one at {offset}")
+        sampler.consume(offset, chunk)
+        offset += len(chunk)
+    return sampler.finish()
+
+
 def bs_phase1(
     params: BsOtParams, rng: random.Random
 ) -> tuple[np.ndarray, StoredSample, StoredSample]:
-    """Run the broadcast phase locally for both parties.
+    """Run the broadcast phase locally for both parties: the tape steps,
+    pumped, after both parties draw their positions.
 
     Returns the full tape (the broadcast content, kept only so tests can
     check the parties' bookkeeping against it) plus each party's stored
     sample.  Party state never exceeds its n stored bits.
     """
-    sender = TapeSampler(params, rng)
-    receiver = TapeSampler(params, rng)
-    pieces = []
-    for offset, chunk in iter_tape_chunks(params, rng):
-        sender.consume(offset, chunk)
-        receiver.consume(offset, chunk)
-        pieces.append(chunk)
-    tape = np.concatenate(pieces)
-    return tape, sender.finish(), receiver.finish()
+    sender, receiver = TapeSampler(params, rng), TapeSampler(params, rng)
+    *samples, frames = pump(_tape_send(params, sender, rng), _tape_receive(params, receiver))
+    return (np.concatenate([parse(*frame)[1] for frame in frames]), *samples)
 
 
 # -- colexicographic subset encoding --
@@ -499,6 +517,12 @@ class IhSender:
                     return h
                 row ^= prow
 
+    def draw_all(self) -> "IhSender":
+        """Draw every constraint still to come; none waits for a reply."""
+        while self.need_more():
+            self.next_constraint()
+        return self
+
     def push_reply(self, bit: int) -> None:
         if len(self.replies) == len(self.constraints):
             raise OtError("no constraint outstanding")
@@ -514,17 +538,57 @@ class IhSender:
         return _back_substitute(self._pivots, self.t, m, replies)
 
 
+def _ih_send(t: int, ihs: list[IhSender]):
+    """Sender step over L lanes: t-1 rounds of one constraint frame, ceil(t/8)
+    bytes per lane, and one reply frame; then the swap bits."""
+    width = (t + 7) // 8
+    for j in range(t - 1):
+        hb = b"".join(ih.constraints[j].to_bytes(width, "little") for ih in ihs)
+        yield Tag.IH_ROUND, Writer().u8(IH_CONSTRAINT).blob(hb).bytes()
+        replies = expect((yield), None, Tag.IH_ROUND, subtype=IH_REPLY)[1]
+        if len(replies) != len(ihs):
+            raise DecodeError(f"expected {len(ihs)} replies, got {len(replies)}")
+        for ih, bit in zip(ihs, replies):
+            ih.push_reply(bit)
+    swaps = expect((yield), None, Tag.IH_ROUND, subtype=IH_SWAP)[1]
+    if len(swaps) != len(ihs):
+        raise DecodeError(f"expected {len(ihs)} swap bits, got {len(swaps)}")
+    return swaps
+
+
+def _ih_receive(t: int, ws: list[int], bits):
+    """Receiver step over L lanes: reply to each constraint frame with the
+    parities of his encodings ``ws``, then send the swap bits that put his
+    own set at index bits[j].  A constraint at or above 2^t would leave his
+    encoding out of the solution pair and let the swap bit give away his
+    choice, so it ends the batch before the choice bits touch the wire."""
+    width = (t + 7) // 8
+    rounds = [[] for _ in ws]
+    for _ in range(t - 1):
+        data = expect((yield), None, Tag.IH_ROUND, subtype=IH_CONSTRAINT)[1]
+        if len(data) != len(ws) * width:
+            raise DecodeError(f"{len(data)} bytes of constraints, not {len(ws)} of {width}")
+        hs = [int.from_bytes(data[j : j + width], "little") for j in range(0, len(data), width)]
+        if any(h >> t for h in hs):
+            raise OtError(f"an IH constraint is wider than t = {t} bits")
+        replies = bytes((h & w).bit_count() & 1 for h, w in zip(hs, ws))
+        for lane_rounds, h, reply in zip(rounds, hs, replies):
+            lane_rounds.append((h, reply))
+        yield Tag.IH_ROUND, Writer().u8(IH_REPLY).blob(replies).bytes()
+    sols = [_solve_pair(lane_rounds, t) for lane_rounds in rounds]
+    swaps = bytes((w != w0) ^ b for (w0, _), w, b in zip(sols, ws, bits))
+    yield Tag.IH_ROUND, Writer().u8(IH_SWAP).blob(swaps).bytes()
+
+
 def ih_narrow(
     t: int, w: int, sender_rng: random.Random
 ) -> tuple[list[tuple[int, int]], int, int]:
     """t-1 rounds of random independent parity constraints on the t-bit
-    encoding w; returns the rounds and the two surviving encodings."""
-    sender = IhSender(t, sender_rng)
-    while sender.need_more():
-        h = sender.next_constraint()
-        sender.push_reply((h & w).bit_count() & 1)
-    w0, w1 = sender.solutions()
-    return sender.rounds, w0, w1
+    encoding w, one lane's IH steps pumped; returns the rounds and the two
+    surviving encodings."""
+    ih = IhSender(t, sender_rng).draw_all()
+    pump(_ih_send(t, [ih]), _ih_receive(t, [w], [0]))
+    return (ih.rounds, *ih.solutions())
 
 
 def _lookup(indices: np.ndarray, positions) -> tuple[np.ndarray, np.ndarray]:
@@ -568,6 +632,28 @@ def ih_sets(
     )
 
 
+def _reveal_send(sample: StoredSample):
+    """Sender step: reveal her positions in OMEGA_REVEAL; whether the
+    receiver's IH_ROUND status accepts the broadcast."""
+    yield Tag.OMEGA_REVEAL, Writer().u32s(sample.indices).bytes()
+    return not expect((yield), None, Tag.IH_ROUND, subtype=IH_STATUS)[1]
+
+
+def _accept_receive(params: BsOtParams, sample: StoredSample, pick):
+    """Receiver step: the sender's positions omega_a; the broadcast is
+    accepted if ``pick(omega_a, sample)`` gives an encoding w.  Returns
+    (omega_a, his sample cut to its shared positions, w), or None."""
+    omega_a = expect((yield), None, Tag.OMEGA_REVEAL)[1]
+    if len(omega_a) != params.n or np.any(np.diff(omega_a) <= 0) or omega_a[-1] >= params.K:
+        raise OtError(f"OMEGA_REVEAL must be {params.n} distinct sorted positions on the tape")
+    w = pick(omega_a, sample)
+    yield Tag.IH_ROUND, Writer().u8(IH_STATUS).u8(w is None).bytes()
+    if w is not None:
+        # only X_b's bits are ever read, and X_b lies in the shared positions
+        shared = _lookup(omega_a, sample.indices)[1]
+        return omega_a, StoredSample(params, sample.indices[shared], sample.bits[shared]), w
+
+
 def bs_setpair(
     sample_a: StoredSample,
     sample_b: StoredSample,
@@ -577,7 +663,8 @@ def bs_setpair(
     receiver_rng: random.Random,
     subset_choice: Sequence[int] | None = None,
 ) -> tuple[SetPair, IhTranscript]:
-    """Interactive hashing between sender (sample_a) and receiver (sample_b).
+    """Interactive hashing between sender (sample_a) and receiver
+    (sample_b): the reveal and IH steps, pumped.
 
     ``subset_choice`` pins the receiver's subset (positions within the
     sender's index list); tests use it to enumerate receiver tapes.
@@ -586,14 +673,8 @@ def bs_setpair(
         raise OtError("choice must be a bit")
     ell_x = sample_a.params.subset_size
     t = hashing_bits(len(sample_a.indices), ell_x, k)
-    if subset_choice is None:
-        w = pick_encoding(sample_a.indices, sample_b, t, receiver_rng)
-        if w is None:
-            raise IntersectionShortfall(
-                "the stored sets share fewer than ell positions, or no encodable "
-                "subset of them; rerun the broadcast phase"
-            )
-    else:
+    w = None
+    if subset_choice is not None:
         chosen = sorted(int(p) for p in subset_choice)
         shared = _lookup(sample_b.indices, sample_a.indices)[1]
         if not len(chosen) == len(set(chosen)) == ell_x or not all(
@@ -604,11 +685,18 @@ def bs_setpair(
         if w >= (1 << t):
             raise OtError("subset_choice is not encodable in t bits")
 
-    rounds, w0, w1 = ih_narrow(t, w, sender_rng)
-    swap = (0 if w == w0 else 1) ^ b
-    x0, x1 = ih_sets(sample_a.indices, w0, w1, swap, ell_x)
+    pick = functools.partial(pick_encoding, t=t, rng=receiver_rng) if w is None else lambda *_: w
+    _, lane, _ = pump(_reveal_send(sample_a), _accept_receive(sample_a.params, sample_b, pick))
+    if lane is None:
+        raise IntersectionShortfall(
+            "the stored sets share fewer than ell positions, or no encodable "
+            "subset of them; rerun the broadcast phase"
+        )
+    ih = IhSender(t, sender_rng).draw_all()  # after the receiver's pick
+    (swap,), _, _ = pump(_ih_send(t, [ih]), _ih_receive(t, [lane[2]], [b]))
+    x0, x1 = ih_sets(sample_a.indices, *ih.solutions(), swap, ell_x)
     pair = SetPair(x0=x0, x1=x1, choice=b)
-    return pair, IhTranscript(t=t, rounds=tuple(rounds), swap=swap)
+    return pair, IhTranscript(t=t, rounds=tuple(ih.rounds), swap=swap)
 
 
 # -- extractor-padded transfer --
@@ -658,6 +746,29 @@ def decode_pair(
     return _mask(seed, ciphertext, positions, sample_b)
 
 
+def _pad_send(lanes):
+    """Sender step: the :func:`encode_pair` of each lane (sample, (X0, X1),
+    seeds, (m0, m1)) in one ENCODED_PAIR frame."""
+    w = Writer()
+    for sample, (x0, x1), seeds, (m0, m1) in lanes:
+        for seed, ciphertext in encode_pair(bytes(m0), bytes(m1), x0, x1, sample, seeds):
+            w.u64(seed).blob(ciphertext)
+    yield Tag.ENCODED_PAIR, w.bytes()
+
+
+def _pad_receive(lanes, bits):
+    """Receiver step: message bits[j] of each lane (his set, his sample), as
+    one (L, w) array; ciphertexts that differ in length are refused."""
+    pairs = expect((yield), None, Tag.ENCODED_PAIR)[1]
+    if len(pairs) != len(lanes):
+        raise DecodeError(f"expected {len(lanes)} encoded pairs, got {len(pairs)}")
+    if len({len(ct) for pair in pairs for _, ct in pair}) > 1:
+        raise DecodeError("the lanes' ciphertexts differ in length")
+    picks = [decode_pair(*pair[b], positions, sample)
+             for (positions, sample), pair, b in zip(lanes, pairs, bits)]
+    return np.frombuffer(b"".join(picks), dtype=np.uint8).reshape(len(lanes), -1)
+
+
 def bs_transfer(
     m0: bytes,
     m1: bytes,
@@ -666,146 +777,67 @@ def bs_transfer(
     sample_b: StoredSample,
     rng: random.Random,
 ) -> bytes:
+    """The pad steps, pumped; the message the receiver decodes."""
     seeds = (rng.getrandbits(64), rng.getrandbits(64))
-    enc = encode_pair(m0, m1, pair.x0, pair.x1, sample_a, seeds)
-    return decode_pair(*enc[pair.choice], pair.chosen(), sample_b)
+    sender = _pad_send([(sample_a, (pair.x0, pair.x1), seeds, (m0, m1))])
+    receiver = _pad_receive([(pair.chosen(), sample_b)], [pair.choice])
+    return pump(sender, receiver)[1][0].tobytes()
 
 
-# -- the same steps on the wire, one lane per transfer --
+# -- the lanes of a batch, one transfer per lane --
 
 
-def _read_constraints(chan, lanes: int, t: int) -> list[int]:
-    """An IH constraint frame: exactly one ceil(t/8)-byte little-endian
-    constraint per lane, each below 2^t.  A wider constraint would leave the
-    receiver's own encoding out of the solution pair and let the swap bit
-    give away his choice."""
-    data = expect(chan, None, Tag.IH_ROUND, subtype=IH_CONSTRAINT)[1]
-    width = (t + 7) // 8
-    if len(data) != lanes * width:
-        raise DecodeError(f"expected {lanes} constraints of {width} bytes, got {len(data)} bytes")
-    hs = [int.from_bytes(data[j : j + width], "little") for j in range(0, len(data), width)]
-    if any(h >> t for h in hs):
-        raise OtError(f"an IH constraint is wider than t = {t} bits")
-    return hs
-
-
-def _broadcast_send(chan, params: BsOtParams, rng: random.Random):
-    """Broadcast tapes until the receiver accepts one; its stored sample."""
-    for _ in range(MAX_BROADCASTS):
-        sampler = TapeSampler(params, rng)
-        for offset, chunk in iter_tape_chunks(params, rng):
-            sampler.consume(offset, chunk)
-            payload = (
-                Writer()
-                .u64(offset)
-                .u32(len(chunk))
-                .blob(np.packbits(chunk).tobytes())
-                .bytes()
-            )
-            chan.send(Tag.TAPE_CHUNK, payload)
-        sample = sampler.finish()
-        chan.send(Tag.OMEGA_REVEAL, Writer().u32s(sample.indices).bytes())
-        if not expect(chan, None, Tag.IH_ROUND, subtype=IH_STATUS)[1]:
-            return sample
-    raise OtError(f"receiver declined {MAX_BROADCASTS} broadcasts in a row")
-
-
-def _broadcast_receive(chan, params: BsOtParams, t: int, rng: random.Random):
-    """Store broadcasts until one yields an encodable shared subset;
-    returns the sender's positions, the stored sample trimmed to the
-    positions it shares with them, and the encoding."""
-    for _ in range(MAX_BROADCASTS):
-        sampler = TapeSampler(params, rng)
-        offset = 0
-        while offset < params.K:
-            got, chunk = expect(chan, None, Tag.TAPE_CHUNK)[1]
-            if got != offset or len(chunk) != min(TAPE_CHUNK_BITS, params.K - offset):
-                raise OtError(f"TAPE_CHUNK of {len(chunk)} bits at {got}, wanted one at {offset}")
-            sampler.consume(offset, chunk)
-            offset += len(chunk)
-        sample = sampler.finish()
-        omega_a = expect(chan, None, Tag.OMEGA_REVEAL)[1]
-        if len(omega_a) != params.n or np.any(np.diff(omega_a) <= 0) or omega_a[-1] >= params.K:
-            raise OtError(f"OMEGA_REVEAL must be {params.n} distinct sorted positions on the tape")
-        w = pick_encoding(omega_a, sample, t, rng)
-        chan.send(Tag.IH_ROUND, Writer().u8(IH_STATUS).u8(w is None).bytes())
-        if w is not None:
-            # only X_b's bits are ever read, and X_b lies in the shared positions
-            shared = _lookup(omega_a, sample.indices)[1]
-            return omega_a, StoredSample(params, sample.indices[shared], sample.bits[shared]), w
-    raise OtError(f"no usable broadcast in {MAX_BROADCASTS} attempts")
-
-
-def ot2_wire_send(chan, params: BsOtParams, batches, rng: random.Random) -> None:
-    """Sender side of bounded-storage transfers, one lane per transfer:
+def bs_send(params: BsOtParams, batches, rng: random.Random):
+    """Sender step of bounded-storage transfers, one lane per transfer:
     ``batches`` yields (2, L_k, w) uint8 arrays, and their transfers in
     order are the lanes.  Each lane's broadcasts come first, lane after
     lane; she pulls batch k right before its first lane's broadcast, and
     right after a lane's accepted broadcast she draws its t-1 constraints
     and its two extractor seeds, so each lane draws what the same transfer
-    run alone would.  Then each IH round is one constraint frame for every
-    lane, answered by one reply frame; one swap frame and one ENCODED_PAIR
-    frame close the batch."""
+    run alone would.  Then one IH run serves every lane, and one
+    ENCODED_PAIR frame closes the batch."""
     t = hashing_bits(params.n, params.subset_size, params.k)
     lanes = []
     for pairs in batches:
         for m0, m1 in zip(*pairs):
-            sample = _broadcast_send(chan, params, rng)
-            ih = IhSender(t, rng)
-            while ih.need_more():
-                ih.next_constraint()
-            lanes.append((sample, ih, (rng.getrandbits(64), rng.getrandbits(64)), m0, m1))
-    width = (t + 7) // 8
-    for j in range(t - 1):
-        hb = b"".join(ih.constraints[j].to_bytes(width, "little") for _, ih, *_ in lanes)
-        chan.send(Tag.IH_ROUND, Writer().u8(IH_CONSTRAINT).blob(hb).bytes())
-        replies = expect(chan, None, Tag.IH_ROUND, subtype=IH_REPLY)[1]
-        if len(replies) != len(lanes):
-            raise DecodeError(f"expected {len(lanes)} replies, got {len(replies)}")
-        for (_, ih, *_), bit in zip(lanes, replies):
-            ih.push_reply(bit)
-    swaps = expect(chan, None, Tag.IH_ROUND, subtype=IH_SWAP)[1]
-    if len(swaps) != len(lanes):
-        raise DecodeError(f"expected {len(lanes)} swap bits, got {len(swaps)}")
-    w = Writer()
-    for (sample, ih, seeds, m0, m1), swap in zip(lanes, swaps):
-        w0, w1 = ih.solutions()
-        x0, x1 = ih_sets(sample.indices, w0, w1, swap, params.subset_size)
-        for seed, ciphertext in encode_pair(m0.tobytes(), m1.tobytes(), x0, x1, sample, seeds):
-            w.u64(seed).blob(ciphertext)
-    chan.send(Tag.ENCODED_PAIR, w.bytes())
-
-
-def ot2_wire_receive(chan, params: BsOtParams, bits, rng: random.Random) -> np.ndarray:
-    """Receiver side of one batch of bounded-storage transfers: pick
-    bits[j] of lane j, as one (L, w) array.  Each constraint is checked as
-    it arrives and every lane is solved before the swap frame goes out, so
-    a malformed constraint ends the batch before the choice bits touch the
-    wire.  Lanes whose ciphertexts differ in length are refused."""
-    t = hashing_bits(params.n, params.subset_size, params.k)
-    lanes = [_broadcast_receive(chan, params, t, rng) for _ in bits]
-    rounds = [[] for _ in lanes]
-    for _ in range(t - 1):
-        replies = bytearray()
-        for lane_rounds, h, (_, _, w) in zip(rounds, _read_constraints(chan, len(lanes), t), lanes):
-            reply = (h & w).bit_count() & 1
-            lane_rounds.append((h, reply))
-            replies.append(reply)
-        chan.send(Tag.IH_ROUND, Writer().u8(IH_REPLY).blob(bytes(replies)).bytes())
-    sols = [_solve_pair(lane_rounds, t) for lane_rounds in rounds]
-    swaps = bytes((w != w0) ^ b for (w0, _), (_, _, w), b in zip(sols, lanes, bits))
-    chan.send(Tag.IH_ROUND, Writer().u8(IH_SWAP).blob(swaps).bytes())
-    pairs = expect(chan, None, Tag.ENCODED_PAIR)[1]
-    if len(pairs) != len(lanes):
-        raise DecodeError(f"expected {len(lanes)} encoded pairs, got {len(pairs)}")
-    if len({len(ct) for pair in pairs for _, ct in pair}) > 1:
-        raise DecodeError("the lanes' ciphertexts differ in length")
-    # X_b is the receiver's own subset: swap puts the solution equal to w there
-    picks = b"".join(
-        decode_pair(*pair[b], omega_a[colex_unrank(w, params.subset_size, len(omega_a))], sample)
-        for (omega_a, sample, w), pair, b in zip(lanes, pairs, bits)
+            for _ in range(MAX_BROADCASTS):
+                sample = yield from _tape_send(params, TapeSampler(params, rng), rng)
+                if (yield from _reveal_send(sample)):
+                    break
+            else:
+                raise OtError(f"receiver declined {MAX_BROADCASTS} broadcasts in a row")
+            ih = IhSender(t, rng).draw_all()
+            lanes.append((sample, ih, (rng.getrandbits(64), rng.getrandbits(64)), (m0, m1)))
+    swaps = yield from _ih_send(t, [ih for _, ih, _, _ in lanes])
+    yield from _pad_send(
+        (sample, ih_sets(sample.indices, *ih.solutions(), swap, params.subset_size), seeds, ms)
+        for (sample, ih, seeds, ms), swap in zip(lanes, swaps)
     )
-    return np.frombuffer(picks, dtype=np.uint8).reshape(len(lanes), -1)
+
+
+def bs_receive(params: BsOtParams, bits, rng: random.Random):
+    """Receiver step of one batch of bounded-storage transfers: pick
+    bits[j] of lane j, as one (L, w) array.  Each lane stores broadcasts
+    until one yields an encodable shared subset, and keeps only its shared
+    positions; then one IH run and one ENCODED_PAIR frame serve every
+    lane."""
+    t = hashing_bits(params.n, params.subset_size, params.k)
+    pick = functools.partial(pick_encoding, t=t, rng=rng)
+    lanes = []
+    for _ in bits:
+        for _ in range(MAX_BROADCASTS):
+            sample = yield from _tape_receive(params, TapeSampler(params, rng))
+            lane = yield from _accept_receive(params, sample, pick)
+            if lane is not None:
+                break
+        else:
+            raise OtError(f"no usable broadcast in {MAX_BROADCASTS} attempts")
+        lanes.append(lane)
+    yield from _ih_receive(t, [w for _, _, w in lanes], bits)
+    # X_b is his own subset: the swap put the solution equal to w there
+    own = [(omega_a[colex_unrank(w, params.subset_size, len(omega_a))], sample)
+           for omega_a, sample, w in lanes]
+    return (yield from _pad_receive(own, bits))
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,11 @@ each table's masks when it is pulled, and ``receive(chan, bits, rng)``
 returns the picks of all 2c(|S|-1) transfers as one (L, w) array.
 "ideal" shares a trusted in-process box between co-hosted roles (the
 batch joined into one queue item, so the sender may run ahead of the
-receiver and no OT frame touches the wire); "bs" runs the batch on the
-wire as L = 2c(|S|-1) lanes of :func:`~polycommit.ot.ot2_wire_send` and
-:func:`~polycommit.ot.ot2_wire_receive`, so a bounded-storage run works
-across real sockets, with one interactive-hashing run of t-1 rounds for
-the whole commitment.  No frame marks the batch, so a peer still on the
+receiver and no OT frame touches the wire); "bs" drives the lane steps
+:func:`~polycommit.ot.bs_send` and :func:`~polycommit.ot.bs_receive` over
+the channel, the batch as L = 2c(|S|-1) lanes, so a bounded-storage run
+works across real sockets, with one interactive-hashing run of t-1 rounds
+for the whole commitment.  No frame marks the batch, so a peer still on the
 older schedule of one batch per S2PC ends in exit 4 where the two
 schedules part: after |S|-1 lanes' broadcasts, one side sends its first
 IH constraint frame while the other waits for the next lane's TAPE_CHUNK.
@@ -49,10 +49,10 @@ from .ot import (
     BsOtParams,
     IdealOt,
     OtError,
+    bs_receive,
+    bs_send,
     join_batches,
     make_bs_params,
-    ot2_wire_receive,
-    ot2_wire_send,
 )
 from .polymat import poly_to_matrix
 from .protocol import (
@@ -83,6 +83,7 @@ from .wire import (
     TranscriptRecorder,
     TransportError,
     Writer,
+    drive,
     duplex_pair,
     expect,
     parse,
@@ -145,15 +146,15 @@ class IdealBackend:
 @dataclass
 class BsBackend:
     """Each batch runs the bounded-storage protocol on the wire, one lane
-    per transfer."""
+    per transfer: the lane steps, driven over the channel."""
 
     params: BsOtParams = dc_field(default_factory=make_bs_params)
 
     def send(self, chan, batches, rng):
-        ot2_wire_send(chan, self.params, batches, rng)
+        drive(chan, bs_send(self.params, batches, rng))
 
     def receive(self, chan, bits, rng):
-        return ot2_wire_receive(chan, self.params, bits, rng)
+        return drive(chan, bs_receive(self.params, bits, rng))
 
 
 def make_backend(name: str, bs_params: BsOtParams | None = None):
@@ -190,7 +191,7 @@ class ProverSession:
         cfg = self.cfg
         f = cfg.field
         try:
-            if expect(chan, f, Tag.NEGOTIATE)[1] != config_digest(cfg):
+            if expect(chan.recv(), f, Tag.NEGOTIATE)[1] != config_digest(cfg):
                 raise SessionAbort(EXIT_CONFIG, "configuration digest mismatch")
             chan.send(Tag.SET_AGREE, Writer().blob(set_digest(cfg)).bytes())
             commit_send(
@@ -200,12 +201,12 @@ class ProverSession:
                 lambda batches: self.backend.send(chan, batches, self.rng),
                 self.rng,
             )
-            expect(chan, f, Tag.COMMIT_DONE)
+            expect(chan.recv(), f, Tag.COMMIT_DONE)
 
             budget = cfg.query_budget
             while True:
                 # a VERDICT is parsed and needs no reply
-                tag, value = expect(chan, f, Tag.EVAL_REQ, Tag.VERDICT, Tag.ABORT)
+                tag, value = expect(chan.recv(), f, Tag.EVAL_REQ, Tag.VERDICT, Tag.ABORT)
                 if tag == Tag.EVAL_REQ:
                     x = value
                     new = x not in self._seen_queries
@@ -256,7 +257,7 @@ class VerifierSession:
         f = cfg.field
         try:
             chan.send(Tag.NEGOTIATE, Writer().blob(config_digest(cfg)).bytes())
-            if expect(chan, f, Tag.SET_AGREE)[1] != set_digest(cfg):
+            if expect(chan.recv(), f, Tag.SET_AGREE)[1] != set_digest(cfg):
                 raise SessionAbort(EXIT_CONFIG, "reserved-set digest mismatch")
             vk = commit_receive(
                 cfg,
@@ -276,7 +277,7 @@ class VerifierSession:
                 )
             for x in self.queries:
                 chan.send(Tag.EVAL_REQ, Writer().elem(f, x).bytes())
-                resp = expect(chan, f, Tag.EVAL_RESP)[1]
+                resp = expect(chan.recv(), f, Tag.EVAL_RESP)[1]
                 if resp is None:
                     self.outcome.refused.append(x)
                     continue

@@ -14,7 +14,9 @@ frame or a non-canonical element; writers take canonical values unchecked.
 :func:`parse` has one parser per tag and IH_ROUND subtype; each range-checks
 its status, bit and size fields and reads the payload to its last byte.  The
 roles receive every frame through :func:`expect`, which parses it, and check
-what needs their context.
+what needs their context.  A sans-IO step yields ``(tag, payload)`` to send
+a frame and takes the next one from a bare ``yield``; :func:`drive` runs it
+over a channel, and :func:`pump` runs two on one thread.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ __all__ = [
     "Tag",
     "parse",
     "expect",
+    "drive",
+    "pump",
     "SessionAbort",
     "DecodeError",
     "TransportError",
@@ -320,10 +324,10 @@ def parse(tag: int, payload: bytes, field: Field | None = None):
     return value
 
 
-def expect(chan, field, *tags, subtype=None) -> tuple[int, object]:
-    """The next frame, one of ``tags`` (an IH_ROUND of ``subtype``), as (tag,
-    value of :func:`parse`); a peer ABORT ends the role."""
-    tag, payload = chan.recv()
+def expect(frame, field, *tags, subtype=None) -> tuple[int, object]:
+    """A received (tag, payload) ``frame``, one of ``tags`` (an IH_ROUND of
+    ``subtype``), as (tag, value of :func:`parse`); a peer ABORT ends the role."""
+    tag, payload = frame
     if tag not in tags and tag != Tag.ABORT:
         raise SessionAbort(
             EXIT_PROTOCOL, f"out-of-order frame {Tag(tag).name}, wanted "
@@ -338,6 +342,43 @@ def expect(chan, field, *tags, subtype=None) -> tuple[int, object]:
         if got != subtype:
             raise SessionAbort(EXIT_PROTOCOL, f"IH_ROUND subtype {got}, wanted {subtype}")
     return tag, value
+
+
+def drive(chan, step):
+    """Run the sans-IO ``step`` over ``chan``, sending what it yields and
+    feeding it each frame received; what the step returns."""
+    frame = None
+    while True:
+        try:
+            out = step.send(frame)
+        except StopIteration as stop:
+            return stop.value
+        frame = chan.recv() if out is None else chan.send(*out)
+
+
+def pump(sender, receiver) -> tuple[object, object, list[tuple[int, bytes]]]:
+    """Run two sans-IO steps that take turns on one thread, ``sender`` the
+    first to send: what each returns, and the frames they traded.  Each
+    frame is encoded and read back, and the other step takes it before
+    its sender resumes."""
+    steps, results, frames = (sender, receiver), {}, []
+
+    def resume(i, frame):
+        try:
+            return steps[i].send(frame)
+        except StopIteration as stop:
+            results[i] = stop.value
+
+    wants = [resume(0, None), resume(1, None)]
+    while len(results) < 2:
+        i = 0 if wants[0] is not None else 1
+        if wants[i] is None or wants[1 - i] is not None or 1 - i in results:
+            raise RuntimeError("the steps do not take turns")
+        frame = read_frame_from(encode_frame(*wants[i]), 0)[0]
+        frames.append(frame)
+        wants[1 - i] = resume(1 - i, frame)
+        wants[i] = resume(i, None)
+    return results[0], results[1], frames
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Oblivious transfer: ideal functionality, bounded-storage sketch, 1-of-c."""
 
 import functools
+import hashlib
 import itertools
 import math
 import operator
@@ -11,7 +12,7 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
-from polycommit import PrimeField, gf4, substream
+from polycommit import PrimeField, gf4, ot, substream, wire
 from polycommit.field import decode_elements, encode_elements
 from polycommit.ot import (
     BsOtParams,
@@ -40,7 +41,18 @@ from polycommit.ot import (
     row_picks,
 )
 from polycommit.session import BsBackend, IdealBackend
-from polycommit.wire import TAPE_CHUNK_BITS, DecodeError, Tag, Writer, duplex_pair, parse
+from polycommit.wire import (
+    IH_CONSTRAINT,
+    IH_REPLY,
+    IH_STATUS,
+    IH_SWAP,
+    TAPE_CHUNK_BITS,
+    DecodeError,
+    Tag,
+    Writer,
+    duplex_pair,
+    parse,
+)
 
 GF11 = PrimeField(11)
 
@@ -528,7 +540,7 @@ def test_pad_reads_the_stored_bits():
     # the pad against a per-position reference; an unstored position raises
     _, _, sa, sb, pair, _ = run_tiny_session(1)
     positions = pair.chosen()
-    r = sum(sb.bit_at(int(p)) << j for j, p in enumerate(positions))
+    r = sum(int(sb.bits[np.searchsorted(sb.indices, p)]) << j for j, p in enumerate(positions))
     rows = random.Random(99)
     pad = sum(((rows.getrandbits(len(positions)) & r).bit_count() & 1) << j for j in range(24))
     assert decode_pair(99, bytes(3), positions, sb) == pad.to_bytes(3, "little")
@@ -565,7 +577,7 @@ def test_unknown_bits_make_other_decode_a_coinflip():
     for assign in range(n_assignments):
         r = 0
         for p in known:
-            r |= sb.bit_at(p) << pos_index[p]
+            r |= int(sb.bits[np.searchsorted(sb.indices, p)]) << pos_index[p]
         for j, p in enumerate(missing):
             r |= ((assign >> j) & 1) << pos_index[p]
         for bit in range(8 * len(truth)):
@@ -612,7 +624,7 @@ def test_missing_bit_statistics_over_200_runs():
         missing_mask = 0
         for j, pos in enumerate(other):
             if int(pos) in known:
-                r_guess |= sb.bit_at(int(pos)) << j
+                r_guess |= int(sb.bits[np.searchsorted(sb.indices, pos)]) << j
             else:
                 missing_mask |= 1 << j
         truth = (m0, m1)[1 - b]
@@ -638,6 +650,69 @@ def test_missing_bit_statistics_over_200_runs():
     var = sum((r - mean) ** 2 for r in per_run_rates) / (len(per_run_rates) - 1)
     stderr = math.sqrt(var / len(per_run_rates))
     assert abs(mean - 0.5) <= 4 * max(stderr, 1e-6)
+
+
+def test_criterion_8_draws_keep_their_order():
+    # Pinned before the one-lane functions ran the lane steps: the sender's
+    # positions, then the receiver's, then the tape; the receiver's subset
+    # before the sender's constraints; then the seeds.  Any reordered draw
+    # moves the samples, the transcript or the generator's final state.
+    params = make_bs_params()
+    h = hashlib.sha256()
+    for run in range(3):
+        rng = substream(2024, "ot", "draw-order", run)
+        b = rng.randrange(2)
+        m0, m1 = bytes([run, 1]), bytes([run * 7 % 256, 2])
+        while True:
+            tape, sa, sb = bs_phase1(params, rng)
+            try:
+                pair, transcript = bs_setpair(sa, sb, b, params.k, rng, rng)
+            except IntersectionShortfall:
+                continue
+            break
+        got = bs_transfer(m0, m1, pair, sa, sb, rng)
+        assert got == (m0, m1)[b]
+        for a in (tape, sa.indices, sa.bits, sb.indices, sb.bits, pair.x0, pair.x1):
+            h.update(a.tobytes())
+        h.update(repr((pair.choice, transcript.t, transcript.rounds, transcript.swap, got)).encode())
+        h.update(repr(rng.getstate()).encode())
+    assert h.hexdigest() == "bd6c74e6cd045b10f5cac15498ae645ffabe11b88339bfcb3fe648907386cf34"
+
+
+def test_criterion_8_runs_the_lane_steps(monkeypatch):
+    # One criterion-8 transfer at the desk parameters pumps the frames a
+    # one-lane batch sends on the wire, each parsed to its last byte: one
+    # tape chunk, the reveal, the status, t-1 constraint/reply rounds, the
+    # swap and the encoded pair.
+    frames = []
+
+    def recording(sender, receiver):
+        out = wire.pump(sender, receiver)
+        frames.extend(out[2])
+        return out
+
+    monkeypatch.setattr(ot, "pump", recording)
+    params = make_bs_params()
+    rng = substream(2024, "ot", "lane-steps")
+    b = rng.randrange(2)
+    while True:
+        frames.clear()
+        _, sa, sb = bs_phase1(params, rng)
+        try:
+            pair, transcript = bs_setpair(sa, sb, b, params.k, rng, rng)
+        except IntersectionShortfall:
+            continue
+        break
+    assert bs_transfer(b"\x01\x02", b"\x03\x04", pair, sa, sb, rng) == (b"\x01\x02", b"\x03\x04")[b]
+    t = transcript.t
+    kinds = [(Tag.TAPE_CHUNK, None), (Tag.OMEGA_REVEAL, None), (Tag.IH_ROUND, IH_STATUS)]
+    kinds += [(Tag.IH_ROUND, IH_CONSTRAINT), (Tag.IH_ROUND, IH_REPLY)] * (t - 1)
+    kinds += [(Tag.IH_ROUND, IH_SWAP), (Tag.ENCODED_PAIR, None)]
+    values = [parse(tag, payload) for tag, payload in frames]
+    assert [(tag, v[0] if tag == Tag.IH_ROUND else None) for (tag, _), v in zip(frames, values)] == kinds
+    assert values[2] == (IH_STATUS, 0) and values[-2] == (IH_SWAP, bytes([transcript.swap]))
+    replies = [v[1] for v in values[4:-2:2]]
+    assert replies == [bytes([reply]) for _, reply in transcript.rounds]
 
 
 def over_duplex(backend, batches, bits, seed):

@@ -221,22 +221,17 @@ def test_receiver_lanes_keep_only_the_shared_positions(monkeypatch):
     # rest, so while the last lane's tape streams in the receiver holds at
     # most n + (L-1)max|shared| bits: not L*n, and at c = 3 fewer than the
     # (|S|-1)*n of one S2PC's lanes kept whole.
-    finished, lanes = [], []
-    finish, broadcast_receive = ot.TapeSampler.finish, ot._broadcast_receive
+    lanes = []
+    accept_receive = ot._accept_receive
 
-    def spy_finish(sampler):
-        sample = finish(sampler)
-        finished.append((threading.current_thread(), sample))
-        return sample
+    def spy_accept_receive(params, full, pick):
+        lane = yield from accept_receive(params, full, pick)
+        if lane is not None:
+            omega_a, kept, _ = lane
+            lanes.append((full, omega_a, kept))
+        return lane
 
-    def spy_broadcast_receive(*args):
-        omega_a, kept, w = broadcast_receive(*args)
-        full = [sample for th, sample in finished if th is threading.current_thread()][-1]
-        lanes.append((full, omega_a, kept))
-        return omega_a, kept, w
-
-    monkeypatch.setattr(ot.TapeSampler, "finish", spy_finish)
-    monkeypatch.setattr(ot, "_broadcast_receive", spy_broadcast_receive)
+    monkeypatch.setattr(ot, "_accept_receive", spy_accept_receive)
     cfg = desk_config()
     params = make_bs_params()
     res_p, res_v, outcome = run_pair(
@@ -245,6 +240,7 @@ def test_receiver_lanes_keep_only_the_shared_positions(monkeypatch):
     assert res_p.exit_code == res_v.exit_code == EXIT_OK and outcome.recovered
     assert len(lanes) == 2 * cfg.c * (len(cfg.prohibited) - 1)
     for full, omega_a, kept in lanes:
+        assert len(full.indices) == params.n
         shared = np.isin(full.indices, omega_a)
         assert np.array_equal(kept.indices, full.indices[shared])
         assert np.array_equal(kept.bits, full.bits[shared])

@@ -34,6 +34,7 @@ from polycommit.wire import (
     Writer,
     encode_frame,
     parse,
+    pump,
     read_frame_from,
 )
 
@@ -74,6 +75,35 @@ def test_unknown_tag_rejected():
     raw = bytes([raw[0], raw[1], raw[2], raw[3], 200]) + raw[5:]
     with pytest.raises(DecodeError):
         read_frame_from(raw, 0)
+
+
+def sends(*frames):
+    for frame in frames:
+        yield frame
+
+
+def waits(n=1):
+    got = []
+    for _ in range(n):
+        got.append((yield))
+    return got
+
+
+def test_pump_hands_each_frame_to_the_waiting_step():
+    frames = [(Tag.COMMIT_DONE, b""), (Tag.SET_AGREE, b"\x01")]
+    assert pump(sends(*frames), waits(2)) == (None, frames, frames)
+
+
+@pytest.mark.parametrize("case", ["both-wait", "both-send", "frame-for-a-finished-step"])
+def test_pump_refuses_steps_that_do_not_take_turns(case):
+    frame = (Tag.COMMIT_DONE, b"")
+    steps = {
+        "both-wait": (waits(), waits()),
+        "both-send": (sends(frame), sends(frame)),
+        "frame-for-a-finished-step": (sends(frame, frame), waits()),
+    }[case]
+    with pytest.raises(RuntimeError, match="take turns"):
+        pump(*steps)
 
 
 def test_payload_writer_reader_round_trip():
