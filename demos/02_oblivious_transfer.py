@@ -29,11 +29,11 @@ rng = random.Random(11)
 f = PrimeField(11)
 
 # --- layer 1: the ideal box ---------------------------------------------
-# One batch of two transfers: the sender deposits both pairs at once as a
-# (2, 2, 4) byte array, first messages then second messages, and the
-# receiver takes one message of each.
+# One batch of two transfers: the sender deposits both pairs at once, in a
+# list of batches holding one (2, 2, 4) byte array, first messages then
+# second messages, and the receiver takes one message of each.
 box = IdealOt()
-box.send(np.frombuffer(b"leftleftriterite", dtype=np.uint8).reshape(2, 2, 4))
+box.send([np.frombuffer(b"leftleftriterite", dtype=np.uint8).reshape(2, 2, 4)])
 picked = box.receive((0, 1))
 print("ideal OT:", *(m.tobytes() for m in picked))
 print("sender trace holds the batches only:", [pairs.tobytes() for pairs in box.sender_trace])

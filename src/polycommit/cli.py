@@ -2,7 +2,8 @@
 
 Subcommands: gen-config, commit, eval, verify, run-demo,
 audit {soundness|privacy|lemmas}, bench.  Exit codes: 0 ok, 2 invalid
-configuration, 3 transport failure, 4 protocol violation or refusal,
+configuration or a named file that cannot be read or written, 3
+transport failure, 4 protocol violation or refusal,
 5 verification reject.
 """
 
@@ -447,9 +448,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TransportError, OSError) as exc:
+    except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
+    except OSError as exc:  # a file the command line names
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (DecodeError, OtError, ValueError) as exc:
         print(f"protocol error: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL

@@ -41,8 +41,8 @@ Three layers, each independently testable:
    the back-substitution alone.
 
    The sender's constraints and extractor seeds never depend on the
-   replies, so :class:`IhSender` may draw all t-1 constraints before the
-   first reply.  That lets a batch of L transfers run on the wire as
+   replies, so :class:`IhSender` draws all t-1 constraints when it is
+   built.  That lets a batch of L transfers run on the wire as
    lanes, one transfer per lane, each lane still sequential (constraint
    j+1 only after reply j):
 
@@ -85,10 +85,10 @@ Three layers, each independently testable:
 
 A batch of L 1-of-2 transfers is one (2, L, w) uint8 array, ``pairs[0, j]``
 and ``pairs[1, j]`` the two messages of transfer j, and the picks are one
-(L, w) array.  A sender that sends many batches as one hands over an
-iterable of them, pulled in order: :func:`bs_send` pulls each right
-before its first lane's broadcast, and :func:`join_batches` joins them for
-an ideal box.  The reduction encodes its table, and decodes the picks, in
+(L, w) array.  A sender hands over an iterable of batches, which go out
+as one, pulled in order: :func:`bs_send` pulls each right before its
+first lane's broadcast, and :meth:`IdealOt.send` joins them into one box
+item.  The reduction encodes its table, and decodes the picks, in
 one codec call each; the bounded-storage lanes pad each message as bytes.
 """
 
@@ -121,7 +121,6 @@ __all__ = [
     "OtError",
     "IntersectionShortfall",
     "IdealOt",
-    "join_batches",
     "BsOtParams",
     "make_bs_params",
     "StoredSample",
@@ -166,9 +165,9 @@ class IdealOt:
     """Trusted-box 1-of-2 OT, one batch of transfers at a time.
 
     ``send``/``receive`` rendezvous through a thread-safe queue holding one
-    item per batch, so the two roles may live on different threads, or one
-    thread may deposit every batch before taking any.  ``sender_trace``
-    records everything the sender ever observes: each deposited batch,
+    item per ``send``, so the two roles may live on different threads, or
+    one thread may deposit every item before taking any.  ``sender_trace``
+    records everything the sender ever observes: each deposited item,
     read-only, byte-identical regardless of any choice bit.
     """
 
@@ -176,14 +175,13 @@ class IdealOt:
         self.sender_trace: list[np.ndarray] = []
         self._batches: queue.Queue[np.ndarray] = queue.Queue()
 
-    def send(self, pairs: np.ndarray) -> None:
-        """Deposit the (2, L, w) uint8 array ``pairs`` as one batch of L
-        transfers, (pairs[0, j], pairs[1, j]) the pair of transfer j."""
+    def send(self, batches) -> None:
+        """Deposit the (2, L_k, w) uint8 arrays ``batches`` yields as one
+        item, joined along L in one copy: (pairs[0, j], pairs[1, j])."""
+        pairs = np.concatenate(list(batches), axis=1)
         if pairs.dtype != np.uint8 or pairs.ndim != 3 or len(pairs) != 2:
             raise OtError(f"a batch is a (2, L, w) uint8 array, not {pairs.dtype} {pairs.shape}")
-        if pairs.flags.writeable:  # the trace keeps what was sent
-            pairs = pairs.copy()
-            pairs.flags.writeable = False
+        pairs.flags.writeable = False  # the trace keeps what was sent
         self.sender_trace.append(pairs)
         self._batches.put(pairs)
 
@@ -197,15 +195,6 @@ class IdealOt:
         if bits.shape != pairs.shape[1:2]:
             raise OtError(f"batch holds {pairs.shape[1]} transfers, receiver chose {bits.shape}")
         return pairs[bits, np.arange(len(bits))]
-
-
-def join_batches(batches) -> np.ndarray:
-    """The (2, L_k, w) arrays ``batches`` yields, joined along L into one
-    read-only (2, L, w) batch: one copy, which :meth:`IdealOt.send` keeps
-    as it is."""
-    joined = np.concatenate(list(batches), axis=1)
-    joined.flags.writeable = False
-    return joined
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +468,8 @@ def hashing_bits(n: int, subset_size: int, k: int) -> int:
 class IhSender:
     """Sender side of the narrowing rounds: draws constraints independent
     of the received replies, keeping the accepted h-sequence a function of
-    her randomness alone.  So she may draw all t-1 of them before the first
-    reply; the wire still sends constraint j+1 only after reply j.
+    her randomness alone.  So she draws all t-1 of them when built; the
+    wire still sends constraint j+1 only after reply j.
 
     The independence check is the forward elimination, and the sender keeps
     its reduced rows: each pivot row holds its constraint bits shifted up
@@ -494,17 +483,14 @@ class IhSender:
         self.constraints: list[int] = []
         self.replies: list[int] = []
         self._pivots: dict[int, int] = {}  # pivot bit + t-1 -> reduced row
-
-    def need_more(self) -> bool:
-        return len(self.constraints) < self.t - 1
+        for _ in range(t - 1):
+            self.next_constraint()
 
     @property
     def rounds(self) -> list[tuple[int, int]]:
         return list(zip(self.constraints, self.replies))
 
     def next_constraint(self) -> int:
-        if not self.need_more():
-            raise OtError("all t-1 constraints are drawn")
         m = self.t - 1
         while True:
             h = self.rng.getrandbits(self.t)
@@ -516,12 +502,6 @@ class IhSender:
                     self.constraints.append(h)
                     return h
                 row ^= prow
-
-    def draw_all(self) -> "IhSender":
-        """Draw every constraint still to come; none waits for a reply."""
-        while self.need_more():
-            self.next_constraint()
-        return self
 
     def push_reply(self, bit: int) -> None:
         if len(self.replies) == len(self.constraints):
@@ -586,7 +566,7 @@ def ih_narrow(
     """t-1 rounds of random independent parity constraints on the t-bit
     encoding w, one lane's IH steps pumped; returns the rounds and the two
     surviving encodings."""
-    ih = IhSender(t, sender_rng).draw_all()
+    ih = IhSender(t, sender_rng)
     pump(_ih_send(t, [ih]), _ih_receive(t, [w], [0]))
     return (ih.rounds, *ih.solutions())
 
@@ -692,7 +672,7 @@ def bs_setpair(
             "the stored sets share fewer than ell positions, or no encodable "
             "subset of them; rerun the broadcast phase"
         )
-    ih = IhSender(t, sender_rng).draw_all()  # after the receiver's pick
+    ih = IhSender(t, sender_rng)  # after the receiver's pick
     (swap,), _, _ = pump(_ih_send(t, [ih]), _ih_receive(t, [lane[2]], [b]))
     x0, x1 = ih_sets(sample_a.indices, *ih.solutions(), swap, ell_x)
     pair = SetPair(x0=x0, x1=x1, choice=b)
@@ -806,7 +786,7 @@ def bs_send(params: BsOtParams, batches, rng: random.Random):
                     break
             else:
                 raise OtError(f"receiver declined {MAX_BROADCASTS} broadcasts in a row")
-            ih = IhSender(t, rng).draw_all()
+            ih = IhSender(t, rng)
             lanes.append((sample, ih, (rng.getrandbits(64), rng.getrandbits(64)), (m0, m1)))
     swaps = yield from _ih_send(t, [ih for _, ih, _, _ in lanes])
     yield from _pad_send(
@@ -923,5 +903,5 @@ def ot_c_of_1_receive(field: Field, picks, i: int, c: int, width: int) -> np.nda
 def ot_c_of_1(field: Field, secrets, i: int, box, rng: random.Random) -> np.ndarray:
     """1-of-c transfer run locally: both halves in turn over an ideal box."""
     c = len(secrets)
-    box.send(ot_c_of_1_send(field, secrets, rng))
+    box.send([ot_c_of_1_send(field, secrets, rng)])
     return ot_c_of_1_receive(field, box.receive(row_picks(i, c)), i, c, len(secrets[0]))

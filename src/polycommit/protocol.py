@@ -30,14 +30,14 @@ value; counted exactly over every verifier key, each answer passed at
 (29, 5, 4, 2; 0.125) and 0.113 / 0.113 (43, 5, 8, 3; 0.004).  So a split
 stays under 2/r^c at r = 2, the default, and not for r >= 3.
 
-The commitment has one implementation, two halves over one batch call
-each: :func:`commit_send` builds the left table P_high(S)(A+B) and the
-right table (B P_low(S)^T)^T once each and serves c left runs, then c
-right runs, from them, all 2c(|S|-1) 1-of-2 transfers in one ``send``;
-:func:`commit_receive` picks at each key point's position in S in one
-``receive`` and stacks Gamma and Omega.  The public parameters fix the
-schedule, so nothing about it travels: both halves walk the same
-``_schedule``, the session roles run them over a backend, and
+The commitment has one implementation, whose halves take and return
+data: :func:`commit_send` builds the left table P_high(S)(A+B) and the
+right table (B P_low(S)^T)^T once each and returns the batches of c left
+runs, then c right runs, over them, for one OT ``send``;
+:func:`commit_choices` gives the choice bits at each key point's position
+in S for one OT ``receive``, and :func:`commit_receive` decodes the picks
+into Gamma and Omega.  The config fixes the run order, so nothing about it
+travels.  The session roles run the halves over a backend, and
 :func:`commit` runs them back to back over an ideal box.
 
 The config travels as versioned JSON (human-edited), and its SHA-256 is
@@ -70,7 +70,7 @@ from .field import (
     validate_spec,
 )
 from . import s2pc
-from .ot import join_batches, ot_c_of_1_receive, ot_c_of_1_send, row_picks
+from .ot import ot_c_of_1_receive, ot_c_of_1_send, row_picks
 from .polymat import power_row, structured_matrix
 from .s2pc import LEFT, RIGHT
 from .wire import FORMAT_VERSION, Reader, Writer
@@ -93,6 +93,7 @@ __all__ = [
     "lambda_matrix",
     "theta_matrix",
     "commit_send",
+    "commit_choices",
     "commit_receive",
     "commit",
     "evaluate",
@@ -279,37 +280,33 @@ def theta_matrix(cfg: ProtocolConfig, key: VerifierKey) -> np.ndarray:
     return matrix
 
 
-def _schedule(cfg: ProtocolConfig) -> list[tuple[int, int]]:
-    """The 2c S2PC runs in order: c left runs, then c right runs, each
-    (kind, index) once."""
-    return [(kind, index) for kind in (LEFT, RIGHT) for index in range(cfg.c)]
-
-
-def commit_send(cfg: ProtocolConfig, coeff_matrix, prover_key: ProverKey, send, rng) -> None:
-    """Prover half: one value table per kind, then one ``send(batches)``
-    call for the whole schedule.  ``batches`` yields each run's 1-of-|S|
-    sender half over its kind's table, a (2, |S|-1, w) batch, and draws
-    that run's reduction masks only when pulled."""
+def commit_send(cfg: ProtocolConfig, coeff_matrix, prover_key: ProverKey, rng):
+    """Prover half: one value table per kind, and the 2c runs' batches, c
+    left then c right: each run's 1-of-|S| sender half over its kind's
+    table, a (2, |S|-1, w) array that draws its masks only when pulled."""
     f = cfg.field
-    tables = {
-        LEFT: s2pc.build_value_table(
-            f, cfg.prohibited, cfg.s, LEFT, f.vadd(coeff_matrix, prover_key.mask)
-        ),
-        RIGHT: s2pc.build_value_table(f, cfg.prohibited, cfg.s, RIGHT, prover_key.mask),
-    }
-    send(ot_c_of_1_send(f, tables[kind], rng) for kind, _ in _schedule(cfg))
+    left = s2pc.build_value_table(
+        f, cfg.prohibited, cfg.s, LEFT, f.vadd(coeff_matrix, prover_key.mask)
+    )
+    right = s2pc.build_value_table(f, cfg.prohibited, cfg.s, RIGHT, prover_key.mask)
+    return (ot_c_of_1_send(f, table, rng) for table in [left] * cfg.c + [right] * cfg.c)
 
 
-def commit_receive(cfg: ProtocolConfig, verifier_key: VerifierKey, receive) -> VerificationKey:
-    """Verifier half: one ``receive(bits)`` call for the whole schedule,
-    bits the row picks of each run in turn, each run's at its key point's
-    position in S.  The picks split back into runs of |S|-1, each decoded
-    to s elements; the c left runs give the rows of Gamma, the c right
-    runs the columns of Omega."""
-    points = {LEFT: verifier_key.lambdas, RIGHT: verifier_key.thetas}
+def commit_choices(cfg: ProtocolConfig, verifier_key: VerifierKey) -> tuple[list, np.ndarray]:
+    """Verifier half, before the transfers: each key point's position in
+    S, the lambdas' then the thetas', and the 2c runs' choice bits, each
+    run's the row picks at its position."""
     size = len(cfg.prohibited)
-    positions = [cfg.prohibited.index(points[kind][index]) for kind, index in _schedule(cfg)]
-    picks = receive(np.concatenate([row_picks(i, size) for i in positions]))
+    positions = [cfg.prohibited.index(z) for z in verifier_key.lambdas + verifier_key.thetas]
+    return positions, np.concatenate([row_picks(i, size) for i in positions])
+
+
+def commit_receive(cfg: ProtocolConfig, positions, picks) -> VerificationKey:
+    """Verifier half, after the transfers: the picks of the choice bits at
+    ``positions`` split back into runs of |S|-1, each decoded to s
+    elements; the c left runs give the rows of Gamma, the c right runs the
+    columns of Omega."""
+    size = len(cfg.prohibited)
     rows = [
         ot_c_of_1_receive(cfg.field, run, i, size, cfg.s)
         for i, run in zip(positions, np.split(picks, len(positions)))
@@ -335,8 +332,9 @@ def commit(
     outside = set(verifier_key.lambdas + verifier_key.thetas) - set(cfg.prohibited)
     if outside:
         raise ConfigError(f"key points {sorted(outside)} lie outside the reserved set")
-    commit_send(cfg, coeff_matrix, prover_key, lambda batches: box.send(join_batches(batches)), rng)
-    return commit_receive(cfg, verifier_key, box.receive)
+    box.send(commit_send(cfg, coeff_matrix, prover_key, rng))
+    positions, bits = commit_choices(cfg, verifier_key)
+    return commit_receive(cfg, positions, box.receive(bits))
 
 
 def evaluate(
@@ -416,12 +414,32 @@ def _field_to_json(field: Field) -> dict:
     raise ConfigError(f"unknown field backend {field!r}")
 
 
-def _field_from_json(obj: dict) -> Field:
+def _json_int(doc: dict, key: str) -> int:
+    """``doc[key]`` if a JSON integer: not null, a string, a bool or a float."""
+    if type(doc[key]) is not int:
+        raise ConfigError(f"config {key} must be an integer, got {doc[key]!r}")
+    return doc[key]
+
+
+def _json_table(doc: dict, key: str) -> list:
+    """``doc[key]`` if q rows of q JSON integers."""
+    rows = doc[key]
+    if not isinstance(rows, list) or any(
+        not isinstance(row, list) or len(row) != len(rows) or {type(v) for v in row} - {int}
+        for row in rows
+    ):
+        raise ConfigError(f"config {key} table must be q rows of q integers")
+    return rows
+
+
+def _field_from_json(obj) -> Field:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config field must be a JSON object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "prime":
-        return PrimeField(int(obj["modulus"]))
+        return PrimeField(_json_int(obj, "modulus"))
     if kind == "table":
-        return TableField(obj["add"], obj["mul"])
+        return TableField(_json_table(obj, "add"), _json_table(obj, "mul"))
     raise ConfigError(f"unknown field kind {kind!r}")
 
 
@@ -456,25 +474,24 @@ def config_from_json(text: str) -> tuple[ProtocolConfig, int | None]:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    if doc.get("version") not in _CONFIG_VERSIONS:
-        raise ConfigError(f"unsupported config version {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version not in _CONFIG_VERSIONS:
+        raise ConfigError(f"unsupported config version {version!r}")
     try:
         field = _field_from_json(doc["field"])
         cfg = make_config(
             field,
-            d=int(doc["d"]),
-            r=int(doc["r"]),
-            c=int(doc["c"]),
-            xi=int(doc["xi"]),
-            query_budget=(
-                int(doc["query_budget"]) if "query_budget" in doc else None
-            ),
+            d=_json_int(doc, "d"),
+            r=_json_int(doc, "r"),
+            c=_json_int(doc, "c"),
+            xi=_json_int(doc, "xi"),
+            query_budget=_json_int(doc, "query_budget") if "query_budget" in doc else None,
         )
     except KeyError as exc:
         raise ConfigError(f"config is missing {exc}") from exc
-    except FieldError as exc:
+    except (FieldError, OverflowError) as exc:  # a table entry past int64 overflows
         raise ConfigError(str(exc)) from exc
-    seed = int(doc["seed"]) if "seed" in doc else None
+    seed = _json_int(doc, "seed") if "seed" in doc else None
     return cfg, seed
 
 

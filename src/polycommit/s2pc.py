@@ -4,8 +4,9 @@ The receiver holds a key point x from the reserved set S, the sender holds
 a matrix M; the receiver must learn f(x, M) and nothing else about M,
 while the sender learns nothing at all.  The sender tabulates f(z, M) for
 every z in S, and the receiver fetches the row at x's position through one
-1-of-|S| OT (:func:`polycommit.protocol.commit_send` and
-:func:`~polycommit.protocol.commit_receive` are the two halves).  The
+1-of-|S| OT (:func:`polycommit.protocol.commit_send` is the sender's half,
+:func:`~polycommit.protocol.commit_choices` and
+:func:`~polycommit.protocol.commit_receive` the receiver's).  The
 2c computations of a commitment share one OT batch: each 1-of-|S| OT is
 |S|-1 1-of-2 transfers of it, and no run waits for another.  A table
 depends only on the kind and M, never on x, so each kind's table is built

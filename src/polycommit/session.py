@@ -1,44 +1,43 @@
-"""Two-party session driver: role state machines over a frame transport.
+"""Two-party session: the roles as sans-IO steps over a frame transport.
 
 One session walks NEGOTIATE (the config digest) -> SET_AGREE -> the
 commitment -> COMMIT_DONE -> an evaluation loop of EVAL_REQ / EVAL_RESP /
-VERDICT -> orderly ABORT(0).  The prover runs
-:func:`~polycommit.protocol.commit_send` and the verifier
-:func:`~polycommit.protocol.commit_receive`; the config fixes their
-schedule (c left runs, then c right runs), so no frame marks a run.  Any
-frame out of order aborts with a protocol-violation code.  The prover
-refuses queries above the agreed bound, and new points past the config's
-query budget, without ending the session.
+VERDICT -> orderly ABORT(0).  Each role is a sans-IO step (see
+:mod:`polycommit.wire`), and its ``run(chan)`` drives that step through
+one driver, which turns a failure into an exit code and, unless the
+transport failed, an ABORT frame.  The config fixes the order of the 2c
+S2PC runs, c left then c right, so no frame marks a run.  Any frame out
+of order aborts with a protocol-violation code.  The prover refuses
+queries above the agreed bound, and new points past the config's query
+budget, without ending the session.
 
-OT backends supply the 1-of-2 steps of the commitment halves in one batch
-per commitment: ``send(chan, batches, rng)`` takes the sender's 2c
-reduction tables as an iterable of (2, |S|-1, w) uint8 arrays, which draws
-each table's masks when it is pulled, and ``receive(chan, bits, rng)``
-returns the picks of all 2c(|S|-1) transfers as one (L, w) array.
-"ideal" shares a trusted in-process box between co-hosted roles (the
-batch joined into one queue item, so the sender may run ahead of the
-receiver and no OT frame touches the wire); "bs" drives the lane steps
-:func:`~polycommit.ot.bs_send` and :func:`~polycommit.ot.bs_receive` over
-the channel, the batch as L = 2c(|S|-1) lanes, so a bounded-storage run
-works across real sockets, with one interactive-hashing run of t-1 rounds
-for the whole commitment.  No frame marks the batch, so a peer still on the
-older schedule of one batch per S2PC ends in exit 4 where the two
-schedules part: after |S|-1 lanes' broadcasts, one side sends its first
-IH constraint frame while the other waits for the next lane's TAPE_CHUNK.
+An OT backend's ``send(batches, rng)`` and ``receive(bits, rng)`` return
+steps the roles run with ``yield from``: one batch per commitment, the
+batches of :func:`~polycommit.protocol.commit_send` (each pulled (2, |S|-1,
+w) array draws its masks) and the bits of
+:func:`~polycommit.protocol.commit_choices`, whose picks come back as one
+(L, w) array.  "ideal" shares a trusted in-process box between co-hosted
+roles (the batch joined into one queue item, so the sender may run ahead
+and no OT frame touches the wire); "bs" is the lane steps
+:func:`~polycommit.ot.bs_send` and :func:`~polycommit.ot.bs_receive`, the
+batch as L = 2c(|S|-1) lanes with one interactive-hashing run of t-1
+rounds, so a bounded-storage run works across real sockets.  No frame
+marks the batch, so a peer still on the older schedule of one batch per
+S2PC ends in exit 4 where the two schedules part: after |S|-1 lanes'
+broadcasts, one side sends its first IH constraint frame while the other
+waits for the next lane's TAPE_CHUNK.
 
 Each frame a role receives, ABORT included, is parsed to its last byte by
 :func:`~polycommit.wire.expect`; the role checks what needs its context,
-such as S2PC picks of s elements.  Any failure ends the session with exit
-4 and an ABORT frame.
-
-Exit codes: 0 ok, 2 config, 3 transport, 4 protocol violation,
-5 verification reject.
+such as S2PC picks of s elements.  Exit codes: 0 ok, 2 config, 3
+transport, 4 protocol violation, 5 verification reject.
 """
 
 from __future__ import annotations
 
 import logging
 import queue
+import socket
 import threading
 from dataclasses import dataclass, field as dc_field
 
@@ -51,7 +50,6 @@ from .ot import (
     OtError,
     bs_receive,
     bs_send,
-    join_batches,
     make_bs_params,
 )
 from .polymat import poly_to_matrix
@@ -60,6 +58,7 @@ from .protocol import (
     ProtocolConfig,
     RefusalError,
     VerificationKey,
+    commit_choices,
     commit_receive,
     commit_send,
     config_digest,
@@ -109,17 +108,21 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-def _ended_by(chan, exc: Exception) -> int:
-    """The exit code ``exc`` ends a role with; unless the transport failed,
-    the peer gets it in an ABORT frame."""
-    if isinstance(exc, TransportError):
-        return EXIT_TRANSPORT
-    code = exc.code if isinstance(exc, SessionAbort) else EXIT_PROTOCOL
+def _run_role(chan, step) -> int:
+    """Drive a role's ``step`` over ``chan``: the exit code it returns, or
+    the one its failure ends it with; unless the transport failed, the peer
+    gets that code in an ABORT frame."""
     try:
-        chan.send(Tag.ABORT, Writer().u8(code).blob(str(exc).encode()).bytes())
-    except OSError:
-        pass
-    return code
+        return drive(chan, step)
+    except TransportError:
+        return EXIT_TRANSPORT
+    except (SessionAbort, DecodeError, OtError) as exc:
+        code = exc.code if isinstance(exc, SessionAbort) else EXIT_PROTOCOL
+        try:
+            chan.send(Tag.ABORT, Writer().u8(code).blob(str(exc).encode()).bytes())
+        except OSError:
+            pass
+        return code
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +132,16 @@ def _ended_by(chan, exc: Exception) -> int:
 
 @dataclass
 class IdealBackend:
-    """Shared trusted box; usable only when both roles live in one process."""
+    """Shared trusted box for co-hosted roles; its steps trade no frame."""
 
     box: IdealOt = dc_field(default_factory=IdealOt)
 
-    def send(self, chan, batches, rng):
-        self.box.send(join_batches(batches))
+    def send(self, batches, rng):
+        yield from ()
+        self.box.send(batches)
 
-    def receive(self, chan, bits, rng):
+    def receive(self, bits, rng):
+        yield from ()
         try:
             return self.box.receive(bits)
         except queue.Empty as exc:  # the sender never deposited this batch
@@ -146,15 +151,15 @@ class IdealBackend:
 @dataclass
 class BsBackend:
     """Each batch runs the bounded-storage protocol on the wire, one lane
-    per transfer: the lane steps, driven over the channel."""
+    per transfer: the lane steps."""
 
     params: BsOtParams = dc_field(default_factory=make_bs_params)
 
-    def send(self, chan, batches, rng):
-        drive(chan, bs_send(self.params, batches, rng))
+    def send(self, batches, rng):
+        return bs_send(self.params, batches, rng)
 
-    def receive(self, chan, bits, rng):
-        return drive(chan, bs_receive(self.params, bits, rng))
+    def receive(self, bits, rng):
+        return bs_receive(self.params, bits, rng)
 
 
 def make_backend(name: str, bs_params: BsOtParams | None = None):
@@ -188,46 +193,41 @@ class ProverSession:
         self._seen_queries: set[int] = set()
 
     def run(self, chan) -> int:
+        return _run_role(chan, self.step())
+
+    def step(self):
+        """The prover as a sans-IO step; returns the verifier's closing
+        code."""
         cfg = self.cfg
         f = cfg.field
-        try:
-            if expect(chan.recv(), f, Tag.NEGOTIATE)[1] != config_digest(cfg):
-                raise SessionAbort(EXIT_CONFIG, "configuration digest mismatch")
-            chan.send(Tag.SET_AGREE, Writer().blob(set_digest(cfg)).bytes())
-            commit_send(
-                cfg,
-                self.matrix,
-                self.prover_key,
-                lambda batches: self.backend.send(chan, batches, self.rng),
-                self.rng,
-            )
-            expect(chan.recv(), f, Tag.COMMIT_DONE)
+        if expect((yield), f, Tag.NEGOTIATE)[1] != config_digest(cfg):
+            raise SessionAbort(EXIT_CONFIG, "configuration digest mismatch")
+        yield Tag.SET_AGREE, Writer().blob(set_digest(cfg)).bytes()
+        batches = commit_send(cfg, self.matrix, self.prover_key, self.rng)
+        yield from self.backend.send(batches, self.rng)
+        expect((yield), f, Tag.COMMIT_DONE)
 
-            budget = cfg.query_budget
-            while True:
-                # a VERDICT is parsed and needs no reply
-                tag, value = expect(chan.recv(), f, Tag.EVAL_REQ, Tag.VERDICT, Tag.ABORT)
-                if tag == Tag.EVAL_REQ:
-                    x = value
-                    new = x not in self._seen_queries
-                    if not new:
-                        log.warning("duplicate query point %d", x)
-                    try:
-                        # a repeated point reveals nothing new and costs nothing
-                        if new and budget is not None and len(self._seen_queries) >= budget:
-                            raise RefusalError(f"query {x} is past the budget {budget}")
-                        resp = evaluate(x, self.matrix, self.prover_key, cfg)
-                    except RefusalError:
-                        chan.send(Tag.EVAL_RESP, Writer().u8(1).bytes())
-                        continue
-                    self._seen_queries.add(x)
-                    w = Writer().u8(0)
-                    w.vector(f, resp.v).vector(f, resp.u)
-                    chan.send(Tag.EVAL_RESP, w.bytes())
-                elif tag == Tag.ABORT:
-                    return value[0]  # the verifier's closing code
-        except (SessionAbort, DecodeError, OtError, TransportError) as exc:
-            return _ended_by(chan, exc)
+        budget = cfg.query_budget
+        while True:
+            # a VERDICT is parsed and needs no reply
+            tag, value = expect((yield), f, Tag.EVAL_REQ, Tag.VERDICT, Tag.ABORT)
+            if tag == Tag.EVAL_REQ:
+                x = value
+                new = x not in self._seen_queries
+                if not new:
+                    log.warning("duplicate query point %d", x)
+                try:
+                    # a repeated point reveals nothing new and costs nothing
+                    if new and budget is not None and len(self._seen_queries) >= budget:
+                        raise RefusalError(f"query {x} is past the budget {budget}")
+                    resp = evaluate(x, self.matrix, self.prover_key, cfg)
+                except RefusalError:
+                    yield Tag.EVAL_RESP, Writer().u8(1).bytes()
+                    continue
+                self._seen_queries.add(x)
+                yield Tag.EVAL_RESP, Writer().u8(0).vector(f, resp.v).vector(f, resp.u).bytes()
+            elif tag == Tag.ABORT:
+                return value[0]  # the verifier's closing code
 
 
 @dataclass
@@ -253,46 +253,44 @@ class VerifierSession:
         self.outcome = VerifierOutcome()
 
     def run(self, chan) -> int:
+        return _run_role(chan, self.step())
+
+    def step(self):
+        """The verifier as a sans-IO step; returns its exit code."""
         cfg = self.cfg
         f = cfg.field
-        try:
-            chan.send(Tag.NEGOTIATE, Writer().blob(config_digest(cfg)).bytes())
-            if expect(chan.recv(), f, Tag.SET_AGREE)[1] != set_digest(cfg):
-                raise SessionAbort(EXIT_CONFIG, "reserved-set digest mismatch")
-            vk = commit_receive(
-                cfg,
-                self.key,
-                lambda bits: self.backend.receive(chan, bits, self.rng),
-            )
-            self.outcome.verification_key = vk
-            chan.send(Tag.COMMIT_DONE, b"")
+        yield Tag.NEGOTIATE, Writer().blob(config_digest(cfg)).bytes()
+        if expect((yield), f, Tag.SET_AGREE)[1] != set_digest(cfg):
+            raise SessionAbort(EXIT_CONFIG, "reserved-set digest mismatch")
+        positions, bits = commit_choices(cfg, self.key)
+        picks = yield from self.backend.receive(bits, self.rng)
+        vk = self.outcome.verification_key = commit_receive(cfg, positions, picks)
+        yield Tag.COMMIT_DONE, b""
 
-            budget = cfg.query_budget
-            if budget is not None and len(self.queries) > budget:
-                log.warning(
-                    "query count %d exceeds the privacy budget %d; "
-                    "the prover refuses new points past it",
-                    len(self.queries),
-                    budget,
-                )
-            for x in self.queries:
-                chan.send(Tag.EVAL_REQ, Writer().elem(f, x).bytes())
-                resp = expect(chan.recv(), f, Tag.EVAL_RESP)[1]
-                if resp is None:
-                    self.outcome.refused.append(x)
-                    continue
-                resp = EvalResponse(*resp)
-                if verify(x, resp, vk, self.key, cfg):
-                    value = recover(x, resp, cfg)
-                    self.outcome.recovered.append((x, value))
-                    chan.send(Tag.VERDICT, Writer().u8(1).elem(f, value).bytes())
-                else:
-                    self.outcome.rejected.append(x)
-                    chan.send(Tag.VERDICT, Writer().u8(0).bytes())
-            chan.send(Tag.ABORT, Writer().u8(0).blob(b"end of session").bytes())
-            return self.outcome.exit_code()
-        except (SessionAbort, DecodeError, OtError, TransportError) as exc:
-            return _ended_by(chan, exc)
+        budget = cfg.query_budget
+        if budget is not None and len(self.queries) > budget:
+            log.warning(
+                "query count %d exceeds the privacy budget %d; "
+                "the prover refuses new points past it",
+                len(self.queries),
+                budget,
+            )
+        for x in self.queries:
+            yield Tag.EVAL_REQ, Writer().elem(f, x).bytes()
+            resp = expect((yield), f, Tag.EVAL_RESP)[1]
+            if resp is None:
+                self.outcome.refused.append(x)
+                continue
+            resp = EvalResponse(*resp)
+            if verify(x, resp, vk, self.key, cfg):
+                value = recover(x, resp, cfg)
+                self.outcome.recovered.append((x, value))
+                yield Tag.VERDICT, Writer().u8(1).elem(f, value).bytes()
+            else:
+                self.outcome.rejected.append(x)
+                yield Tag.VERDICT, Writer().u8(0).bytes()
+        yield Tag.ABORT, Writer().u8(0).blob(b"end of session").bytes()
+        return self.outcome.exit_code()
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +335,13 @@ class RoleResult:
 
 
 def _tcp_pair() -> tuple[SocketChannel, SocketChannel]:
-    import socket as socket_mod
-
-    with socket_mod.create_server(("127.0.0.1", 0), backlog=1) as listener:
-        client = socket_mod.create_connection(listener.getsockname())
-        server_side, _ = listener.accept()
-    return SocketChannel(server_side), SocketChannel(client)
+    try:
+        with socket.create_server(("127.0.0.1", 0), backlog=1) as listener:
+            client = socket.create_connection(listener.getsockname())
+            server_side, _ = listener.accept()
+        return SocketChannel(server_side), SocketChannel(client)
+    except OSError as exc:
+        raise TransportError(str(exc)) from exc
 
 
 def run_pair(
@@ -410,8 +409,6 @@ def run_role(
     use the bounded-storage backend.  The arguments are checked before any
     socket opens.  Returns (exit_code, TranscriptRecorder,
     outcome-or-None)."""
-    import socket as socket_mod
-
     shared = BsBackend(params=bs_params or make_bs_params())
     if role == "prover":
         if coeffs is None:
@@ -423,10 +420,10 @@ def run_role(
         raise ValueError(f"unknown role {role!r}")
     try:
         if role == "prover":
-            with socket_mod.create_server(address, backlog=1) as listener:
+            with socket.create_server(address, backlog=1) as listener:
                 sock, _ = listener.accept()
         else:
-            sock = socket_mod.create_connection(address, timeout=30)
+            sock = socket.create_connection(address, timeout=30)
     except OSError as exc:
         raise TransportError(str(exc)) from exc
     chan = TranscriptRecorder(SocketChannel(sock))

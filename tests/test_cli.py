@@ -1,6 +1,7 @@
 """Command-line surface: exit codes and the documented subcommands."""
 
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -70,6 +71,33 @@ def test_run_demo_happy_path(config_path, tmp_path, capsys):
 
 def test_run_demo_tamper_exit_code(config_path):
     assert run_cli("run-demo", "--config", config_path, "--m", 3, "--tamper") == 5
+
+
+@pytest.mark.parametrize(
+    "key, value", [("field", 5), ("query_budget", None), ("d", "x"), ("seed", "s")]
+)
+def test_a_malformed_config_file_ends_in_exit_2(config_path, key, value, capsys):
+    doc = json.loads(config_path.read_text())
+    doc[key] = value
+    config_path.write_text(json.dumps(doc))
+    assert run_cli("run-demo", "--config", config_path) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_a_file_the_cli_cannot_read_ends_in_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert run_cli("commit", "--config", missing, "--state-dir", tmp_path / "state") == 2
+    err = capsys.readouterr().err
+    assert str(missing) in err and "transport" not in err
+
+
+def test_a_tcp_pair_that_cannot_connect_ends_in_exit_3(config_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise ConnectionRefusedError(111, "Connection refused")
+
+    monkeypatch.setattr(socket, "create_connection", refuse)
+    assert run_cli("run-demo", "--config", config_path, "--transport", "tcp") == 3
+    assert "transport error" in capsys.readouterr().err
 
 
 def test_commit_eval_verify_cycle(config_path, tmp_path, capsys):

@@ -1,11 +1,10 @@
 """Strict frames: a scripted peer replays one side of a recorded honest
-bounded-storage session against the other role, running live, with one
-frame changed.  Whatever the change, the role ends within a bound in a
-defined exit code, and a trailing byte on any frame it receives ends it in
-exit 4."""
+bounded-storage session against the other role, running live on the same
+thread, with one frame changed.  Whatever the change, the role ends
+within a bound in a defined exit code, and a trailing byte on any frame
+it receives ends it in exit 4."""
 
 import functools
-import threading
 import time
 
 import pytest
@@ -29,13 +28,13 @@ from polycommit.wire import (
     IH_SWAP,
     Tag,
     TransportError,
-    duplex_pair,
+    pump,
 )
 
 CFG = make_config(PrimeField(11), d=9, r=2, c=1, xi=6)
 SMALL_BS = make_bs_params(N=4096, ell=16, k=8)
 SEED, QUERIES = 14, [1, 2]
-BOUND_S = 10  # a replay ends well within this, timeouts included
+BOUND_S = 10  # a replay ends well within this
 
 
 def make_role(role):
@@ -45,72 +44,74 @@ def make_role(role):
     return VerifierSession(CFG, QUERIES, backend, SEED)
 
 
-class Logged:
-    """Channel wrapper appending (sending role, tag, payload) to ``log``."""
-
-    def __init__(self, inner, role, log):
-        self._inner, self._role, self._log = inner, role, log
-
-    def send(self, tag, payload):
-        self._log.append((self._role, tag, payload))
-        self._inner.send(tag, payload)
-
-    def recv(self):
-        return self._inner.recv()
+def logged(role, step, log):
+    """``step``, appending (role, tag, payload) to ``log`` for each frame
+    it sends."""
+    frame = None
+    while True:
+        try:
+            out = step.send(frame)
+        except StopIteration as stop:
+            return stop.value
+        if out is not None:
+            log.append((role, *out))
+        frame = yield out
 
 
 @functools.cache
 def honest_log():
-    """Every frame of the honest session, in an order that respects what
-    each frame waits for."""
-    chan_p, chan_v = duplex_pair(timeout=5)
-    log, codes = [], {}
-    threads = [
-        threading.Thread(
-            target=lambda role=role, chan=chan: codes.update({role: make_role(role).run(chan)}),
-            daemon=True,
-        )
-        for role, chan in (("prover", Logged(chan_p, "prover", log)),
-                           ("verifier", Logged(chan_v, "verifier", log)))
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-    assert codes == {"prover": EXIT_OK, "verifier": EXIT_OK}
+    """Every frame of the honest session, in the order the two roles trade
+    them when pumped on one thread."""
+    log = []
+    codes = pump(
+        logged("verifier", make_role("verifier").step(), log),
+        logged("prover", make_role("prover").step(), log),
+    )[:2]
+    assert codes == (EXIT_OK, EXIT_OK)
     return tuple(log)
 
 
-def replay(live, frames):
-    """Run role ``live`` against a peer that sends the other role's
-    ``frames`` in order and takes one frame from the live role wherever the
-    log holds one, until the live role aborts or goes silent; returns the
-    live role's exit code."""
-    session = make_role(live)
-    chan_live, chan_peer = duplex_pair(timeout=0.5)
-    result = {}
+class Script:
+    """The live role's channel to a peer that sends the other role's
+    logged frames in order and takes one frame from the live role wherever
+    the log holds one: ``recv`` hands over the peer's next frame only while
+    it comes before the live role's next logged frame, else the peer would
+    wait on the live role, which waits on it, and ``recv`` raises
+    :class:`TransportError` as a silent peer's channel does.  A live ABORT
+    ends the script."""
 
-    def run():
-        try:
-            result["code"] = session.run(chan_live)
-        except BaseException as exc:  # asserted absent below
-            result["error"] = exc
-
-    start = time.monotonic()
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    try:
+    def __init__(self, live, frames):
+        self._peer, self._sent, self._ended = [], 0, False
+        before = 0  # the live role's frames logged before the peer's next
         for sender, tag, payload in frames:
-            if sender != live:
-                chan_peer.send(tag, payload)
-            elif chan_peer.recv()[0] == Tag.ABORT:
-                break
-    except TransportError:  # the live role went silent
-        pass
-    thread.join(timeout=BOUND_S)
-    assert not thread.is_alive() and time.monotonic() - start < BOUND_S
-    assert "error" not in result, repr(result.get("error"))
-    return result["code"]
+            if sender == live:
+                before += 1
+            else:
+                self._peer.append((before, (tag, payload)))
+
+    def send(self, tag, payload):
+        self._sent += 1
+        self._ended |= tag == Tag.ABORT
+
+    def recv(self):
+        if self._ended or not self._peer or self._peer[0][0] > self._sent:
+            raise TransportError("the peer went silent")
+        return self._peer.pop(0)[1]
+
+
+def replay(live, frames):
+    """Run role ``live`` on this thread against a peer that sends the other
+    role's ``frames`` in order and takes one frame from the live role
+    wherever the log holds one, until the live role aborts or goes silent;
+    returns the live role's exit code."""
+    start = time.monotonic()
+    try:
+        code = make_role(live).run(Script(live, frames))
+    except Exception as exc:  # asserted absent below
+        code = exc
+    assert time.monotonic() - start < BOUND_S
+    assert not isinstance(code, Exception), repr(code)
+    return code
 
 
 def kind(tag, payload):

@@ -50,6 +50,7 @@ from polycommit.wire import (
     DecodeError,
     Tag,
     Writer,
+    drive,
     duplex_pair,
     parse,
 )
@@ -61,23 +62,24 @@ GF11 = PrimeField(11)
 
 
 def batch(m0s, m1s):
-    """The (2, L, w) uint8 batch of the pairs (m0s[j], m1s[j])."""
+    """The (2, L, w) uint8 batch of the pairs (m0s[j], m1s[j]); the box
+    takes a list of batches."""
     return np.array([[list(m) for m in m0s], [list(m) for m in m1s]], dtype=np.uint8)
 
 
 def test_ideal_ot_selects():
     ot = IdealOt()
-    ot.send(batch([b"\x05", b"\x06"], [b"\x09", b"\x0a"]))
+    ot.send([batch([b"\x05", b"\x06"], [b"\x09", b"\x0a"])])
     picks = ot.receive((1, 0))
     assert picks.dtype == np.uint8 and picks.tolist() == [[9], [6]]
-    ot.send(batch([b"\x05\x07"], [b"\x09\x0b"]))
+    ot.send([batch([b"\x05\x07"], [b"\x09\x0b"])])
     assert ot.receive(np.array([0])).tolist() == [[5, 7]]
 
 
 def test_ideal_ot_identical_messages():
     ot = IdealOt()
     for b in (0, 1):
-        ot.send(batch([b"same"], [b"same"]))
+        ot.send([batch([b"same"], [b"same"])])
         assert ot.receive((b,)).tobytes() == b"same"
 
 
@@ -88,7 +90,7 @@ def test_ideal_ot_sender_trace_is_choice_free():
     for bits in ((0, 1), (1, 0)):
         ot = IdealOt()
         sent = batch([b"\x01\x02", b"\x05\x00"], [b"\x03\x04", b"\x06\x00"])
-        ot.send(sent)
+        ot.send([sent])
         sent[:] = 0
         ot.receive(bits)[:] = 0
         assert len(ot.sender_trace) == 1 and not ot.sender_trace[0].flags.writeable
@@ -105,9 +107,9 @@ def test_ideal_ot_rejects_length_mismatch():
         np.zeros((2, 1, 1), np.int64),  # not bytes
     ):
         with pytest.raises(OtError):
-            IdealOt().send(bad)
+            IdealOt().send([bad])
     ot = IdealOt()
-    ot.send(batch([b"x", b"y"], [b"z", b"w"]))
+    ot.send([batch([b"x", b"y"], [b"z", b"w"])])
     with pytest.raises(OtError):
         ot.receive((0,))  # one choice for a batch of two
     with pytest.raises(OtError):
@@ -489,15 +491,14 @@ def test_ih_sender_solutions_match_solve_pair(t):
     for seed in range(30):
         replies = random.Random(-seed)
         sender = IhSender(t, random.Random(seed))
-        while sender.need_more():
-            sender.next_constraint()
+        assert len(sender.constraints) == t - 1  # all drawn when built
+        for _ in range(t - 1):
             sender.push_reply(replies.getrandbits(1))
         assert sender.solutions() == _solve_pair(sender.rounds, t)
 
 
 def test_ih_sender_solves_only_after_every_reply():
     sender = IhSender(8, random.Random(1))
-    sender.next_constraint()
     sender.push_reply(1)
     with pytest.raises(OtError, match="replies"):
         sender.solutions()
@@ -715,15 +716,16 @@ def test_criterion_8_runs_the_lane_steps(monkeypatch):
     assert replies == [bytes([reply]) for _, reply in transcript.rounds]
 
 
-def over_duplex(backend, batches, bits, seed):
+def over_duplex(backend, batches, bits, seed, wrap=lambda chan: chan):
     """A list of (2, L_k, w) batches, sent as one, through ``backend``: the
-    sender on its own thread, the receiver here, over a duplex pair; the
-    receiver's picks."""
+    sender's step on its own thread over ``wrap`` of its end of a duplex
+    pair, the receiver's here; the receiver's picks."""
     chan_s, chan_r = duplex_pair(timeout=10)
-    sender = threading.Thread(target=backend.send, args=(chan_s, batches, random.Random(seed)))
+    step = backend.send(batches, random.Random(seed))
+    sender = threading.Thread(target=drive, args=(wrap(chan_s), step))
     sender.start()
     try:
-        return backend.receive(chan_r, bits, random.Random(1000 + seed))
+        return drive(chan_r, backend.receive(bits, random.Random(1000 + seed)))
     finally:
         sender.join(timeout=10)
         assert not sender.is_alive()
@@ -787,13 +789,9 @@ def test_bs_backend_refuses_ragged_lane_messages():
                 payload = w.bytes()
             self.inner.send(tag, payload)
 
-    class RaggedBs(BsBackend):
-        def send(self, chan, batches, rng):
-            super().send(Ragged(chan), batches, rng)
-
-    backend = RaggedBs(make_bs_params(N=4096, ell=16))
+    backend = BsBackend(make_bs_params(N=4096, ell=16))
     with pytest.raises(DecodeError):
-        over_duplex(backend, [np.zeros((2, 2, 3), np.uint8)], [0, 1], 0)
+        over_duplex(backend, [np.zeros((2, 2, 3), np.uint8)], [0, 1], 0, wrap=Ragged)
 
 
 def test_element_codec_round_trip():

@@ -1,6 +1,7 @@
 """Protocol core: parameters, keys, commit, evaluate, verify, recover."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -81,6 +82,55 @@ def test_table_field_axioms_are_checked_once_in_the_constructor(monkeypatch):
     assert calls == [4]
     config_from_json(config_to_json(cfg))
     assert calls == [4, 4]
+
+
+PRIME_CFG = make_config(GF11, d=9, r=2, c=1, xi=6, query_budget=3)
+TABLE_CFG = make_config(gf4(), d=4, r=2, c=1, xi=1)
+
+
+def _field_edit(edit, cfg=PRIME_CFG):
+    return cfg, lambda doc: edit(doc["field"])
+
+
+def _set(key, value):
+    return PRIME_CFG, lambda doc: doc.update({key: value})
+
+
+# (a config, an edit of its JSON document that leaves JSON but not a
+# config): each edit must give a ConfigError, never another exception
+MALFORMED_CONFIGS = {
+    "field-number": _set("field", 5),
+    "field-list": _set("field", []),
+    "kind-number": _field_edit(lambda f: f.update(kind=5)),
+    "kind-list": _field_edit(lambda f: f.update(kind=["prime"])),
+    "modulus-string": _field_edit(lambda f: f.update(modulus="11")),
+    "modulus-float": _field_edit(lambda f: f.update(modulus=11.0)),
+    "modulus-bool": _field_edit(lambda f: f.update(modulus=True)),
+    "table-string": _field_edit(lambda f: f.update(add="x"), TABLE_CFG),
+    "table-flat": _field_edit(lambda f: f.update(add=sum(f["add"], [])), TABLE_CFG),
+    "table-ragged": _field_edit(lambda f: f["mul"][1].pop(), TABLE_CFG),
+    "table-past-int64": _field_edit(lambda f: f["add"][0].__setitem__(0, 2**70), TABLE_CFG),
+    "table-floats": _field_edit(
+        lambda f: f.update(add=[[float(v) for v in row] for row in f["add"]]), TABLE_CFG
+    ),
+    "version-bool": _set("version", True),
+    # the float is the key's valid value, as 9.0 for d = 9
+    **{
+        f"{key}-{name}": _set(key, value)
+        for key, valid in {"d": 9, "r": 2, "c": 1, "xi": 6, "seed": 7, "query_budget": 3}.items()
+        for name, value in (("null", None), ("string", "x"), ("bool", True), ("float", float(valid)))
+    },
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_CONFIGS)
+def test_a_malformed_config_is_a_config_error(case):
+    cfg, edit = MALFORMED_CONFIGS[case]
+    doc = json.loads(config_to_json(cfg, seed=7))
+    assert config_from_json(json.dumps(doc)) == (cfg, 7)
+    edit(doc)
+    with pytest.raises(ConfigError):
+        config_from_json(json.dumps(doc))
 
 
 def test_suggest_prime_modulus():

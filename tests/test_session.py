@@ -121,6 +121,22 @@ def test_bounded_storage_wire_is_stable():
     )
 
 
+def test_roles_pumped_on_one_thread_trade_the_frames_run_pair_records():
+    # the role steps need no thread: pumped against each other, an honest
+    # bs session trades exactly the frames the prover's transcript holds
+    # when run_pair drives the roles over a channel, and recovers the same
+    cfg = desk_config(c=1)
+    coeffs = honest_coefficients(cfg, 14)
+    res_p, _, outcome = run_pair(cfg, coeffs, [1, 2], seed=14, backend="bs", bs_params=SMALL_BS)
+    backend = BsBackend(SMALL_BS)
+    verifier = VerifierSession(cfg, [1, 2], backend, 14)
+    prover = ProverSession(cfg, coeffs, backend, 14)
+    code_v, code_p, frames = wire.pump(verifier.step(), prover.step())
+    assert code_v == code_p == EXIT_OK
+    assert frames == res_p.transcript.frames
+    assert verifier.outcome.recovered == outcome.recovered and len(outcome.recovered) == 2
+
+
 def lane_digests(frames, t):
     """Per transfer, in order, the SHA-256 of its TAPE_CHUNK and
     OMEGA_REVEAL payloads, its t-1 constraints as ceil(t/8)-byte
@@ -921,8 +937,8 @@ def mangled(backend_cls, mangle, *args):
     ``mangle`` as it is pulled."""
 
     class Mangled(backend_cls):
-        def send(self, chan, batches, rng):
-            super().send(chan, map(mangle, batches), rng)
+        def send(self, batches, rng):
+            return super().send(map(mangle, batches), rng)
 
     return Mangled(*args)
 
