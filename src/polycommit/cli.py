@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .field import PrimeField, gf2, gf4
+from .field import FieldError, PrimeField, gf2, gf4
 from .ot import OtError
 from .polymat import poly_to_matrix
 from .protocol import (
@@ -54,7 +54,10 @@ def _field_for_order(q: int):
         return gf2()
     if q == 4:
         return gf4()
-    return PrimeField(q)
+    try:
+        return PrimeField(q)
+    except FieldError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _load_config(args):
@@ -181,7 +184,9 @@ def cmd_run_demo(args) -> int:
 
 def cmd_run_role(args) -> int:
     cfg, seed = _load_config(args)
-    host, port = args.address.rsplit(":", 1)
+    host, _, port = args.address.rpartition(":")
+    if not (port.isdecimal() and int(port) <= 65535):
+        raise ConfigError(f"address {args.address!r} is not host:port with a port in 0-65535")
     kwargs = {}
     if args.role == "prover":
         kwargs["coeffs"] = honest_coefficients(cfg, seed)

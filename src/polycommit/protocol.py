@@ -169,7 +169,8 @@ class EvalResponse:
 def derive_prohibited_set(field: Field, s: int, r: int, xi: int) -> tuple[int, ...]:
     """The r(s-1) smallest elements strictly greater than xi in canonical
     order."""
-    field.check(xi)
+    if not 0 <= xi < field.q:
+        raise ConfigError(f"xi={xi} is not an element of GF({field.q})")
     size = r * (s - 1)
     available = field.q - 1 - xi
     if available < size:
@@ -439,7 +440,10 @@ def _field_from_json(obj) -> Field:
     if kind == "prime":
         return PrimeField(_json_int(obj, "modulus"))
     if kind == "table":
-        return TableField(_json_table(obj, "add"), _json_table(obj, "mul"))
+        field = TableField(_json_table(obj, "add"), _json_table(obj, "mul"))
+        if _json_int(obj, "order") != field.q:
+            raise ConfigError(f"config field order must be the table size {field.q}")
+        return field
     raise ConfigError(f"unknown field kind {kind!r}")
 
 

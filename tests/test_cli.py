@@ -52,6 +52,17 @@ def test_gen_config_rejects_gcd_violation(capsys):
     assert "gcd" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "q, xi, message",
+    [(9, 6, "not prime"), (1, 0, "odd prime"), (300, 6, "odd prime"), (11, 30, "xi=30")],
+    ids=["q9", "q1", "q300", "xi30"],
+)
+def test_gen_config_rejects_a_bad_field_or_xi(q, xi, message, capsys):
+    assert run_cli("gen-config", "--q", q, "--d", 9, "--r", 2, "--c", 1,
+                   "--xi", xi) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_gen_config_table_field(tmp_path):
     path = tmp_path / "gf4.json"
     assert run_cli("gen-config", "--q", 4, "--d", 4, "--r", 2, "--c", 1,
@@ -98,6 +109,18 @@ def test_a_tcp_pair_that_cannot_connect_ends_in_exit_3(config_path, monkeypatch,
     monkeypatch.setattr(socket, "create_connection", refuse)
     assert run_cli("run-demo", "--config", config_path, "--transport", "tcp") == 3
     assert "transport error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("address", ["foo", "127.0.0.1:abc", "127.0.0.1:99999"])
+@pytest.mark.parametrize("role", ["prover", "verifier"])
+def test_run_role_refuses_a_malformed_address(config_path, role, address, monkeypatch, capsys):
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(socket, "create_server", no_socket)
+    monkeypatch.setattr(socket, "create_connection", no_socket)
+    assert run_cli("run-role", role, "--config", config_path, "--address", address) == 2
+    assert repr(address) in capsys.readouterr().err
 
 
 def test_commit_eval_verify_cycle(config_path, tmp_path, capsys):

@@ -190,16 +190,19 @@ def test_sampling_golden_triple():
 
 
 def test_sampling_uniform_chi_square():
-    # Each symbol count within 5 sigma of n/q.
+    # Each symbol count within 5 sigma of n/q, for n scalar draws and for
+    # one bulk vsample draw of n.
     for field in (GF11, gf2()):
         rng = substream(2024, "field", "chi2", field.q)
         n = 100_000
-        counts = np.zeros(field.q)
+        scalar = np.zeros(field.q)
         for _ in range(n):
-            counts[field.sample(rng)] += 1
+            scalar[field.sample(rng)] += 1
+        bulk = np.bincount(field.vsample(rng, n), minlength=field.q)
         p = 1.0 / field.q
         sigma = math.sqrt(n * p * (1 - p))
-        assert np.all(np.abs(counts - n * p) <= 5 * sigma)
+        for counts in (scalar, bulk):
+            assert np.all(np.abs(counts - n * p) <= 5 * sigma)
 
 
 @pytest.mark.parametrize(
@@ -216,21 +219,24 @@ def test_sampling_uniform_chi_square():
     ids=lambda f: f"q={f.q}",
 )
 @pytest.mark.parametrize(
-    "n", [0, 1, 7, BULK_DRAW_MIN - 1, BULK_DRAW_MIN, BULK_DRAW_MIN + 1, 5000]
+    "n", sorted({0, 1, 7, 31, 32, 33, BULK_DRAW_MIN - 1, BULK_DRAW_MIN, BULK_DRAW_MIN + 1, 5000})
 )
 def test_vector_sampling_is_the_scalar_stream(field, n):
-    # same values and same generator state as n calls of sample(), so a
-    # caller may switch between them without changing any RNG stream; the
-    # n around BULK_DRAW_MIN cross from the scalar tail to a bulk round,
-    # and q = 65537 (about half of all 17-bit draws kept) runs several
-    # bulk rounds before the tail
-    a, b = substream(2024, "field", "vsample", field.q, n), substream(
-        2024, "field", "vsample", field.q, n
-    )
-    want = [field.sample(a) for _ in range(n)]
+    # below BULK_DRAW_MIN: the values and final generator state of n calls
+    # of sample(), so small set-up draws keep their stream; from it on: the
+    # same canonical elements from the same seed, with rng left where one
+    # getrandbits(128) leaves it
+    a, b, again = (substream(2024, "field", "vsample", field.q, n) for _ in range(3))
     got = field.vsample(b, n)
     assert got.dtype == field.dtype and got.shape == (n,)
-    assert got.tolist() == want
+    if n < BULK_DRAW_MIN:
+        assert got.tolist() == [field.sample(a) for _ in range(n)]
+    else:
+        assert got.tolist() == field.vsample(again, n).tolist()
+        assert 0 <= got.min() and got.max() < field.q
+        if field.dtype == object:
+            assert {type(v) for v in got} == {int}
+        a.getrandbits(128)
     assert a.getstate() == b.getstate()
 
 

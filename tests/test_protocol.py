@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from polycommit import PrimeField, TableField, gf4, session, substream
+from polycommit.field import BULK_DRAW_MIN
 from polycommit.ot import IdealOt
 from polycommit.polymat import (
     horner_eval,
@@ -113,6 +115,9 @@ MALFORMED_CONFIGS = {
     "table-floats": _field_edit(
         lambda f: f.update(add=[[float(v) for v in row] for row in f["add"]]), TABLE_CFG
     ),
+    "order-wrong": _field_edit(lambda f: f.update(order=7), TABLE_CFG),
+    "order-string": _field_edit(lambda f: f.update(order="x"), TABLE_CFG),
+    "order-missing": _field_edit(lambda f: f.pop("order"), TABLE_CFG),
     "version-bool": _set("version", True),
     # the float is the key's valid value, as 9.0 for d = 9
     **{
@@ -181,17 +186,30 @@ def test_keygen_golden_seeded():
     ids=lambda cfg: f"q={cfg.field.q}-s={cfg.s}",
 )
 def test_setup_draws_are_the_scalar_stream(cfg, monkeypatch):
-    # the set-up helpers draw in bulk, but give the values, dtype and final
-    # generator state of one field.sample per element in row-major order
+    # a set-up draw below BULK_DRAW_MIN gives the values, dtype and final
+    # generator state of one field.sample per element in row-major order, so
+    # small sessions keep their wire; a larger one gives the same canonical
+    # elements from the same seed and advances the generator by one
+    # getrandbits(128)
     f = cfg.field
 
-    def scalar(rng, n):
-        return f.asarray([f.sample(rng) for _ in range(n)])
+    def reference(rng, shape):
+        """Advance rng as the draw does; its values if they are scalar."""
+        n = math.prod(shape)
+        if n >= BULK_DRAW_MIN:
+            rng.getrandbits(128)
+            return None
+        return f.asarray([f.sample(rng) for _ in range(n)]).reshape(shape)
 
-    def same(got, want):
-        assert got.dtype == want.dtype == f.dtype
-        assert got.shape == want.shape
-        assert got.tolist() == want.tolist()
+    def check(got, want, again, shape):
+        assert got.dtype == again.dtype == f.dtype
+        assert got.shape == again.shape == shape
+        assert got.tolist() == again.tolist()
+        assert 0 <= got.min() and got.max() < f.q
+        if f.dtype == object:
+            assert {type(v) for v in got.flat} == {int}
+        if want is not None:
+            assert got.tolist() == want.tolist()
 
     used = []
 
@@ -202,13 +220,13 @@ def test_setup_draws_are_the_scalar_stream(cfg, monkeypatch):
     monkeypatch.setattr(session, "substream", recording_substream)
     coeffs = honest_coefficients(cfg, 7)
     ref = substream(7, "poly")
-    same(coeffs, scalar(ref, cfg.d))
+    check(coeffs, reference(ref, (cfg.d,)), honest_coefficients(cfg, 7), (cfg.d,))
     assert used[0].getstate() == ref.getstate()
 
-    a, b = substream(2024, "protocol", "setup"), substream(2024, "protocol", "setup")
-    shape = (cfg.s, cfg.s + 1)
-    same(random_matrix(f, shape, a), scalar(b, cfg.s * (cfg.s + 1)).reshape(shape))
-    same(keygen_prover(cfg, a).mask, scalar(b, cfg.d).reshape(cfg.s, cfg.s))
+    a, b, again = (substream(2024, "protocol", "setup") for _ in range(3))
+    shape, square = (cfg.s, cfg.s + 1), (cfg.s, cfg.s)
+    check(random_matrix(f, shape, a), reference(b, shape), random_matrix(f, shape, again), shape)
+    check(keygen_prover(cfg, a).mask, reference(b, square), keygen_prover(cfg, again).mask, square)
     assert a.getstate() == b.getstate()
 
 
