@@ -60,10 +60,10 @@ from .polymat import horner_eval, power_row, rank, structured_matrix
 from .protocol import (
     EvalResponse,
     ProtocolConfig,
-    ProverKey,
     VerificationKey,
     VerifierKey,
     evaluate,
+    keygen_prover,
     keygen_verifier,
     lambda_matrix,
     random_matrix,
@@ -258,7 +258,7 @@ def monte_carlo_detection(
         raise FieldError("need at least 10**3 trials for a meaningful rate")
     f = cfg.field
     a = random_matrix(f, (cfg.s, cfg.s), rng)
-    pk = ProverKey(random_matrix(f, (cfg.s, cfg.s), rng))
+    pk = keygen_prover(cfg, rng)
     masked = f.vadd(a, pk.mask)
     honest = evaluate(x, a, pk, cfg)
     accepted = 0

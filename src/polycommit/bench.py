@@ -26,10 +26,10 @@ from .field import PrimeField
 from .protocol import (
     EvalResponse,
     ProtocolConfig,
-    ProverKey,
     VerificationKey,
     VerifierKey,
     evaluate,
+    keygen_prover,
     lambda_matrix,
     matrix_side,
     random_matrix,
@@ -155,7 +155,7 @@ def _round_setup(field, d: int, c: int, rng):
     key, and (Gamma, Omega) built directly."""
     cfg = _raw_config(field, d, c)
     a = random_matrix(field, (cfg.s, cfg.s), rng)
-    pk = ProverKey(random_matrix(field, (cfg.s, cfg.s), rng))
+    pk = keygen_prover(cfg, rng)
     key = VerifierKey(tuple(range(2, 2 + c)), tuple(range(2, 2 + c)))
     vk = VerificationKey(
         gamma=field.matmul(lambda_matrix(cfg, key), field.vadd(a, pk.mask)),

@@ -5,9 +5,12 @@ Two interchangeable backends share one interface:
 * :class:`PrimeField` -- GF(p) for an odd prime p < 2**62.  The fast path
   keeps vectors and matrices in int64 numpy arrays, and its matrix product
   is an exact int64 ``einsum`` kernel, blocked over the inner dimension so
-  no partial sum reaches 2**62 (no float or BLAS path); for p >= 2**31
-  (where int64 products could overflow) arrays fall back to object dtype
-  with exact Python integers.
+  no partial sum reaches 2**62; for p >= 2**31 (where int64 products could
+  overflow) arrays fall back to object dtype with exact Python integers.
+  Handed a float64 operand, the product is one float64 BLAS ``@`` instead,
+  which is exact only while inner * (p-1)**2 < 2**53, so that every partial
+  sum is an integer float64 holds: :func:`float_exact` is that rule, and a
+  caller keeps a float64 copy of a matrix only where it holds.
 * :class:`TableField` -- GF(q) for q <= 256, defined by explicit addition
   and multiplication tables.  This is the enumeration-oracle path and the
   only way to get prime-power orders such as GF(4), which matter because
@@ -38,6 +41,8 @@ __all__ = [
     "gf4",
     "is_probable_prime",
     "validate_spec",
+    "check_canonical",
+    "float_exact",
     "compare",
     "elem_size",
     "encode_elements",
@@ -173,10 +178,8 @@ class PrimeField:
     # -- numpy vector/matrix arithmetic --
 
     def asarray(self, values) -> np.ndarray:
-        arr = np.array(values, dtype=self.dtype)
-        if arr.size and (arr.min() < 0 or arr.max() >= self.q):
-            raise FieldError("array contains non-canonical elements")
-        return arr
+        """A new array of ``values``, each checked canonical."""
+        return check_canonical(self, np.array(values, dtype=self.dtype))
 
     def zeros(self, shape) -> np.ndarray:
         return np.zeros(shape, dtype=self.dtype)
@@ -191,21 +194,36 @@ class PrimeField:
         return a * b % self.p
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact matrix product mod p. Blocks the inner dimension so that
-        int64 partial sums never overflow: the first block's product starts
-        the sum and each further block is folded in, so an inner dimension
-        of at most one block costs one ``einsum`` and one reduction.
+        """Exact matrix product mod p, as canonical elements of the field's
+        dtype.
 
-        The int64 product is ``einsum``, which streams b row by row; numpy
-        has no BLAS for int64, and its ``@`` walks b's columns.  Every
-        partial sum of a block stays below 2**62, so the summation order
-        cannot change a result."""
+        Where either operand is float64 (a canonical matrix a caller keeps
+        in float64), the product is one float64 ``@``, which numpy hands to
+        BLAS, reduced mod p once and cast back to int64; it requires
+        :func:`float_exact` for the inner dimension and raises
+        :class:`FieldError` otherwise.
+
+        Otherwise it blocks the inner dimension so that int64 partial sums
+        never overflow: the first block's product starts the sum and each
+        further block is folded in, so an inner dimension of at most one
+        block costs one ``einsum`` and one reduction.  The int64 product is
+        ``einsum``, which streams b row by row; numpy has no BLAS for int64,
+        and its ``@`` walks b's columns.  Every partial sum of a block stays
+        below 2**62, so the summation order cannot change a result."""
         a = np.atleast_2d(a)
         b_vec = b.ndim == 1
         b2 = b[:, None] if b_vec else b
         if a.shape[1] != b2.shape[0]:
             raise FieldError(f"dimension mismatch: {a.shape} @ {b2.shape}")
-        if not self._small:
+        if a.dtype == np.float64 or b2.dtype == np.float64:
+            if not float_exact(self, a.shape[1]):
+                raise FieldError(
+                    f"a float64 product over {a.shape[1]} terms mod {self.p} "
+                    "is not exact: inner * (p-1)**2 reaches 2**53"
+                )
+            prod = a.astype(np.float64, copy=False) @ b2.astype(np.float64, copy=False)
+            out = (prod % self.p).astype(np.int64)
+        elif not self._small:
             out = np.dot(a.astype(object), b2.astype(object)) % self.p
         else:
             block = (1 << 62) // (self.p - 1) ** 2
@@ -405,6 +423,23 @@ def validate_spec(field: Field, s: int) -> list[str]:
             f"x**{s} is not a permutation of GF({field.q})"
         )
     return problems
+
+
+def float_exact(field: Field, inner: int) -> bool:
+    """Whether a float64 product of canonical elements of ``field`` with
+    inner dimension ``inner`` is exact: ``field`` is a :class:`PrimeField`
+    and inner * (p-1)**2 < 2**53, so every product and partial sum is an
+    integer that float64 holds, whatever the summation order.  The bound
+    needs p < 2**27, so such a field is always on the int64 path."""
+    return isinstance(field, PrimeField) and inner * (field.p - 1) ** 2 < 1 << 53
+
+
+def check_canonical(field: Field, arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself once every element lies in [0, q); a
+    :class:`FieldError` otherwise."""
+    if arr.size and (arr.min() < 0 or arr.max() >= field.q):
+        raise FieldError("array contains non-canonical elements")
+    return arr
 
 
 def compare(a: int, b: int) -> int:

@@ -20,7 +20,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .field import Field, FieldError
+from .field import Field, FieldError, check_canonical
 
 __all__ = [
     "poly_to_matrix",
@@ -35,11 +35,15 @@ Direction = Literal["low", "high"]
 
 
 def poly_to_matrix(field: Field, coeffs, s: int) -> np.ndarray:
-    """Reshape d = s**2 coefficients row-major into an s x s matrix."""
-    arr = field.asarray(coeffs)
+    """Reshape d = s**2 canonical coefficients row-major into a read-only
+    s x s matrix.  Coefficients already in the field's dtype are not
+    copied: the matrix is a view of them."""
+    arr = check_canonical(field, np.asarray(coeffs, dtype=field.dtype))
     if arr.ndim != 1 or arr.size != s * s:
         raise FieldError(f"need exactly {s * s} coefficients, got shape {arr.shape}")
-    return arr.reshape(s, s)
+    matrix = arr.reshape(s, s)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def horner_eval(field: Field, coeffs, x: int) -> int:

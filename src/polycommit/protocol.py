@@ -12,7 +12,9 @@ verifier learns Gamma = Lambda(A+B) and Omega = B Theta^T for his secret
 key points, while the prover learns nothing about the points.  Evaluation
 returns v = (A+B) lowRow(x)^T and u = highRow(x) B; the prover computes v
 by linearity as A lowRow(x)^T + B lowRow(x)^T, two products and one
-s-vector sum, so no round forms the s x s sum A+B.  Verification checks
+s-vector sum, so no round forms the s x s sum A+B.  Where s(q-1)**2 <
+2**53 the prover key also holds B in float64, and both products with B
+are exact float64 BLAS products.  Verification checks
 the two parities
 
     Gamma lowRow(x)^T == Lambda v    and    highRow(x) Omega == u Theta^T
@@ -48,6 +50,7 @@ persist between CLI calls as a versioned binary state file
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -66,6 +69,7 @@ from .field import (
     TableField,
     compare,
     encode_elements,
+    float_exact,
     is_probable_prime,
     validate_spec,
 )
@@ -145,9 +149,18 @@ class VerifierKey:
 @dataclass(frozen=True)
 class ProverKey:
     """The uniform mask matrix B (the matrix form of the masking
-    polynomial)."""
+    polynomial), in canonical elements; the commitment, the state file and
+    anything that reads the key's elements read ``mask``.
+
+    ``mask_f64`` is the same B in float64, read only by :func:`evaluate`.
+    :func:`keygen_prover` and :func:`load_prover_state` build it once, and
+    only where the config's field is a :class:`PrimeField` whose float64
+    product is exact at inner dimension s (s(q-1)**2 < 2**53, see
+    :func:`~polycommit.field.float_exact`); a key made from ``mask`` alone,
+    or over any other field, has None and evaluates on the int64 path."""
 
     mask: np.ndarray
+    mask_f64: np.ndarray | None = dataclasses.field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -258,8 +271,17 @@ def keygen_verifier(cfg: ProtocolConfig, rng: random.Random) -> VerifierKey:
     return VerifierKey(lambdas=lambdas, thetas=thetas)
 
 
+def _prover_key(cfg: ProtocolConfig, mask: np.ndarray) -> ProverKey:
+    """The key over ``mask``, with its float64 form where that is exact."""
+    if float_exact(cfg.field, cfg.s):
+        mask_f64 = mask.astype(np.float64)
+        mask_f64.flags.writeable = False
+        return ProverKey(mask, mask_f64)
+    return ProverKey(mask)
+
+
 def keygen_prover(cfg: ProtocolConfig, rng: random.Random) -> ProverKey:
-    return ProverKey(mask=random_matrix(cfg.field, (cfg.s, cfg.s), rng))
+    return _prover_key(cfg, random_matrix(cfg.field, (cfg.s, cfg.s), rng))
 
 
 @functools.lru_cache(maxsize=256)
@@ -345,7 +367,11 @@ def evaluate(
     refuses any x above xi (hence any x in the reserved set).
 
     v = (A+B) lowRow(x)^T is computed as A lowRow(x)^T + B lowRow(x)^T:
-    two matrix-vector products and one s-vector sum, never the s x s A+B."""
+    two matrix-vector products and one s-vector sum, never the s x s A+B.
+    Where the key holds B in float64, B lowRow(x)^T and highRow(x) B are
+    float64 BLAS products, each reduced mod q once and returned as
+    canonical int64, so the response is the int64 path's to the element;
+    A lowRow(x)^T stays on the int64 path."""
     f = cfg.field
     f.check(x)
     if compare(x, cfg.xi) > 0:
@@ -353,9 +379,10 @@ def evaluate(
             f"query {x} exceeds the agreed bound {cfg.xi}; reserved points "
             "are not evaluable"
         )
+    mask = prover_key.mask if prover_key.mask_f64 is None else prover_key.mask_f64
     low = power_row(f, x, cfg.s, "low")
-    v = f.vadd(f.matmul(coeff_matrix, low), f.matmul(prover_key.mask, low))
-    u = f.matmul(power_row(f, x, cfg.s, "high")[None, :], prover_key.mask)[0]
+    v = f.vadd(f.matmul(coeff_matrix, low), f.matmul(mask, low))
+    u = f.matmul(power_row(f, x, cfg.s, "high")[None, :], mask)[0]
     return EvalResponse(v=v, u=u)
 
 
@@ -600,4 +627,4 @@ def load_prover_state(path) -> tuple[ProtocolConfig, np.ndarray, ProverKey, int]
     r.done()
     _expect_shape("coefficients", coeffs, (cfg.d,))
     _expect_shape("mask", mask, (cfg.s, cfg.s))
-    return cfg, coeffs, ProverKey(mask), rounds
+    return cfg, coeffs, _prover_key(cfg, mask), rounds

@@ -409,6 +409,8 @@ def run_role(
     use the bounded-storage backend.  The arguments are checked before any
     socket opens.  Returns (exit_code, TranscriptRecorder,
     outcome-or-None)."""
+    if not 0 <= address[1] < 1 << 16:
+        raise ValueError(f"port {address[1]} is not in 0-65535")
     shared = BsBackend(params=bs_params or make_bs_params())
     if role == "prover":
         if coeffs is None:

@@ -24,6 +24,7 @@ from polycommit.field import (
     decode_elements,
     elem_size,
     encode_elements,
+    float_exact,
 )
 
 GF11 = PrimeField(11)
@@ -356,6 +357,51 @@ def test_int64_matmul_exact_at_the_block_bound(p):
         assert f.matmul(top, bottom).tolist() == object_product(f, top, bottom).tolist()
         a, b = random_array(f, rng, (4, k)), random_array(f, rng, (k, 5))
         assert f.matmul(a, b).tolist() == object_product(f, a, b).tolist()
+
+
+@pytest.mark.parametrize(
+    "q, s",
+    [(1_002_017, 999), (1_000_667, 63), (11, 3)],  # eval-d1m, commit-s63, session-bs-tcp
+)
+def test_float_matmul_matches_int64_on_workload_shapes(q, s):
+    # the round's two products with the key's float64 B, over random and
+    # all-(q-1) operands
+    f = PrimeField(q)
+    assert float_exact(f, s)
+    rng = substream(2024, "field", "float-shapes", q)
+    full = [np.full((s, s), q - 1, dtype=np.int64), np.full(s, q - 1, dtype=np.int64)]
+    for square, vec in ([random_array(f, rng, (s, s)), random_array(f, rng, (s,))], full):
+        square_f64 = square.astype(np.float64)
+        for got, want in [
+            (f.matmul(vec[None, :], square_f64), f.matmul(vec[None, :], square)),
+            (f.matmul(square_f64, vec), f.matmul(square, vec)),
+        ]:
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p, inner", [(54_794_063, 3), (1_002_017, 8_970)])
+def test_float_matmul_exact_just_below_two_to_the_53(p, inner):
+    f = PrimeField(p)
+    assert inner * (p - 1) ** 2 < 1 << 53 <= (inner + 1) * (p - 1) ** 2
+    assert float_exact(f, inner) and not float_exact(f, inner + 1)
+    top = np.full((2, inner), p - 1, dtype=np.int64)  # every partial sum maximal
+    bottom = np.full((inner, 3), p - 1, dtype=np.int64)
+    want = object_product(f, top, bottom).tolist()
+    assert f.matmul(top.astype(np.float64), bottom).tolist() == want
+    assert f.matmul(top, bottom.astype(np.float64)).tolist() == want
+    rng = substream(2024, "field", "float-bound", p)
+    a, b = random_array(f, rng, (2, inner)), random_array(f, rng, (inner, 3))
+    assert f.matmul(a.astype(np.float64), b).tolist() == object_product(f, a, b).tolist()
+    wide = np.full((2, inner + 1), p - 1, dtype=np.float64)
+    with pytest.raises(FieldError, match="not exact"):
+        f.matmul(wide, np.full((inner + 1, 3), p - 1, dtype=np.int64))
+
+
+def test_float_exact_only_for_prime_fields_under_the_bound():
+    assert not float_exact(GF4, 2)
+    assert not float_exact(PrimeField(2**61 - 1), 1)  # object dtype: (p-1)**2 passes 2**53
+    assert not float_exact(CountingField(GF11), 3)
 
 
 def test_canonical_range_enforced():

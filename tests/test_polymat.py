@@ -44,6 +44,18 @@ def test_reshape_rejects_non_square_length():
         poly_to_matrix(GF11, [1, 2, 3], 2)
 
 
+def test_reshape_is_a_read_only_view_of_int64_coefficients():
+    coeffs = np.arange(9, dtype=np.int64)
+    m = poly_to_matrix(GF11, coeffs, 3)
+    assert np.shares_memory(m, coeffs)
+    assert not m.flags.writeable
+    assert poly_to_matrix(GF11, list(range(9)), 3).tolist() == m.tolist()
+    for bad in ([0] * 8 + [11], [-1] + [0] * 8):
+        for given in (bad, np.array(bad, dtype=np.int64)):
+            with pytest.raises(FieldError):
+                poly_to_matrix(GF11, given, 3)
+
+
 # -- horner --
 
 

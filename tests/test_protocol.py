@@ -29,9 +29,11 @@ from polycommit.protocol import (
     keygen_prover,
     keygen_verifier,
     lambda_matrix,
+    load_prover_state,
     make_config,
     random_matrix,
     recover,
+    save_prover_state,
     suggest_prime_modulus,
     theta_matrix,
     verify,
@@ -357,6 +359,62 @@ def test_evaluate_matches_matrix_vector_oracle():
             resp = evaluate(x, a, pk, cfg)
             assert [int(e) for e in resp.v] == v_want, (f, x)
             assert [int(e) for e in resp.u] == u_want, (f, x)
+
+
+# primes q = 2 mod 3 with 3(q-1)**2 just below and just above 2**53
+BELOW_2_53, ABOVE_2_53 = 54_794_063, 54_794_219
+FLOAT_CONFIGS = {
+    "eval-d1m": make_config(PrimeField(1_002_017), d=999**2, r=2, c=10, xi=10**6),
+    "commit-s63": make_config(PrimeField(1_000_667), d=63**2, r=10, c=10, xi=10**6),
+    "desk": desk_config(),
+    "below-2**53": make_config(PrimeField(BELOW_2_53), d=9, r=2, c=1, xi=100),
+    "above-2**53": make_config(PrimeField(ABOVE_2_53), d=9, r=2, c=1, xi=100),
+    "object-dtype": make_config(PrimeField(1099511627831), d=9, r=2, c=1, xi=1000),
+    "gf4": make_config(gf4(), d=4, r=2, c=1, xi=1),
+}
+
+
+@pytest.mark.parametrize("name", FLOAT_CONFIGS)
+def test_prover_key_holds_float64_mask_only_where_exact(name, tmp_path):
+    cfg = FLOAT_CONFIGS[name]
+    assert 3 * (BELOW_2_53 - 1) ** 2 < 1 << 53 <= 3 * (ABOVE_2_53 - 1) ** 2
+    exact = name in ("eval-d1m", "commit-s63", "desk", "below-2**53")
+    rng = substream(2024, "protocol", "float-key", name)
+    pk = keygen_prover(cfg, rng)
+    path = tmp_path / "prover.state"
+    save_prover_state(path, cfg, cfg.field.vsample(rng, cfg.d), pk, 0)
+    for key in (pk, load_prover_state(path)[2]):
+        assert key.mask.dtype == cfg.field.dtype
+        if exact:
+            assert key.mask_f64.dtype == np.float64 and not key.mask_f64.flags.writeable
+            assert np.array_equal(key.mask_f64, key.mask)
+        else:
+            assert key.mask_f64 is None
+
+
+@pytest.mark.parametrize("name", FLOAT_CONFIGS)
+def test_evaluate_is_the_same_with_and_without_the_float_form(name, monkeypatch):
+    cfg = FLOAT_CONFIGS[name]
+    f, s = cfg.field, cfg.s
+    rng = substream(2024, "protocol", "float-eval", name)
+    a = random_matrix(f, (s, s), rng)
+    pk = keygen_prover(cfg, rng)
+    float_operands = []
+    matmul = PrimeField.matmul
+
+    def spy(field, x, y):
+        float_operands.append(np.float64 in (x.dtype, y.dtype))
+        return matmul(field, x, y)
+
+    monkeypatch.setattr(PrimeField, "matmul", spy)
+    for x in (0, 1, cfg.xi // 2, cfg.xi):
+        want = evaluate(x, a, ProverKey(pk.mask), cfg)
+        float_operands.clear()
+        got = evaluate(x, a, pk, cfg)
+        if isinstance(f, PrimeField):  # A low, B low, high B
+            assert float_operands == [False] + [pk.mask_f64 is not None] * 2
+        assert got.v.dtype == got.u.dtype == f.dtype
+        assert np.array_equal(got.v, want.v) and np.array_equal(got.u, want.u)
 
 
 def test_evaluate_refuses_above_bound():

@@ -507,6 +507,19 @@ def test_run_role_closes_its_socket_when_the_role_raises(monkeypatch):
             assert peer.recv(1) == b""
 
 
+@pytest.mark.parametrize("port", [-1, 65536, 99999])
+@pytest.mark.parametrize("role", ["prover", "verifier"])
+def test_run_role_refuses_a_port_out_of_range_before_any_socket_opens(role, port, monkeypatch):
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(socket, "create_server", no_socket)
+    monkeypatch.setattr(socket, "create_connection", no_socket)
+    cfg = desk_config(c=1)
+    with pytest.raises(ValueError, match=f"port {port} "):
+        run_role(role, cfg, 0, ("127.0.0.1", port), coeffs=honest_coefficients(cfg, 0))
+
+
 def test_run_role_rejects_a_prover_without_coefficients_before_it_listens():
     result = {}
 
