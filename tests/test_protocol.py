@@ -298,8 +298,14 @@ def test_commit_prover_view_invariant_under_verifier_key():
          "f1887a7ddc53acba6e24200dc5df1d8493cd391312257883771a31bb731fea32"),
         (gf4(), 4, 2, 1, 0, 2,
          "de51d191b19a235bf4c077d67da5c363488db384fcf12609235574723c364006"),
+        # the workload's q, 4-byte elements, masks from the bulk draw
+        (PrimeField(1_000_667), 25, 4, 2, 10**6, 60,
+         "5064606fc165734ac96148f76e871e5ae35ef8541082a6e193acc9211e424ea9"),
+        # 2-byte elements whose sums reach 2q - 2 > 2**16
+        (PrimeField(65_519), 25, 4, 2, 65_000, 60,
+         "3277634817f5cfb07d7f8d3231c03120c344dc5f752f6e837d8fcce0327fb3f3"),
     ],
-    ids=["gf11", "p40", "gf4"],
+    ids=["gf11", "p40", "gf4", "q1000667", "q65519"],
 )
 def test_commit_sender_trace_is_stable(field, d, r, c, xi, transfers, digest):
     # Golden digest of every 1-of-2 pair the sender deposits in one
