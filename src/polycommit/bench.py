@@ -109,9 +109,9 @@ class CountingField:
     def _size(self, a):
         return int(np.asarray(a).size)
 
-    def vadd(self, a, b):
+    def vadd(self, a, b, out=None):
         self.counter.add += max(self._size(a), self._size(b))
-        return self._inner.vadd(a, b)
+        return self._inner.vadd(a, b, out)
 
     def vsub(self, a, b):
         self.counter.add += max(self._size(a), self._size(b))

@@ -45,6 +45,7 @@ __all__ = [
     "float_exact",
     "compare",
     "elem_size",
+    "wire_dtype",
     "encode_elements",
     "decode_elements",
 ]
@@ -184,8 +185,33 @@ class PrimeField:
     def zeros(self, shape) -> np.ndarray:
         return np.zeros(shape, dtype=self.dtype)
 
-    def vadd(self, a, b):
-        return (a + b) % self.p
+    def vadd(self, a, b, out=None):
+        """a + b mod p for canonical a and b, by one add and one conditional
+        subtraction of p: no division, and no reduction of inputs outside
+        [0, p).  Object dtype (p >= 2**31) keeps ``%``.
+
+        ``out``, an unsigned array that holds q - 1 (a :func:`wire_dtype`
+        array), takes the sum in place, with no wider temporary.  Where 2p
+        passes the top of its dtype (q = 65,519 in 2 bytes) a sum can wrap,
+        and it then lies below a: that marks it for the subtraction too."""
+        if not self._small:
+            total = (a + b) % self.p
+            if out is None:
+                return total
+            out[...] = total
+        elif out is None:
+            # the sum as an array, even of scalars, so the minimum can go
+            # back into it: one temporary, as ``%`` had; below 2p < 2**63
+            u = np.asarray(np.add(a, b, dtype=np.int64)).view(np.uint64)
+            np.minimum(u, u - np.uint64(self.p), out=u)
+            return u.view(np.int64)[()]
+        else:
+            np.add(a, b, out=out, dtype=np.int64, casting="unsafe")
+            over = out >= self.p
+            if 2 * self.p > 1 << 8 * out.itemsize:
+                over |= out < a
+            out -= over * out.dtype.type(self.p)
+        return out
 
     def vsub(self, a, b):
         return (a - b) % self.p
@@ -367,8 +393,11 @@ class TableField:
     asarray = PrimeField.asarray
     zeros = PrimeField.zeros
 
-    def vadd(self, a, b):
-        return self._add[a, b]
+    def vadd(self, a, b, out=None):
+        if out is None:
+            return self._add[a, b]
+        out[...] = self._add[a, b]
+        return out
 
     def vsub(self, a, b):
         return self._add[a, self._neg[b]]
@@ -457,13 +486,16 @@ def elem_size(field: Field) -> int:
 _WIRE_DTYPES = {1: "u1", 2: "<u2", 4: "<u4", 8: "<u8"}
 
 
-def _wire_dtype(field: Field) -> str:
+def wire_dtype(field: Field) -> str:
+    """The numpy dtype of serialized elements: unsigned, little-endian,
+    :func:`elem_size` bytes, so the bytes of such an array are its
+    encoding."""
     return _WIRE_DTYPES[elem_size(field)]
 
 
 def encode_elements(field: Field, values: Iterable[int]) -> bytes:
     """Canonical elements, in row-major order, as one byte string."""
-    return np.asarray(values).astype(_wire_dtype(field)).tobytes()
+    return np.asarray(values).astype(wire_dtype(field)).tobytes()
 
 
 def decode_elements(field: Field, data: bytes) -> np.ndarray:
@@ -472,6 +504,6 @@ def decode_elements(field: Field, data: bytes) -> np.ndarray:
     if len(data) % width:
         raise DecodeError(f"{len(data)} bytes are not whole {width}-byte elements")
     try:
-        return field.asarray(np.frombuffer(data, dtype=_wire_dtype(field)))
+        return field.asarray(np.frombuffer(data, dtype=wire_dtype(field)))
     except FieldError as exc:
         raise DecodeError(str(exc)) from exc

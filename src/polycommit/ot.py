@@ -88,8 +88,9 @@ and ``pairs[1, j]`` the two messages of transfer j, and the picks are one
 (L, w) array.  A sender hands over an iterable of batches, which go out
 as one, pulled in order: :func:`bs_send` pulls each right before its
 first lane's broadcast, and :meth:`IdealOt.send` joins them into one box
-item.  The reduction encodes its table, and decodes the picks, in
-one codec call each; the bounded-storage lanes pad each message as bytes.
+item.  The reduction builds its table in the wire's element dtype, so
+the batch is a view of the table's bytes with no codec call, and decodes
+the picks in one; the bounded-storage lanes pad each message as bytes.
 """
 
 from __future__ import annotations
@@ -103,7 +104,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import DecodeError, Field, decode_elements, elem_size, encode_elements
+from .field import (
+    DecodeError,
+    Field,
+    FieldError,
+    check_canonical,
+    decode_elements,
+    elem_size,
+    wire_dtype,
+)
 from .wire import (
     IH_CONSTRAINT,
     IH_REPLY,
@@ -176,11 +185,19 @@ class IdealOt:
         self._batches: queue.Queue[np.ndarray] = queue.Queue()
 
     def send(self, batches) -> None:
-        """Deposit the (2, L_k, w) uint8 arrays ``batches`` yields as one
-        item, joined along L in one copy: (pairs[0, j], pairs[1, j])."""
-        pairs = np.concatenate(list(batches), axis=1)
-        if pairs.dtype != np.uint8 or pairs.ndim != 3 or len(pairs) != 2:
-            raise OtError(f"a batch is a (2, L, w) uint8 array, not {pairs.dtype} {pairs.shape}")
+        """Deposit the (2, L_k, w) uint8 arrays ``batches`` yields, at least
+        one and all of one w, as one item, joined along L in one copy:
+        (pairs[0, j], pairs[1, j])."""
+        batches = list(batches)
+        if not batches:
+            raise OtError("a send needs at least one batch")
+        for pairs in batches:
+            if pairs.dtype != np.uint8 or pairs.ndim != 3 or len(pairs) != 2:
+                raise OtError(f"a batch is a (2, L, w) uint8 array, not {pairs.dtype} "
+                              f"{pairs.shape}")
+            if pairs.shape[2] != batches[0].shape[2]:
+                raise OtError(f"batches of {batches[0].shape[2]}- and {pairs.shape[2]}-byte pairs")
+        pairs = np.concatenate(batches, axis=1)
         pairs.flags.writeable = False  # the trace keeps what was sent
         self.sender_trace.append(pairs)
         self._batches.put(pairs)
@@ -827,19 +844,22 @@ def bs_receive(params: BsOtParams, bits, rng: random.Random):
 
 def build_reduction_table(field: Field, secrets, rng: random.Random, masks=None) -> np.ndarray:
     """Mask c secrets (a c x width array, or c equal-length vectors) into
-    a 2 x (c-1) x width table T, T[row, column].
+    a 2 x (c-1) x width table T, T[row, column], of canonical elements in
+    :func:`~polycommit.field.wire_dtype`, so its bytes are T encoded.
 
     Column 0 holds (a0, r0); middle column j holds (a_j + r_{j-1},
     r_{j-1} + r_j); the last column holds (a_{c-2} + r_{c-3},
     a_{c-1} + r_{c-3}).  With c = 2 the single column is (a0, a1) and no
     masks are drawn.  The c-2 uniform masks come from one
-    :meth:`vsample` draw; ``masks`` overrides them (tests).
+    :meth:`vsample` draw; ``masks`` overrides them (tests) and must be
+    canonical, since the sums assume it.  Each sum is written into its
+    slice of T and reduced there, with no temporary of its size.
     """
     secrets = np.asarray(secrets)
     c = len(secrets)
     if c < 2:
         raise OtError(f"need at least two secrets, got {c}")
-    table = np.empty((2, c - 1, *secrets.shape[1:]), dtype=secrets.dtype)
+    table = np.empty((2, c - 1, *secrets.shape[1:]), dtype=wire_dtype(field))
     if c == 2:
         table[:, 0] = secrets
         return table
@@ -847,12 +867,16 @@ def build_reduction_table(field: Field, secrets, rng: random.Random, masks=None)
         masks = field.vsample(rng, secrets[1:-1].size).reshape(secrets[1:-1].shape)
     elif len(masks) != c - 2:
         raise OtError(f"need exactly {c - 2} masks, got {len(masks)}")
-    masks = np.asarray(masks)
+    else:
+        try:
+            masks = check_canonical(field, np.asarray(masks))
+        except FieldError as exc:
+            raise OtError(f"masks: {exc}") from exc
     table[0, 0] = secrets[0]
-    table[0, 1:] = field.vadd(secrets[1:-1], masks)
+    field.vadd(secrets[1:-1], masks, out=table[0, 1:])
     table[1, 0] = masks[0]
-    table[1, 1:-1] = field.vadd(masks[:-1], masks[1:])
-    table[1, -1] = field.vadd(secrets[-1], masks[-1])
+    field.vadd(masks[:-1], masks[1:], out=table[1, 1:-1])
+    field.vadd(secrets[-1], masks[-1], out=table[1, -1])
     return table
 
 
@@ -883,11 +907,10 @@ def decode_c_of_1(field: Field, received, i: int, c: int) -> np.ndarray:
 
 
 def ot_c_of_1_send(field: Field, secrets, rng) -> np.ndarray:
-    """Sender half: the reduction table, encoded at once, as the (2, c-1, w)
-    batch of c-1 1-of-2 transfers, a transfer per column."""
+    """Sender half: the (2, c-1, w) batch of c-1 1-of-2 transfers, a
+    transfer per column, as a uint8 view of the reduction table's bytes."""
     table = build_reduction_table(field, secrets, rng)
-    data = np.frombuffer(encode_elements(field, table), dtype=np.uint8)
-    return data.reshape(2, table.shape[1], -1)
+    return table.view(np.uint8).reshape(2, table.shape[1], -1)
 
 
 def ot_c_of_1_receive(field: Field, picks, i: int, c: int, width: int) -> np.ndarray:

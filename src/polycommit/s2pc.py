@@ -10,20 +10,34 @@ every z in S, and the receiver fetches the row at x's position through one
 2c computations of a commitment share one OT batch: each 1-of-|S| OT is
 |S|-1 1-of-2 transfers of it, and no run waits for another.  A table
 depends only on the kind and M, never on x, so each kind's table is built
-once per commitment and serves all c runs of that kind.
+once per commitment and serves all c runs of that kind.  Its power
+matrix depends only on the kind and the domain, so it is built once per
+domain.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from .field import Field
 from .polymat import structured_matrix
 
-__all__ = ["LEFT", "RIGHT", "build_value_table"]
+__all__ = ["LEFT", "RIGHT", "power_matrix", "build_value_table"]
 
 # The two S2PC kinds.
 LEFT, RIGHT = 1, 2
+
+
+@functools.lru_cache(maxsize=256)
+def power_matrix(field: Field, domain: tuple[int, ...], s: int, kind: int) -> np.ndarray:
+    """P_high(domain) for LEFT, P_low(domain) for RIGHT.  Cached per
+    (field, domain, s, kind) and read-only, so every commitment over one
+    reserved set shares the one array of each kind."""
+    matrix = structured_matrix(field, domain, s, "high" if kind == LEFT else "low")
+    matrix.flags.writeable = False
+    return matrix
 
 
 def build_value_table(field: Field, domain, s: int, kind: int, m: np.ndarray) -> np.ndarray:
@@ -34,6 +48,7 @@ def build_value_table(field: Field, domain, s: int, kind: int, m: np.ndarray) ->
     M . [1, a, ..., a**(s-1)]^T, one column of a right-sided commitment:
     (M . P_low(domain)^T)^T.
     """
+    power = power_matrix(field, tuple(domain), s, kind)
     if kind == LEFT:
-        return field.matmul(structured_matrix(field, domain, s, "high"), m)
-    return field.matmul(m, structured_matrix(field, domain, s, "low").T).T
+        return field.matmul(power, m)
+    return field.matmul(m, power.T).T

@@ -17,7 +17,7 @@ from polycommit import (
     validate_spec,
     wire,
 )
-from polycommit.bench import CountingField
+from polycommit.bench import CountingField, bench_round
 from polycommit.field import (
     BULK_DRAW_MIN,
     DecodeError,
@@ -25,6 +25,7 @@ from polycommit.field import (
     elem_size,
     encode_elements,
     float_exact,
+    wire_dtype,
 )
 
 GF11 = PrimeField(11)
@@ -298,6 +299,41 @@ def test_field_axiom_properties_randomized(field):
         assert field.sub(field.add(a, b), b) == a
         if a != 0:
             assert field.mul(a, field.inv(a)) == 1
+
+
+# primes at 1, 2, 4 and 8 bytes, int64 and object dtype, some with 2p past
+# the top of their element width
+SUM_PRIMES = [11, 251, 65_519, 1_000_667, (1 << 31) - 1, 4_294_967_291, (1 << 61) - 1]
+
+
+@pytest.mark.parametrize("p", SUM_PRIMES)
+def test_vadd_is_the_reduced_sum_at_the_boundaries(p):
+    # sums 0, p-2, p-1, p and 2p-2, into a new array and into a wire-width one
+    f = PrimeField(p)
+    pairs = [(0, 0), (0, p - 2), (p - 1, 0), (1, p - 2), (1, p - 1), (p - 1, 1), (p - 1, p - 1)]
+    a, b = (f.asarray(column) for column in zip(*pairs))
+    want = [(x + y) % p for x, y in pairs]
+    assert f.vadd(a, b).tolist() == want
+    out = np.empty(len(pairs), wire_dtype(f))
+    assert f.vadd(a, b, out=out) is out and out.tolist() == want
+    for j, (x, y) in enumerate(pairs):
+        # Python ints, numpy scalars and 0-d arrays
+        assert int(f.vadd(x, y)) == want[j]
+        assert int(f.vadd(a[j], b[j])) == want[j]
+        assert int(f.vadd(np.array(x, f.dtype), np.array(y, f.dtype))) == want[j]
+    # broadcast: a column against a row, and a vector against a scalar
+    grid = [[(x + y) % p for y in b.tolist()] for x in a.tolist()]
+    assert f.vadd(a[:, None], b[None, :]).tolist() == grid
+    out = np.empty((len(pairs), len(pairs)), wire_dtype(f))
+    assert f.vadd(a[:, None], b, out=out).tolist() == grid
+    assert f.vadd(a, p - 1).tolist() == [(x + p - 1) % p for x in a.tolist()]
+
+
+def test_criterion_7_counts_do_not_move():
+    # the op counts criterion 7's ratios divide, as they stood before the
+    # add became a conditional subtraction
+    counts = [(r.prover_ops, r.verifier_ops) for r in map(bench_round, (10_000, 40_000))]
+    assert counts == [(60_026, 8_811), (240_030, 17_619)]
 
 
 def test_big_prime_array_path_is_exact():

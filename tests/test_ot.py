@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from polycommit import PrimeField, gf4, ot, substream, wire
-from polycommit.field import decode_elements, encode_elements
+from polycommit.field import decode_elements, elem_size, encode_elements
 from polycommit.ot import (
     BsOtParams,
     IdealOt,
@@ -98,6 +98,23 @@ def test_ideal_ot_sender_trace_is_choice_free():
     assert traces[0] == traces[1] == b"\x01\x02\x05\x00\x03\x04\x06\x00"
 
 
+def test_ideal_ot_checks_each_batch_before_joining():
+    # nothing to join, a bad batch after a good one, and two widths each
+    # raise OtError, not numpy's ValueError, and deposit nothing
+    good = batch([b"xy"], [b"zw"])
+    for batches in (
+        [],
+        [good, np.zeros((2, 1), np.uint8)],
+        [good, np.zeros((3, 1, 2), np.uint8)],
+        [good, np.zeros((2, 1, 2), np.int64)],
+        [good, batch([b"xyz"], [b"zwv"])],
+    ):
+        box = IdealOt()
+        with pytest.raises(OtError):
+            box.send(batches)
+        assert box.sender_trace == []
+
+
 def test_ideal_ot_rejects_length_mismatch():
     with pytest.raises(ValueError):  # a ragged batch is not even an array
         batch([b"x"], [b"xy"])
@@ -142,6 +159,38 @@ def test_reduction_table_columns_match_definition():
             for j, (top, bottom) in enumerate(want):
                 assert table[0, j].tolist() == top.tolist()
                 assert table[1, j].tolist() == bottom.tolist()
+
+
+@pytest.mark.parametrize(
+    "field",
+    [GF11, PrimeField(251), PrimeField(65_519), PrimeField(1_000_667),
+     PrimeField((1 << 31) - 1), PrimeField(4_294_967_291), PrimeField((1 << 61) - 1), gf4()],
+    ids=lambda f: str(f.q),
+)
+def test_reduction_batch_is_the_encoded_reference_table(field):
+    # the batch's bytes equal the codec's encoding of the table built
+    # element by element with the scalar field ops, over the masks of the
+    # same bulk draw, at every element width (2p passes the top of the
+    # width at 251, 65,519 and 4,294,967,291)
+    c, width = 8, 12
+    rng = substream(2024, "ot", "reference-table", field.q)
+    a = field.vsample(rng, c * width).reshape(c, width).tolist()
+    state = rng.getstate()
+    batch = ot_c_of_1_send(field, a, rng)
+    rng.setstate(state)
+    r = field.vsample(rng, (c - 2) * width).reshape(c - 2, width).tolist()
+    add = lambda x, y: [field.add(u, v) for u, v in zip(x, y)]
+    top = [a[0]] + [add(a[j], r[j - 1]) for j in range(1, c - 1)]
+    bottom = [r[0]] + [add(r[j - 1], r[j]) for j in range(1, c - 2)] + [add(a[c - 1], r[c - 3])]
+    assert batch.dtype == np.uint8 and batch.shape == (2, c - 1, width * elem_size(field))
+    assert batch.tobytes() == encode_elements(field, [top, bottom])
+
+
+def test_reduction_table_refuses_non_canonical_masks():
+    secrets = [GF11.asarray([3]), GF11.asarray([7]), GF11.asarray([2])]
+    for bad in ([np.array([11])], [np.array([-1])]):
+        with pytest.raises(OtError):
+            build_reduction_table(GF11, secrets, None, masks=bad)
 
 
 def test_reduction_table_c2_degenerate():

@@ -9,7 +9,7 @@ import pytest
 
 from polycommit import PrimeField, gf4, substream
 from polycommit.ot import IdealOt
-from polycommit.polymat import power_row
+from polycommit.polymat import power_row, structured_matrix
 from polycommit.protocol import (
     ConfigError,
     ProverKey,
@@ -18,7 +18,7 @@ from polycommit.protocol import (
     make_config,
     random_matrix,
 )
-from polycommit.s2pc import LEFT, RIGHT, build_value_table
+from polycommit.s2pc import LEFT, RIGHT, build_value_table, power_matrix
 
 GF11 = PrimeField(11)
 GF4 = gf4()
@@ -72,6 +72,22 @@ def test_value_tables_match_power_row_reference():
             high, low = power_row(f, z, s, "high"), power_row(f, z, s, "low")
             assert left[j].tolist() == f.matmul(high[None, :], m)[0].tolist()
             assert right[j].tolist() == f.matmul(m, low).tolist()
+
+
+def test_power_matrices_are_cached_read_only_per_reserved_set():
+    # one array per (field, S, s, kind), shared by every commitment over S;
+    # another S gets its own
+    other = make_config(GF11, d=9, r=2, c=1, xi=5)  # reserved set (6, 7, 8, 9)
+    for kind, direction in ((LEFT, "high"), (RIGHT, "low")):
+        first = power_matrix(GF11, CFG.prohibited, CFG.s, kind)
+        assert power_matrix(GF11, CFG.prohibited, CFG.s, kind) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 0
+        assert first.tolist() == structured_matrix(GF11, CFG.prohibited, 3, direction).tolist()
+        moved = power_matrix(GF11, other.prohibited, other.s, kind)
+        assert moved is not first and not np.shares_memory(moved, first)
+        assert moved.tolist() == structured_matrix(GF11, other.prohibited, 3, direction).tolist()
 
 
 def test_run_returns_requested_row():
