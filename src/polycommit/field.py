@@ -191,27 +191,21 @@ class PrimeField:
         [0, p).  Object dtype (p >= 2**31) keeps ``%``.
 
         ``out``, an unsigned array that holds q - 1 (a :func:`wire_dtype`
-        array), takes the sum in place, with no wider temporary.  Where 2p
-        passes the top of its dtype (q = 65,519 in 2 bytes) a sum can wrap,
-        and it then lies below a: that marks it for the subtraction too."""
+        array), takes the sum in place, with no wider temporary."""
         if not self._small:
-            total = (a + b) % self.p
             if out is None:
-                return total
-            out[...] = total
-        elif out is None:
-            # the sum as an array, even of scalars, so the minimum can go
-            # back into it: one temporary, as ``%`` had; below 2p < 2**63
-            u = np.asarray(np.add(a, b, dtype=np.int64)).view(np.uint64)
-            np.minimum(u, u - np.uint64(self.p), out=u)
-            return u.view(np.int64)[()]
-        else:
+                return (a + b) % self.p
+            out[...] = (a + b) % self.p
+            return out
+        if out is not None:
             np.add(a, b, out=out, dtype=np.int64, casting="unsafe")
-            over = out >= self.p
-            if 2 * self.p > 1 << 8 * out.itemsize:
-                over |= out < a
-            out -= over * out.dtype.type(self.p)
-        return out
+            _subtract_p_where_reached(out, a, self.p)
+            return out
+        # the sum as an array, even of scalars, so it is reduced in place:
+        # one temporary, as ``%`` had; below 2p < 2**63
+        total = np.asarray(np.add(a, b, dtype=np.int64))
+        _subtract_p_where_reached(total.view(np.uint64), a, self.p)
+        return total[()]
 
     def vsub(self, a, b):
         return (a - b) % self.p
@@ -258,6 +252,17 @@ class PrimeField:
                 part = np.einsum("ik,kj->ij", a[:, lo : lo + block], b2[lo : lo + block])
                 out = (out + part) % self.p
         return out[:, 0] if b_vec else out
+
+
+def _subtract_p_where_reached(u: np.ndarray, a, p: int) -> None:
+    """Reduce the unsigned sums u = a + b of canonical elements in place.
+    Where 2p passes the top of u's dtype (q = 65,519 in 2 bytes) a sum can
+    wrap, and it then lies below a: that marks it for the subtraction too."""
+    p = u.dtype.type(p)
+    if 2 * int(p) <= 1 << 8 * u.itemsize:
+        np.minimum(u, u - p, out=u)
+    else:
+        u -= ((u >= p) | (u < a)) * p
 
 
 class TableField:
