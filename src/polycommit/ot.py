@@ -24,21 +24,28 @@ Three layers, each independently testable:
    bits at X_i (seed sent in clear), so the receiver decodes the chosen
    message and is information-theoretically ignorant of the other.
 
-   Interactive hashing is realized NOVY-style: candidate subsets of size
-   ell//2 are encoded by their colexicographic rank in t bits with
-   t = floor(log2(C(n, ell//2))); the sender announces t-1 random
-   independent binary linear constraints and the receiver answers with the
-   parities of his encoding, leaving an affine solution pair {w0, w1}.  A
-   final swap bit from the receiver aligns his known set with his choice
-   bit; since which solution is his is not determined by the transcript,
-   the swap bit hides the choice.  The security parameter k is enforced as
-   a floor on the round count.  Every constraint must lie below 2^t: one
-   on higher bits would leave the receiver's encoding out of the solution
-   pair, and his swap bit would then reveal his choice.  The receiver's
-   solve is forward elimination plus back-substitution in increasing pivot
-   order; the sender already eliminates as she draws, to keep her
-   constraints independent, and keeps those reduced rows, so her solve is
-   the back-substitution alone.
+   Interactive hashing is NOVY's: candidate subsets of size ell//2 are
+   encoded by their colexicographic rank in t bits with
+   t = floor(log2(C(n, ell//2))).  In round j = 1..t-1 the sender announces
+   a constraint h_j in 0^(j-1) 1 {0,1}^(t-j), read from the top bit: its
+   leading 1 at bit t-j and t-j uniform bits below it.  The receiver
+   answers with the parity of h_j against his encoding, leaving an affine
+   solution pair {w0, w1}; rows of this echelon form are independent by
+   construction, so both sides find the pair by back-substitution alone
+   (:func:`_solve_pair`).  This is the constraint family of Naor,
+   Ostrovsky, Venkatesan and Yung (J. Cryptology 11(2), 1998), who prove
+   both guarantees for it: the sender's view is independent of which
+   solution is the receiver's, and a cheating receiver gets both solutions
+   into a sparse set of his choosing only with small probability.  Cachin,
+   Crepeau and Marcil (FOCS 1998) run the same rounds in the
+   bounded-storage 1-of-2 sketched here.  A final swap bit from the
+   receiver aligns his known set with his choice bit; since which solution
+   is his is not determined by the transcript, the swap bit hides the
+   choice.  The security parameter k is enforced as a floor on the round
+   count.  The receiver refuses a constraint of any other form: one with a
+   bit at or above its round's lead could depend on earlier rounds or reach
+   past t bits, leaving his encoding out of the solution pair, and his swap
+   bit would then reveal his choice.
 
    The sender's constraints and extractor seeds never depend on the
    replies, so :class:`IhSender` draws all t-1 constraints when it is
@@ -48,9 +55,9 @@ Three layers, each independently testable:
 
    - broadcasts, lane after lane: TAPE_CHUNK frames, OMEGA_REVEAL, and an
      IH_ROUND status byte (1 asks for a fresh broadcast, 0 accepts it);
-   - t-1 rounds, each one IH_ROUND constraint frame holding L constraints
-     of ceil(t/8) little-endian bytes, each below 2^t, answered by one
-     IH_ROUND reply frame of L bits;
+   - t-1 rounds, round j one IH_ROUND constraint frame holding, per lane,
+     the t-j bits below the constraint's leading 1 in ceil((t-j)/8)
+     little-endian bytes, answered by one IH_ROUND reply frame of L bits;
    - one IH_ROUND swap frame of L bits, then one ENCODED_PAIR frame
      holding L (seed, ciphertext, seed, ciphertext) pairs.
 
@@ -403,45 +410,21 @@ def colex_unrank(r: int, size: int, universe: int) -> list[int]:
     return sorted(out)
 
 
-# -- F2 linear algebra on bitmask ints --
+# -- F2 back-substitution on bitmask ints --
 
 
-def _solve_pair(rounds: list[tuple[int, int]], t: int) -> tuple[int, int]:
-    """Solutions of t-1 independent parity constraints on t bits."""
-    # each row carries its reply as bit 0, so one XOR updates both sides
-    pivots: dict[int, int] = {}
-    for h, c in rounds:
-        row = h << 1 | c
-        while row > 1:
-            p = row.bit_length() - 1
-            prow = pivots.get(p)
-            if prow is None:
-                pivots[p] = row
-                break
-            row ^= prow
-        else:
-            if row:
-                raise OtError("inconsistent interactive-hashing replies")
-    if len(pivots) != t - 1:
-        raise OtError("constraints are not independent")
-    return _back_substitute(pivots, t, 1, 1)
-
-
-def _back_substitute(pivots: dict[int, int], t: int, shift: int, low: int) -> tuple[int, int]:
-    """The two t-bit solutions of t-1 reduced rows, smaller first.  Each row
-    holds its constraint bits shifted up by ``shift``, above bits whose
-    parity against ``low`` is the row's reply.  A pivot row holds no bit
-    above its pivot, so in increasing pivot order every other bit it
-    touches is already known."""
-    free = next(b for b in range(t) if b + shift not in pivots)
-    order = sorted(pivots)
+def _solve_pair(rounds: list[tuple[int, int]]) -> tuple[int, int]:
+    """The two t-bit encodings that meet t-1 echelon-form constraints, each
+    (h_j, reply) with h_j's leading 1 at bit t-j, smaller first.  Bit 0 is
+    free; from the last constraint up, each fixes its leading bit from the
+    bits below it, which are already known."""
     sols = []
-    for fval in (0, 1):
-        w = fval << (free + shift) | low
-        for p in order:
-            w |= ((pivots[p] & w).bit_count() & 1) << p
-        sols.append(w >> shift)
-    return (sols[0], sols[1]) if sols[0] < sols[1] else (sols[1], sols[0])
+    for w in (0, 1):
+        for h, reply in reversed(rounds):
+            w |= ((h & w).bit_count() ^ reply) % 2 << (h.bit_length() - 1)
+        sols.append(w)
+    w0, w1 = sorted(sols)
+    return w0, w1
 
 
 @dataclass(frozen=True)
@@ -483,23 +466,16 @@ def hashing_bits(n: int, subset_size: int, k: int) -> int:
 
 
 class IhSender:
-    """Sender side of the narrowing rounds: draws constraints independent
-    of the received replies, keeping the accepted h-sequence a function of
-    her randomness alone.  So she draws all t-1 of them when built; the
-    wire still sends constraint j+1 only after reply j.
-
-    The independence check is the forward elimination, and the sender keeps
-    its reduced rows: each pivot row holds its constraint bits shifted up
-    by t-1, above the mask of the constraints it combines.  A pivot's reply
-    is then that mask's parity against the replies, and :meth:`solutions`
-    is back-substitution alone."""
+    """Sender side of the narrowing rounds: her constraints never depend on
+    the replies, so she draws all t-1 of them when built, constraint j as
+    ``1 << (t-j) | getrandbits(t-j)``; the wire still sends constraint j+1
+    only after reply j."""
 
     def __init__(self, t: int, rng: random.Random):
         self.t = t
         self.rng = rng
         self.constraints: list[int] = []
         self.replies: list[int] = []
-        self._pivots: dict[int, int] = {}  # pivot bit + t-1 -> reduced row
         for _ in range(t - 1):
             self.next_constraint()
 
@@ -508,17 +484,12 @@ class IhSender:
         return list(zip(self.constraints, self.replies))
 
     def next_constraint(self) -> int:
-        m = self.t - 1
-        while True:
-            h = self.rng.getrandbits(self.t)
-            row = h << m | 1 << len(self.constraints)
-            while (p := row.bit_length() - 1) >= m:  # else h depends on the rest
-                prow = self._pivots.get(p)
-                if prow is None:
-                    self._pivots[p] = row
-                    self.constraints.append(h)
-                    return h
-                row ^= prow
+        lead = self.t - 1 - len(self.constraints)
+        if lead < 1:
+            raise OtError("interactive hashing has only t-1 constraints")
+        h = 1 << lead | self.rng.getrandbits(lead)
+        self.constraints.append(h)
+        return h
 
     def push_reply(self, bit: int) -> None:
         if len(self.replies) == len(self.constraints):
@@ -526,21 +497,19 @@ class IhSender:
         self.replies.append(bit & 1)
 
     def solutions(self) -> tuple[int, int]:
-        """The two encodings that meet every reply, smaller first; equal to
-        ``_solve_pair(self.rounds, t)``."""
-        m = self.t - 1
-        if len(self.replies) != m:
+        """The two encodings that meet every reply, smaller first."""
+        if len(self.replies) != self.t - 1:
             raise OtError("interactive hashing needs all t-1 replies")
-        replies = sum(bit << j for j, bit in enumerate(self.replies))
-        return _back_substitute(self._pivots, self.t, m, replies)
+        return _solve_pair(self.rounds)
 
 
 def _ih_send(t: int, ihs: list[IhSender]):
-    """Sender step over L lanes: t-1 rounds of one constraint frame, ceil(t/8)
-    bytes per lane, and one reply frame; then the swap bits."""
-    width = (t + 7) // 8
-    for j in range(t - 1):
-        hb = b"".join(ih.constraints[j].to_bytes(width, "little") for ih in ihs)
+    """Sender step over L lanes: t-1 rounds of one constraint frame, round
+    j holding each lane's t-j bits below the leading 1 in ceil((t-j)/8)
+    bytes, and one reply frame; then the swap bits."""
+    for j, lead in enumerate(range(t - 1, 0, -1)):
+        width = (lead + 7) // 8
+        hb = b"".join((ih.constraints[j] ^ 1 << lead).to_bytes(width, "little") for ih in ihs)
         yield Tag.IH_ROUND, Writer().u8(IH_CONSTRAINT).blob(hb).bytes()
         replies = expect((yield), None, Tag.IH_ROUND, subtype=IH_REPLY)[1]
         if len(replies) != len(ihs):
@@ -554,25 +523,28 @@ def _ih_send(t: int, ihs: list[IhSender]):
 
 
 def _ih_receive(t: int, ws: list[int], bits):
-    """Receiver step over L lanes: reply to each constraint frame with the
-    parities of his encodings ``ws``, then send the swap bits that put his
-    own set at index bits[j].  A constraint at or above 2^t would leave his
-    encoding out of the solution pair and let the swap bit give away his
-    choice, so it ends the batch before the choice bits touch the wire."""
-    width = (t + 7) // 8
+    """Receiver step over L lanes: put back each constraint's leading 1 and
+    reply with the parities of his encodings ``ws``, then send the swap
+    bits that put his own set at index bits[j].  A value with a bit at or
+    above its round's lead would give a constraint outside the echelon
+    form, dependent or wider than t bits, which could leave his encoding
+    out of the solution pair and let the swap bit give away his choice; so
+    it ends the batch before the choice bits touch the wire."""
     rounds = [[] for _ in ws]
-    for _ in range(t - 1):
+    for lead in range(t - 1, 0, -1):
+        width = (lead + 7) // 8
         data = expect((yield), None, Tag.IH_ROUND, subtype=IH_CONSTRAINT)[1]
         if len(data) != len(ws) * width:
             raise DecodeError(f"{len(data)} bytes of constraints, not {len(ws)} of {width}")
-        hs = [int.from_bytes(data[j : j + width], "little") for j in range(0, len(data), width)]
-        if any(h >> t for h in hs):
-            raise OtError(f"an IH constraint is wider than t = {t} bits")
+        lows = [int.from_bytes(data[j : j + width], "little") for j in range(0, len(data), width)]
+        if any(low >> lead for low in lows):
+            raise OtError(f"an IH constraint of round {t - lead} has a bit at or above bit {lead}")
+        hs = [1 << lead | low for low in lows]
         replies = bytes((h & w).bit_count() & 1 for h, w in zip(hs, ws))
         for lane_rounds, h, reply in zip(rounds, hs, replies):
             lane_rounds.append((h, reply))
         yield Tag.IH_ROUND, Writer().u8(IH_REPLY).blob(replies).bytes()
-    sols = [_solve_pair(lane_rounds, t) for lane_rounds in rounds]
+    sols = [_solve_pair(lane_rounds) for lane_rounds in rounds]
     swaps = bytes((w != w0) ^ b for (w0, _), w, b in zip(sols, ws, bits))
     yield Tag.IH_ROUND, Writer().u8(IH_SWAP).blob(swaps).bytes()
 
@@ -580,9 +552,10 @@ def _ih_receive(t: int, ws: list[int], bits):
 def ih_narrow(
     t: int, w: int, sender_rng: random.Random
 ) -> tuple[list[tuple[int, int]], int, int]:
-    """t-1 rounds of random independent parity constraints on the t-bit
-    encoding w, one lane's IH steps pumped; returns the rounds and the two
-    surviving encodings."""
+    """t-1 rounds of echelon-form parity constraints on the t-bit encoding
+    w, one lane's IH steps pumped; returns the rounds, each (constraint,
+    reply) with the constraint's leading 1, and the two surviving
+    encodings."""
     ih = IhSender(t, sender_rng)
     pump(_ih_send(t, [ih]), _ih_receive(t, [w], [0]))
     return (ih.rounds, *ih.solutions())

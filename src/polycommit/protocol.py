@@ -475,9 +475,9 @@ def _field_from_json(obj) -> Field:
 
 
 # Config versions that load: every one so far has the same fields with the
-# same meaning, since each bump changed how elements travel, not what a
-# config says.  A config is written with the wire's version, so the
-# NEGOTIATE digest still tells wire versions apart.
+# same meaning, since each bump changed the wire, not what a config says.
+# A config is written with the wire's version, so the NEGOTIATE digest
+# still tells wire versions apart.
 _CONFIG_VERSIONS = range(1, FORMAT_VERSION + 1)
 
 

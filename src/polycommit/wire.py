@@ -48,7 +48,7 @@ __all__ = [
     "TranscriptRecorder",
 ]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MAX_FRAME_PAYLOAD = 1 << 24
 
 

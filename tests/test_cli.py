@@ -18,7 +18,7 @@ from polycommit.protocol import (
     save_prover_state,
     save_verifier_state,
 )
-from polycommit.wire import Reader, Writer
+from polycommit.wire import FORMAT_VERSION, Reader, Writer
 
 
 def run_cli(*argv):
@@ -239,11 +239,11 @@ def _v1_state(magic, cfg, body):
     return magic + head + body
 
 
-@pytest.mark.parametrize("version, code", [(1, 0), (3, 2)])
+@pytest.mark.parametrize("version, code", [(1, 0), (FORMAT_VERSION + 1, 2)])
 def test_a_config_file_loads_by_its_version(config_path, tmp_path, capsys, version, code):
-    # version 1 configs have the same fields as version 2: one saved before
-    # the wire bump loads to the same config and commits; an unknown version
-    # is a configuration error
+    # version 1 configs have the same fields as later ones: one saved before
+    # the wire bumps loads to the same config and commits; an unknown
+    # version is a configuration error
     doc = json.loads(config_path.read_text())
     doc["version"] = version
     old = tmp_path / f"v{version}.json"
@@ -260,7 +260,7 @@ def test_version_1_files_end_in_exit_4(config_path, tmp_path, capsys):
     resp = tmp_path / "resp.bin"
     assert run_cli("eval", "--state-dir", state, "--x", 3, "-o", resp) == 0
     r = Reader(resp.read_bytes()[4:])
-    assert r.u8() == 2
+    assert r.u8() == FORMAT_VERSION
     cfg, key, vk, rounds = load_verifier_state(state / "verifier.state")
     v, u = r.vector(cfg.field), r.vector(cfg.field)
     capsys.readouterr()

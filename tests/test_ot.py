@@ -1,10 +1,8 @@
 """Oblivious transfer: ideal functionality, bounded-storage sketch, 1-of-c."""
 
-import functools
 import hashlib
 import itertools
 import math
-import operator
 import random
 import threading
 from collections import Counter, defaultdict
@@ -491,59 +489,43 @@ def test_setpair_refuses_a_malformed_subset_choice(choice):
         bs_setpair(sa, sb, 0, params.k, random.Random(7), None, subset_choice=choice)
 
 
-def gf2_rank(rows):
-    pivots = {}
-    for row in rows:
-        while row and row.bit_length() in pivots:
-            row ^= pivots[row.bit_length()]
-        if row:
-            pivots[row.bit_length()] = row
-    return len(pivots)
-
-
 def parities(hs, w):
     return [(h & w).bit_count() & 1 for h in hs]
 
 
 @pytest.mark.parametrize("t", range(2, 13))
 def test_solve_pair_matches_brute_force(t):
-    # For random independent constraints and every t-bit w, the solve
-    # returns exactly the t-bit words with w's replies, sorted.
+    # For random echelon-form constraints (the j-th leading at bit t-j) and
+    # every t-bit w, the back-substitution returns exactly the t-bit words
+    # with w's replies, sorted.
     rng = random.Random(t)
     for _ in range(3):
-        hs = []
-        while gf2_rank(hs) < t - 1:
-            hs = [rng.getrandbits(t) for _ in range(t - 1)]
+        hs = [1 << lead | rng.getrandbits(lead) for lead in range(t - 1, 0, -1)]
         words = defaultdict(list)
         for w in range(1 << t):
             words[tuple(parities(hs, w))].append(w)
         assert all(len(ws) == 2 for ws in words.values())
         for w in range(1 << t):
             replies = parities(hs, w)
-            assert _solve_pair(list(zip(hs, replies)), t) == tuple(words[tuple(replies)])
-        w = rng.getrandbits(t)
-        replies = parities(hs, w)
-        total = functools.reduce(operator.xor, hs)
-        with pytest.raises(OtError, match="inconsistent"):
-            _solve_pair(
-                [*zip(hs, replies), (total, functools.reduce(operator.xor, replies) ^ 1)], t
-            )
-        dependent = hs[:-1] + [functools.reduce(operator.xor, hs[:-1], 0)]
-        with pytest.raises(OtError, match="not independent"):
-            _solve_pair(list(zip(dependent, parities(dependent, w))), t)
+            assert _solve_pair(list(zip(hs, replies))) == tuple(words[tuple(replies)])
 
 
 @pytest.mark.parametrize("t", [3, 4, 5, 8, 60, 250])
 def test_ih_sender_solutions_match_solve_pair(t):
-    # the sender's back-substitution over her kept rows solves what the
-    # full elimination solves; replies are random bits, not those of one w
+    # the sender draws t-1 constraints when built, the j-th with its
+    # leading 1 at bit t-j and nothing above it, and no t-th; whatever the
+    # replies, her solve gives two t-bit words that meet all of them
     for seed in range(30):
         replies = random.Random(-seed)
         sender = IhSender(t, random.Random(seed))
-        assert len(sender.constraints) == t - 1  # all drawn when built
+        assert [h.bit_length() - 1 for h in sender.constraints] == list(range(t - 1, 0, -1))
+        with pytest.raises(OtError, match="t-1 constraints"):
+            sender.next_constraint()
         for _ in range(t - 1):
             sender.push_reply(replies.getrandbits(1))
-        assert sender.solutions() == _solve_pair(sender.rounds, t)
+        w0, w1 = sender.solutions()
+        assert w0 < w1 < 1 << t
+        assert parities(sender.constraints, w0) == parities(sender.constraints, w1) == sender.replies
 
 
 def test_ih_sender_solves_only_after_every_reply():
@@ -726,7 +708,7 @@ def test_criterion_8_draws_keep_their_order():
             h.update(a.tobytes())
         h.update(repr((pair.choice, transcript.t, transcript.rounds, transcript.swap, got)).encode())
         h.update(repr(rng.getstate()).encode())
-    assert h.hexdigest() == "bd6c74e6cd045b10f5cac15498ae645ffabe11b88339bfcb3fe648907386cf34"
+    assert h.hexdigest() == "5a02d680c5d16aae7d33579c4e8ba52c4b8bcbfbffb3c6b9d86cb7179cbced32"
 
 
 def test_criterion_8_runs_the_lane_steps(monkeypatch):

@@ -1,6 +1,7 @@
 """Two-party session driver: end-to-end runs, refusals, faults, transcripts."""
 
 import hashlib
+import json
 import random
 import socket
 import threading
@@ -20,7 +21,7 @@ from polycommit.ot import (
     make_bs_params,
 )
 from polycommit.polymat import horner_eval
-from polycommit.protocol import config_digest, make_config, set_digest
+from polycommit.protocol import config_digest, config_to_json, make_config, set_digest
 from polycommit.s2pc import LEFT, RIGHT
 from polycommit.session import (
     BsBackend,
@@ -41,6 +42,7 @@ from polycommit.session import (
 )
 from polycommit.wire import (
     IH_CONSTRAINT,
+    IH_REPLY,
     IH_STATUS,
     IH_SWAP,
     TAPE_CHUNK_BITS,
@@ -104,7 +106,7 @@ def test_bounded_storage_backend_end_to_end():
 
 
 def test_bounded_storage_wire_is_stable():
-    # Golden digest of the prover's whole transcript (135 frames, 21,444
+    # Golden digest of the prover's whole transcript (135 frames, 20,436
     # bytes, 7 broadcasts for 6 transfers in one batch of 6 lanes).  A
     # change to an RNG stream or to the wire format must update it on
     # purpose.
@@ -115,9 +117,9 @@ def test_bounded_storage_wire_is_stable():
     )
     assert res_p.exit_code == EXIT_OK and res_v.exit_code == EXIT_OK
     blob = b"".join(wire.encode_frame(t, p) for t, p in res_p.transcript.frames)
-    assert (len(res_p.transcript.frames), len(blob)) == (135, 21_444)
+    assert (len(res_p.transcript.frames), len(blob)) == (135, 20_436)
     assert hashlib.sha256(blob).hexdigest() == (
-        "6f80abfa55d8daa5257e4ebb1b5035f2dbc13641bba4d04c27bbe0e15bbfd99f"
+        "b4cf0fb98c88e2222a5bb536ed6a0ebdb047a0b54f5d3460f57b77707c47d61c"
     )
 
 
@@ -139,10 +141,10 @@ def test_roles_pumped_on_one_thread_trade_the_frames_run_pair_records():
 
 def lane_digests(frames, t):
     """Per transfer, in order, the SHA-256 of its TAPE_CHUNK and
-    OMEGA_REVEAL payloads, its t-1 constraints as ceil(t/8)-byte
-    little-endian values, its replies, its swap bit, and its two
-    (u64 seed, ciphertext) pairs, read from a transcript in lane framing."""
-    width = (t + 7) // 8
+    OMEGA_REVEAL payloads, its t-1 constraints as sent (round j's t-j bits
+    below the leading 1 in ceil((t-j)/8) little-endian bytes), its replies,
+    its swap bit, and its two (u64 seed, ciphertext) pairs, read from a
+    transcript in lane framing."""
     out, lanes, broadcast = [], [], []
     for tag, payload in frames:
         if tag in (Tag.TAPE_CHUNK, Tag.OMEGA_REVEAL):
@@ -154,10 +156,11 @@ def lane_digests(frames, t):
                     lanes.append({0: broadcast, 1: [], 2: [], 3: []})
                     broadcast = []
             else:
-                step = width if sub == IH_CONSTRAINT else 1
+                j = len(lanes[0][1]) + 1  # the constraint's round
+                step = (t - j + 7) // 8 if sub == IH_CONSTRAINT else 1
                 assert len(value) == step * len(lanes)
-                for lane, j in zip(lanes, range(0, len(value), step)):
-                    lane[sub].append(value[j : j + step])
+                for lane, i in zip(lanes, range(0, len(value), step)):
+                    lane[sub].append(value[i : i + step])
         elif tag == Tag.ENCODED_PAIR:
             pairs = parse(tag, payload)
             assert len(pairs) == len(lanes)
@@ -183,7 +186,7 @@ def test_bounded_storage_lanes_keep_each_transfer():
     digests = lane_digests(res_p.transcript.frames, t)
     assert len(digests) == 6
     assert hashlib.sha256(b"".join(digests)).hexdigest() == (
-        "9db72882f751129a16fcaa7065d4de2cb709e82242dc699093cb413ff2d5d70c"
+        "3d3cbfe8efe7c9d67e4d3cd405521a4ddbcdcb581e1f6add604a286e14f3a653"
     )
 
 
@@ -206,8 +209,8 @@ def test_bounded_storage_ciphertexts_are_one_byte_per_element():
 
 def test_bounded_storage_commitment_is_one_batch():
     # the 2c S2PCs share one interactive-hashing run: t-1 constraint frames
-    # for the whole commitment, each holding 2c(|S|-1) constraints, then one
-    # swap frame and one ENCODED_PAIR frame
+    # for the whole commitment, round j's holding 2c(|S|-1) constraints of
+    # ceil((t-j)/8) bytes each, then one swap frame and one ENCODED_PAIR frame
     cfg = desk_config()
     params = make_bs_params()
     res_p, res_v, _ = run_pair(
@@ -223,7 +226,9 @@ def test_bounded_storage_commitment_is_one_batch():
     ]
     constraints = [value for sub, value in rounds if sub == IH_CONSTRAINT]
     assert len(constraints) == t - 1
-    assert {len(value) for value in constraints} == {lanes * ((t + 7) // 8)}
+    assert [len(value) for value in constraints] == [
+        lanes * ((t - j + 7) // 8) for j in range(1, t)
+    ]
     assert [len(value) for sub, value in rounds if sub == IH_SWAP] == [lanes]
     (pairs,) = [
         parse(tag, payload) for tag, payload in res_p.transcript.frames if tag == Tag.ENCODED_PAIR
@@ -640,11 +645,18 @@ def send_tape(chan, rng):
 # 1-of-2 transfers per commitment at c = 1: 2c runs of |S|-1, one batch
 LANES = 2 * (len(desk_config(c=1).prohibited) - 1)
 T = ih_encoding_bits(SMALL_BS.n, SMALL_BS.subset_size)
-WIDTH = (T + 7) // 8  # bytes per constraint
+WIDTH = (T - 1 + 7) // 8  # bytes per lane of round 1's constraint frame
 
 
 def ih_frame(subtype, data):
     return Writer().u8(subtype).blob(data).bytes()
+
+
+def constraint_frame(j, values):
+    """Round j's IH_ROUND constraint frame: one value per lane, each in the
+    round's ceil((T-j)/8) little-endian bytes."""
+    width = (T - j + 7) // 8
+    return ih_frame(IH_CONSTRAINT, b"".join(v.to_bytes(width, "little") for v in values))
 
 
 def accepted_broadcasts(chan, rng):
@@ -657,32 +669,77 @@ def accepted_broadcasts(chan, rng):
 
 
 def test_dependent_ih_constraints_abort():
-    # the same constraint in every round of every lane: the verifier answers
-    # each round, then aborts instead of sending its swap frame
-    def repeat_one_constraint(chan, rng):
+    # Round 1's constraints are 3 << (T-2), leading at bit T-1.  In round 2
+    # one lane resends its round-1 constraint whole: a bit at round 2's
+    # lead T-2 and one above it, so with the lead put back the row would
+    # repeat round 1.  The verifier aborts without replying to round 2.
+    def resend_round_1(chan, rng):
         accepted_broadcasts(chan, rng)
-        for _ in range(T - 1):
-            chan.send(Tag.IH_ROUND, ih_frame(1, (1).to_bytes(WIDTH, "little") * LANES))
-            assert chan.recv()[0] == Tag.IH_ROUND
+        chan.send(Tag.IH_ROUND, constraint_frame(1, [1 << (T - 2)] * LANES))
+        assert parse(*chan.recv())[0] == IH_REPLY
+        values = [0] * LANES
+        values[2] = 3 << (T - 2)
+        chan.send(Tag.IH_ROUND, constraint_frame(2, values))
 
-    assert hostile_prover(desk_config(c=1), repeat_one_constraint) == (
+    assert hostile_prover(desk_config(c=1), resend_round_1) == (
         EXIT_PROTOCOL, EXIT_PROTOCOL,
     )
 
 
-@pytest.mark.parametrize("case", ["above-t", "wide"])
+@pytest.mark.parametrize("case", ["above-t", "wide", "padding"])
 def test_constraints_beyond_t_bits_abort_before_any_reply(case):
     # Constraints on bits at or above t leave the verifier's own encoding
     # out of the solution pair, so his swap bit would be 1 ^ b, his choice
     # in clear.  He must abort at the first such constraint: no reply, no
-    # swap.  "wide" sends them the way a per-transfer wire once took them,
-    # as many bytes as the bits need.
+    # swap.  Round 1 carries T-1 bits in 7 bytes at T = 52: "above-t" sets
+    # bit T in every lane, "wide" every bit the bytes hold, and "padding"
+    # only the last byte's top bit, in one lane.
+    assert (T, WIDTH) == (52, 7)
+    values = {
+        "above-t": [1 << T] * LANES,
+        "wide": [(1 << 8 * WIDTH) - 1] * LANES,
+        "padding": [1 << (8 * WIDTH - 1) if lane == 3 else 0 for lane in range(LANES)],
+    }[case]
+
     def beyond_t(chan, rng):
         accepted_broadcasts(chan, rng)
-        width = WIDTH if case == "above-t" else (2 * T + 6) // 8
-        chan.send(Tag.IH_ROUND, ih_frame(1, (1 << T).to_bytes(width, "little") * LANES))
+        chan.send(Tag.IH_ROUND, constraint_frame(1, values))
 
     assert hostile_prover(desk_config(c=1), beyond_t) == (EXIT_PROTOCOL, EXIT_PROTOCOL)
+
+
+def test_a_version_2_peer_is_refused_at_negotiate():
+    # A verifier of wire version 2 sends the digest of its config written
+    # at version 2.  The prover refuses it at NEGOTIATE with exit 2, and
+    # the verifier ends on that ABORT with exit 2, before any tape.
+    cfg = desk_config(c=1)
+    doc = json.loads(config_to_json(cfg))
+    assert json.dumps(doc, indent=2, sort_keys=True) == config_to_json(cfg)
+    doc["version"] = 2
+    old_digest = hashlib.sha256(json.dumps(doc, indent=2, sort_keys=True).encode()).digest()
+    chan_v, chan_p = duplex_pair(timeout=10)
+    tags = []
+
+    class Version2:
+        def send(self, tag, payload):
+            if tag == Tag.NEGOTIATE:
+                payload = Writer().blob(old_digest).bytes()
+            tags.append(tag)
+            chan_v.send(tag, payload)
+
+        def recv(self):
+            tag, payload = chan_v.recv()
+            tags.append(tag)
+            return tag, payload
+
+    prover = ProverSession(cfg, honest_coefficients(cfg, 42), BsBackend(SMALL_BS), 42)
+    codes = {}
+    tp = threading.Thread(target=lambda: codes.update(p=prover.run(chan_p)), daemon=True)
+    tp.start()
+    codes["v"] = VerifierSession(cfg, [1], BsBackend(SMALL_BS), 42).run(Version2())
+    tp.join(10)
+    assert codes == {"p": EXIT_CONFIG, "v": EXIT_CONFIG}
+    assert tags[:2] == [Tag.NEGOTIATE, Tag.ABORT] and Tag.TAPE_CHUNK not in tags
 
 
 @pytest.mark.parametrize("case", ["empty", "before-tape", "too-few", "unsorted", "off-tape"])

@@ -28,6 +28,7 @@ from polycommit.protocol import (
 from polycommit.wire import (
     TAPE_CHUNK_BITS,
     DecodeError,
+    FORMAT_VERSION,
     FrameReader,
     Reader,
     Tag,
@@ -209,7 +210,7 @@ def test_config_json_table_field_round_trip():
         {"r": 1},
         {"c": 0},
         {"c": 5},  # c > |S|
-        {"version": 3},  # unknown: newer than the wire (exit 2 in the CLI)
+        {"version": FORMAT_VERSION + 1},  # unknown: newer than the wire (exit 2 in the CLI)
         {"field": {"kind": "prime", "modulus": 12}},
         {"field": {"kind": "weird"}},
     ],
